@@ -131,12 +131,6 @@ class Ap2dmInstance:
         object.__setattr__(self, "exempt", tuple(sorted(set(self.exempt))))
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
 
-    def partners_out(self, v: int) -> list[int]:
-        """Allowed right partners of v, trivial pair included."""
-        out = [w for (u, w) in self.pairs if u == v]
-        out.append(v)
-        return out
-
 
 @dataclass(frozen=True)
 class LinSystem:

@@ -8,6 +8,7 @@ enumeration within fixed budgets for the rest. All functions are pure.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
 
 import numpy as np
@@ -28,9 +29,10 @@ SAT_ENUM_BUDGET = 24  # variables
 XOR_ENUM_BUDGET = 20  # variables
 CVC_BUDGET = 26  # vertices
 XCE_BUDGET = 24  # sets
-# The matching budget accommodates the 14-element worked instance of the
-# three-layer reachability gadget.
-AP2DM_BUDGET = 14  # elements
+# The matching budget keeps every in-budget instance within about a second:
+# the largest of 50 seeded matching gadgets settles in about 0.5 s at 26
+# elements and 14 s at 32 (2-CPU x86 host).
+AP2DM_BUDGET = 26  # elements
 LIN_BUDGET = 24  # columns
 
 
@@ -330,31 +332,54 @@ def check_exact_cover(x: XceInstance, selected: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _partner_lists(a: Ap2dmInstance) -> list[list[int]]:
+    """Sorted allowed right partners of each element, 0-based, trivial pair included."""
+    partners: list[list[int]] = [[v] for v in range(a.universe_size)]
+    for u, w in a.pairs:
+        partners[u - 1].append(w - 1)
+    for p in partners:
+        p.sort()
+    return partners
+
+
+def _matchings(partners: list[list[int]]) -> Iterator[list[int]]:
+    """Perfect matchings in lexicographic order, as 0-based permutation lists.
+
+    Depth-first assignment over the allowed-partner lists. The yielded list
+    is reused; copy it to keep it past the next step.
+    """
+    n = len(partners)
+    if n == 0:
+        yield []
+        return
+    used = [False] * n
+    pi = [0] * n
+    candidates = [iter(partners[0])] + [None] * (n - 1)  # per depth, untried partners
+    depth = 0
+    while depth >= 0:
+        for w in candidates[depth]:
+            if not used[w]:
+                break
+        else:  # depth exhausted: free the choice one level up and resume there
+            depth -= 1
+            used[pi[depth]] = False
+            continue
+        pi[depth] = w
+        if depth == n - 1:
+            yield pi
+            continue
+        used[w] = True
+        depth += 1
+        candidates[depth] = iter(partners[depth])
+
+
 def perfect_matchings(a: Ap2dmInstance) -> list[tuple[int, ...]]:
     """All perfect matchings of the pair structure (trivial pairs included).
 
     Each matching is returned as a permutation tuple pi with pi[v-1] the
     right partner of v. Depth-first assignment over allowed-partner lists.
     """
-    n = a.universe_size
-    partners = [sorted(a.partners_out(v)) for v in range(1, n + 1)]
-    used = [False] * (n + 1)
-    pi = [0] * n
-    out: list[tuple[int, ...]] = []
-
-    def extend(v: int):
-        if v > n:
-            out.append(tuple(pi))
-            return
-        for w in partners[v - 1]:
-            if not used[w]:
-                used[w] = True
-                pi[v - 1] = w
-                extend(v + 1)
-                used[w] = False
-
-    extend(1)
-    return out
+    return [tuple(w + 1 for w in pi) for pi in _matchings(_partner_lists(a))]
 
 
 def linked_by_chain(a: Ap2dmInstance, pi: tuple[int, ...], v: int, w: int) -> bool:
@@ -383,12 +408,37 @@ def linked_by_power(pi: tuple[int, ...], v: int, w: int) -> bool:
     return False
 
 
-def _linked_sets(a: Ap2dmInstance, pi: tuple[int, ...]) -> list[set[int]]:
-    """For each v, the set of w linked to it under the chain definition."""
-    return [
-        {w for w in range(1, a.universe_size + 1) if linked_by_chain(a, pi, v, w)}
-        for v in range(1, a.universe_size + 1)
-    ]
+def _cycle_links(pi: list[int], starts) -> list[int]:
+    """Linked sets under a 0-based matching, as bit masks, for every element
+    on a cycle through one of `starts`; the other entries stay 0.
+
+    An element links to its whole cycle when the cycle is odd and to the
+    elements at even offsets along it when the cycle is even.
+    """
+    links = [0] * len(pi)
+    for start in starts:
+        if links[start]:  # every element links to itself, so a done mask is set
+            continue
+        z = pi[start]
+        if z == start:
+            links[start] = 1 << start
+            continue
+        cycle = [start]
+        while z != start:
+            cycle.append(z)
+            z = pi[z]
+        even = odd = 0
+        for u in cycle[::2]:
+            even |= 1 << u
+        for u in cycle[1::2]:
+            odd |= 1 << u
+        if len(cycle) & 1:
+            even = odd = even | odd
+        for u in cycle[::2]:
+            links[u] = even
+        for u in cycle[1::2]:
+            links[u] = odd
+    return links
 
 
 def solve_ap2dm(a: Ap2dmInstance) -> tuple[bool, tuple[int, int] | None]:
@@ -396,21 +446,44 @@ def solve_ap2dm(a: Ap2dmInstance) -> tuple[bool, tuple[int, int] | None]:
 
     For every ordered distinct pair (v, w) with v or w outside the exemption
     set, some perfect matching must link v to w under the chain definition.
+    The failing pair of a NO instance is the first unlinked one in
+    lexicographic order.
+
+    Linkage lemma (acceptance criterion 8 checks it against the literal
+    chain test): under a perfect matching pi, v links to w exactly when
+    w = pi^k(v) for some even k >= 2. Stepping by two around v's cycle of
+    length L visits every element of the cycle when L is odd and the
+    elements at even offsets when L is even. So one cycle decomposition per
+    matching gives every linked set, and linkage is symmetric: the offset
+    from w back to v is L - k, even whenever L is even. The required pairs
+    of each element still unlinked are kept as a bit mask; each matching
+    visits only the cycles through elements with a non-empty mask, and the
+    enumeration stops once every mask is empty.
     """
     n = a.universe_size
     if n > AP2DM_BUDGET:
         raise BudgetError(f"{n} elements exceed the enumeration budget {AP2DM_BUDGET}")
     exempt = set(a.exempt)
-    reach: list[set[int]] = [set() for _ in range(n)]
-    for pi in perfect_matchings(a):
-        for v, linked in enumerate(_linked_sets(a, pi), 1):
-            reach[v - 1] |= linked
-    for v in range(1, n + 1):
-        for w in range(1, n + 1):
-            if v == w or (v in exempt and w in exempt):
-                continue
-            if w not in reach[v - 1]:
-                return False, (v, w)
+    everyone = (1 << n) - 1
+    exempt_mask = sum(1 << v for v in range(n) if v + 1 in exempt)
+    # required partners of v: every other element, minus the exempt ones if v is exempt
+    unlinked = [(everyone & ~exempt_mask if v + 1 in exempt else everyone) & ~(1 << v)
+                for v in range(n)]
+    open_vs = [v for v in range(n) if unlinked[v]]
+    if open_vs:
+        for pi in _matchings(_partner_lists(a)):
+            links = _cycle_links(pi, open_vs)
+            closed = False
+            for v in open_vs:
+                unlinked[v] &= ~links[v]
+                closed = closed or not unlinked[v]
+            if closed:
+                open_vs = [v for v in open_vs if unlinked[v]]
+                if not open_vs:
+                    break
+    for v, m in enumerate(unlinked, 1):
+        if m:
+            return False, (v, (m & -m).bit_length())
     return True, None
 
 

@@ -2,7 +2,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from redlab import oracles
+from redlab import figures, oracles, reductions
 from redlab.harness import GenSpec, generate
 from redlab.instances import (
     Ap2dmInstance,
@@ -16,6 +16,7 @@ from redlab.instances import (
     XorSystem,
 )
 from redlab.oracles import (
+    AP2DM_BUDGET,
     BudgetError,
     check_assignment,
     check_cover,
@@ -174,6 +175,44 @@ def _linked_via_permutations(a: Ap2dmInstance, v: int, w: int) -> bool:
     return False
 
 
+def _chain_linked_sets(a: Ap2dmInstance, pi: tuple[int, ...]) -> list[set[int]]:
+    """For each v, the set of w linked to it by the literal chain test."""
+    n = a.universe_size
+    return [{w for w in range(1, n + 1) if linked_by_chain(a, pi, v, w)}
+            for v in range(1, n + 1)]
+
+
+def _reference_solve_ap2dm(a: Ap2dmInstance) -> tuple[bool, tuple[int, int] | None]:
+    """The matching oracle by its literal definition: union the chain-linked
+    sets over every perfect matching, then look for the first required pair
+    missing in lexicographic order."""
+    n = a.universe_size
+    exempt = set(a.exempt)
+    reach: list[set[int]] = [set() for _ in range(n)]
+    for pi in perfect_matchings(a):
+        for v, linked in enumerate(_chain_linked_sets(a, pi), 1):
+            reach[v - 1] |= linked
+    for v in range(1, n + 1):
+        for w in range(1, n + 1):
+            if v == w or (v in exempt and w in exempt):
+                continue
+            if w not in reach[v - 1]:
+                return False, (v, w)
+    return True, None
+
+
+def _ap2dm_corpus() -> list[Ap2dmInstance]:
+    """200 matching-gadget outputs, 300 random instances and the fig3 gadget."""
+    spec = GenSpec("dstcon_raw", max_size=5, seed=71)
+    corpus = [reductions.dstcon_to_ap2dm(reductions.normalize_dstcon(generate(spec, t))[0])[0]
+              for t in range(200)]
+    for max_size in (5, 6, 7, 8):
+        spec = GenSpec("ap2dm", max_size=max_size, seed=72 + max_size)
+        corpus += [generate(spec, t) for t in range(75)]
+    corpus.append(figures.fig3()[1])
+    return corpus
+
+
 class TestAp2dm:
     def test_single_element_vacuous(self):
         assert solve_ap2dm(Ap2dmInstance(1, (), ())) == (True, None)
@@ -185,7 +224,7 @@ class TestAp2dm:
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            solve_ap2dm(Ap2dmInstance(15, (), ()))
+            solve_ap2dm(Ap2dmInstance(AP2DM_BUDGET + 1, (), ()))
 
     def test_matches_permutation_filter(self):
         spec = GenSpec("ap2dm", max_size=5, seed=333)
@@ -199,6 +238,21 @@ class TestAp2dm:
                 for w in range(1, a.universe_size + 1)
                 if v != w and not (v in exempt and w in exempt))
             assert yes == expected, a
+
+    def test_matches_literal_reference(self):
+        corpus = _ap2dm_corpus()
+        assert len(corpus) >= 500
+        verdicts = [solve_ap2dm(a) for a in corpus]
+        assert verdicts == [_reference_solve_ap2dm(a) for a in corpus]
+        assert {yes for yes, _ in verdicts} == {True, False}
+
+    def test_cycle_links_equal_chain_links(self):
+        for a in _ap2dm_corpus():
+            n = a.universe_size
+            for pi in perfect_matchings(a):
+                masks = oracles._cycle_links([w - 1 for w in pi], range(n))
+                cycle_sets = [{w for w in range(1, n + 1) if m >> (w - 1) & 1} for m in masks]
+                assert cycle_sets == _chain_linked_sets(a, pi), (a, pi)
 
     def test_chain_equals_power_on_enumerated_matchings(self):
         spec = GenSpec("ap2dm", max_size=8, seed=444)
