@@ -2,7 +2,8 @@
 
 Exit codes: 0 = YES/success, 1 = NO, 2 = usage or I/O error. All subcommands
 are reproducible from their flags; the only environment dependence is the
-optional REDLAB_WORKERS worker count used by `verify`.
+optional REDLAB_WORKERS worker count used by `verify` (the oracle-reduction
+run included) and `fit`, which changes no output.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ from .instances import (
 
 def _read(path: str):
     return parse(Path(path).read_text())
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 _TAG_TYPES = {
@@ -127,30 +135,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.name == "ap2dm_to_dstcon_queries":
-        result = harness.verify_T_reduction(args.trials, seed=args.seed,
-                                            max_size=args.max_size or 5)
+        result = harness.verify_T_reduction(args.trials, seed=args.seed, max_size=args.max_size)
     else:
-        plan = None
-        if args.max_size is not None:
-            base = harness.CORRUPTED.get(args.name, (args.name,))[0]
-            plans = harness.default_plans(args.seed)
-            if base not in plans:
-                print(f"unknown reduction {args.name!r}", file=sys.stderr)
-                return 2
-            p = plans[base]
-            from dataclasses import replace
-
-            plan = harness.VerifierPlan(
-                replace(p.genspec, max_size=args.max_size, seed=args.seed),
-                p.prepare, p.reduce, p.oracle_in, p.oracle_out, p.postcheck)
-            if args.name in harness.CORRUPTED:
-                plan = harness.replace_reduce(plan, harness.CORRUPTED[args.name][1])
-        try:
-            result = harness.verify_m_reduction(args.name, args.trials, plan=plan,
-                                                seed=args.seed)
-        except harness.GenerationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        result = harness.verify_m_reduction(args.name, args.trials, max_size=args.max_size,
+                                            seed=args.seed)
     run_dir = Path(args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     for seed, text in result.equiv_failures:
@@ -160,11 +148,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        fit = harness.fit_shortness(args.name, args.trials, seed=args.seed)
-    except harness.GenerationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    fit = harness.fit_shortness(args.name, args.trials, seed=args.seed)
     k1, k2 = fit["declared"]
     print(f"FIT {fit['name']}")
     print(f"DECLARED K1 {k1} K2 {k2}")
@@ -219,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("problem", choices=sorted(harness.GENERATORS))
-    p.add_argument("--size", type=int, required=True, help="primary size knob")
+    p.add_argument("--size", type=_positive, required=True, help="primary size knob")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clauses", type=int, default=None)
     p.add_argument("--occ-bound", type=int, default=3)
@@ -246,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification harness")
     p.add_argument("name")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--trials", type=_positive, default=200)
+    p.add_argument("--max-size", type=_positive, default=None)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--run-dir", default=".")
     p.add_argument("--no-timing", action="store_true", help="omit the WALLTIME line")
@@ -255,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit observed shortness constants")
     p.add_argument("name")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive, default=200)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_fit)
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import oracles, reductions
 from .instances import (
@@ -25,7 +27,6 @@ from .instances import (
     XceInstance,
     XorSystem,
     serialize,
-    size_param,
     validate,
 )
 
@@ -518,6 +519,7 @@ class VerifyResult:
     shortness_failures: list[tuple[int, str]] = field(default_factory=list)
     structural_failures: list[tuple[int, str]] = field(default_factory=list)
     findings: list[tuple[int, str]] = field(default_factory=list)
+    skipped: list[tuple[int, str]] = field(default_factory=list)  # (seed, reason)
     max_ratio: float = 0.0
     wall_time: float = 0.0
 
@@ -533,33 +535,18 @@ class VerifyResult:
         ]
         for seed, _ in self.equiv_failures:
             lines.append(f"COUNTEREXAMPLE\t{seed}\t{self.name}_seed{seed}.txt")
+        for seed, reason in self.skipped:
+            lines.append(f"SKIPPED\t{seed}\t{reason}")
         if include_timing:
             lines.append(f"WALLTIME\t{self.wall_time:.3f}")
         return "\n".join(lines) + "\n"
 
 
-def _solve_2sat_yes(f):
-    return oracles.solve_2sat(f)[0]
-
-
-def _solve_2cvc_yes(g):
-    return oracles.solve_2cvc(g)[0]
-
-
-def _solve_xce_yes(x):
-    return oracles.solve_xce(x)[0]
-
-
-def _solve_lin_yes(s):
-    return oracles.solve_lin(s)[0]
-
-
-def _solve_ap2dm_yes(a):
-    return oracles.solve_ap2dm(a)[0]
-
-
-def _solve_dstcon_yes(g):
-    return oracles.solve_dstcon(g)[0]
+def _first(fn, instance):
+    """fn(instance)[0]: an oracle's verdict without its witness, or a
+    reduction's output without its report. Plans bind it with
+    functools.partial, which pickles for the worker pool."""
+    return fn(instance)[0]
 
 
 def _post_2cvc3(out: UGraph, src) -> list[str]:
@@ -590,8 +577,9 @@ def _post_ap2dm(out: Ap2dmInstance, src) -> list[str]:
 
 @dataclass(frozen=True)
 class VerifierPlan:
-    """How to verify one named reduction: generator family, optional
-    normalization step, the two oracles, and structural postchecks."""
+    """How to verify one reduction: generator family, optional preparation
+    step (normalize, build a gadget), the two oracles, and structural
+    postchecks."""
 
     genspec: GenSpec
     prepare: object | None  # instance -> instance (e.g. normalize)
@@ -601,61 +589,58 @@ class VerifierPlan:
     postcheck: object | None = None  # (out, src) -> [messages]
 
 
-def _prep_sat(f):
-    return reductions.normalize_2sat3(f)
-
-
-def _prep_dstcon(g):
-    return reductions.normalize_dstcon(g)[0]
-
-
 def default_plans(seed: int = 1) -> dict[str, VerifierPlan]:
     """Default verification families, sized to keep every oracle in budget."""
+    sat2 = partial(_first, oracles.solve_2sat)
+    cvc = partial(_first, oracles.solve_2cvc)
+    xce = partial(_first, oracles.solve_xce)
+    lin = partial(_first, oracles.solve_lin)
+    dstcon = partial(_first, oracles.solve_dstcon)
     return {
         "sat2_to_2cvc3": VerifierPlan(
             GenSpec("2sat3", max_size=10, seed=seed, vc_budget=13),
-            _prep_sat, reductions.sat2_to_2cvc3,
-            _solve_2sat_yes, _solve_2cvc_yes, _post_2cvc3),
+            reductions.normalize_2sat3, reductions.sat2_to_2cvc3,
+            sat2, cvc, _post_2cvc3),
         "cvc3_to_sat2": VerifierPlan(
             GenSpec("ugraph3", max_size=14, seed=seed),
             None, reductions.cvc3_to_sat2,
-            _solve_2cvc_yes, _solve_2sat_yes),
+            cvc, sat2),
         "sat2_to_3xce2": VerifierPlan(
             GenSpec("2sat3", max_size=8, seed=seed, max_clauses=6),
-            _prep_sat, reductions.sat2_to_3xce2,
-            _solve_2sat_yes, _solve_xce_yes, _post_3xce2),
+            reductions.normalize_2sat3, reductions.sat2_to_3xce2,
+            sat2, xce, _post_3xce2),
         "xce2_to_2lp": VerifierPlan(
             GenSpec("xce", max_size=9, seed=seed),
             None, reductions.xce2_to_2lp,
-            _solve_xce_yes, _solve_lin_yes, _post_valid),
+            xce, lin, _post_valid),
         "lp_to_2lp": VerifierPlan(
             GenSpec("lin_geq", max_size=10, seed=seed, max_rows=8),
             None, reductions.lp_to_2lp,
-            _solve_lin_yes, _solve_lin_yes, _post_valid),
+            lin, lin, _post_valid),
         "twolp_to_lp": VerifierPlan(
             GenSpec("lin_band", max_size=6, seed=seed, max_rows=6),
             None, reductions.twolp_to_lp,
-            _solve_lin_yes, _solve_lin_yes, _post_twolp),
+            lin, lin, _post_twolp),
         "le_to_xor2sat": VerifierPlan(
             GenSpec("lin_eq", max_size=12, seed=seed, max_rows=8),
             None, reductions.le_to_xor2sat,
-            _solve_lin_yes, oracles.solve_xor2sat, _post_valid),
+            lin, oracles.solve_xor2sat, _post_valid),
         "normalize_2sat3": VerifierPlan(
             GenSpec("2sat3", max_size=12, seed=seed),
             None, reductions._normalize_2sat3_op,
-            _solve_2sat_yes, _solve_2sat_yes),
+            sat2, sat2),
         "normalize_dstcon": VerifierPlan(
             GenSpec("digraph4", max_size=6, seed=seed, deg_bound=3),
             None, reductions.normalize_dstcon,
-            _solve_dstcon_yes, _solve_dstcon_yes),
+            dstcon, dstcon),
         "dstcon_to_ap2dm": VerifierPlan(
             GenSpec("dstcon_raw", max_size=5, seed=seed),
-            _prep_dstcon, reductions.dstcon_to_ap2dm,
-            _solve_dstcon_yes, _solve_ap2dm_yes, _post_ap2dm),
+            partial(_first, reductions.normalize_dstcon), reductions.dstcon_to_ap2dm,
+            dstcon, partial(_first, oracles.solve_ap2dm), _post_ap2dm),
         "reduce_degree_dstcon": VerifierPlan(
             GenSpec("digraph4", max_size=10, seed=seed, deg_bound=4),
             None, reductions.reduce_degree_dstcon,
-            _solve_dstcon_yes, _solve_dstcon_yes),
+            dstcon, dstcon),
     }
 
 
@@ -727,37 +712,56 @@ CORRUPTED = {
 }
 
 
-def _run_trial(name: str, plan: VerifierPlan, trial: int):
-    """One verification trial; returns a small result record."""
+def _ap2dm_gadget(g: Digraph) -> Ap2dmInstance:
+    """The matching gadget of a raw reachability instance."""
+    return reductions.dstcon_to_ap2dm(reductions.normalize_dstcon(g)[0])[0]
+
+
+def _resolve(name: str, seed: int, max_size: int | None) -> VerifierPlan:
+    """The plan a reduction name means: its default plan, or for a corrupted
+    fixture the base plan with the fixture as its reduce. max_size, when
+    given, replaces the family's size knob."""
+    base, bad = CORRUPTED.get(name, (name, None))
+    plan = default_plans(seed).get(base)
+    if plan is None:
+        raise GenerationError(f"unknown reduction {name!r}")
+    if bad is not None:
+        plan = replace(plan, reduce=bad)
+    if max_size is not None:
+        plan = replace(plan, genspec=replace(plan.genspec, max_size=max_size))
+    return plan
+
+
+@dataclass
+class _Trial:
+    """What one trial leaves for the folds. A skipped trial carries only
+    its seed and the reason."""
+
+    seed: int
+    raw: object = None  # the generated instance
+    report: object = None  # ReductionReport, or None
+    equiv: bool = True  # both oracles agree (True when not decided)
+    struct: list[str] = field(default_factory=list)
+    skipped: str | None = None
+
+
+def _run_trial(plan: VerifierPlan, trial: int, decide: bool) -> _Trial:
+    """generate -> prepare -> reduce, then with `decide` both oracles and
+    the postcheck. A trial over an oracle budget or outside a reduction's
+    precondition is skipped rather than ending the run."""
+    seed = plan.genspec.seed + trial
     raw = generate(plan.genspec, trial)
-    src = plan.prepare(raw) if plan.prepare else raw
-    out, report = plan.reduce(src)
-    rec = {
-        "trial": trial,
-        "seed": plan.genspec.seed + trial,
-        "equiv": None,
-        "short_ok": True,
-        "ratio": 0.0,
-        "struct": [],
-        "raw": raw,
-        "src": src,
-    }
-    if report is not None:
-        rec["short_ok"] = report.shortness_ok
-        denom = report.k1 * report.input_param.value
-        if denom > 0:
-            rec["ratio"] = (report.output_param.value - report.k2) / denom
-    a = plan.oracle_in(src)
-    b = plan.oracle_out(out)
-    rec["equiv"] = (a == b, a, b)
-    if plan.postcheck:
-        rec["struct"] = plan.postcheck(out, src)
+    try:
+        src = plan.prepare(raw) if plan.prepare else raw
+        out, report = plan.reduce(src)
+        rec = _Trial(seed, raw, report)
+        if decide:
+            rec.equiv = plan.oracle_in(src) == plan.oracle_out(out)
+            if plan.postcheck:
+                rec.struct = plan.postcheck(out, src)
+    except (oracles.BudgetError, reductions.PreconditionError) as exc:
+        return _Trial(seed, skipped=str(exc))
     return rec
-
-
-def _worker_chunk(args):
-    name, plan, trials = args
-    return [_run_trial(name, plan, t) for t in trials]
 
 
 def _workers(trials: int | None = None) -> int:
@@ -773,64 +777,64 @@ def _workers(trials: int | None = None) -> int:
     return max(1, min(requested, cap))
 
 
-def verify_m_reduction(name: str, trials: int, plan: VerifierPlan | None = None,
-                       seed: int | None = None) -> VerifyResult:
-    """Generate / normalize / reduce / compare both oracles, `trials` times.
-
-    Failures never abort the run; each kind is collected with a reproducing
-    seed and the serialized instance. A corrupted fixture name from the
-    mutation registry is accepted too.
-    """
-    if plan is None:
-        if name in CORRUPTED:
-            base, fn = CORRUPTED[name]
-            plan = default_plans(seed if seed is not None else 1)[base]
-            plan = replace_reduce(plan, fn)
-        else:
-            plans = default_plans(seed if seed is not None else 1)
-            if name not in plans:
-                raise GenerationError(f"unknown reduction {name!r}")
-            plan = plans[name]
-    elif seed is not None:
-        plan = VerifierPlan(replace(plan.genspec, seed=seed), plan.prepare,
-                            plan.reduce, plan.oracle_in, plan.oracle_out, plan.postcheck)
-    started = time.perf_counter()
-    result = VerifyResult(name=name, trials=trials)
+def _trials(plan: VerifierPlan, trials: int, decide: bool = True) -> Iterator[_Trial]:
+    """The record of every trial, in trial order, streamed from this process
+    or, with REDLAB_WORKERS > 1, from a pool running one chunk of trials
+    per worker; either way the worker count never changes a result."""
     workers = _workers(trials)
     if workers > 1 and trials >= 4 * workers:
-        chunks = [(name, plan, list(range(i, trials, workers))) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            recs = [r for chunk in pool.map(_worker_chunk, chunks) for r in chunk]
-        recs.sort(key=lambda r: r["trial"])
+            yield from pool.map(partial(_run_trial, plan, decide=decide), range(trials),
+                                chunksize=-(-trials // workers))
     else:
-        recs = [_run_trial(name, plan, t) for t in range(trials)]
-    for rec in recs:
-        ok, a, b = rec["equiv"]
-        if not ok:
-            result.equiv_failures.append((rec["seed"], serialize(rec["raw"])))
-        if not rec["short_ok"]:
-            result.shortness_failures.append((rec["seed"], serialize(rec["raw"])))
-        for msg in rec["struct"]:
-            result.structural_failures.append((rec["seed"], msg))
-        result.max_ratio = max(result.max_ratio, rec["ratio"])
+        for t in range(trials):
+            yield _run_trial(plan, t, decide)
+
+
+def _verify(name: str, plan: VerifierPlan, trials: int) -> VerifyResult:
+    started = time.perf_counter()
+    result = VerifyResult(name=name, trials=trials)
+    for rec in _trials(plan, trials):
+        if rec.skipped is not None:
+            result.skipped.append((rec.seed, rec.skipped))
+            continue
+        if not rec.equiv:
+            result.equiv_failures.append((rec.seed, serialize(rec.raw)))
+        report = rec.report
+        if report is not None:
+            if not report.shortness_ok:
+                result.shortness_failures.append((rec.seed, serialize(rec.raw)))
+            denom = report.k1 * report.input_param.value
+            if denom > 0:
+                result.max_ratio = max(
+                    result.max_ratio, (report.output_param.value - report.k2) / denom)
+        result.structural_failures.extend((rec.seed, msg) for msg in rec.struct)
     result.wall_time = time.perf_counter() - started
     return result
 
 
-def replace_reduce(plan: VerifierPlan, fn) -> VerifierPlan:
-    return VerifierPlan(plan.genspec, plan.prepare, fn, plan.oracle_in,
-                        plan.oracle_out, plan.postcheck)
+def verify_m_reduction(name: str, trials: int, max_size: int | None = None,
+                       seed: int = 1) -> VerifyResult:
+    """Generate / normalize / reduce / compare both oracles, `trials` times.
+
+    Failures never abort the run; each kind is collected with a reproducing
+    seed and the serialized instance, and a trial over an oracle budget or
+    outside a reduction's precondition is recorded as skipped. A corrupted
+    fixture name from the mutation registry is accepted too, and max_size
+    overrides the family's size knob.
+    """
+    return _verify(name, _resolve(name, seed, max_size), trials)
 
 
 def verify_T_reduction(trials: int, seed: int = 1, exploratory: bool = False,
-                       max_size: int = 5) -> VerifyResult:
+                       max_size: int | None = None) -> VerifyResult:
     """Check the oracle reduction against the matching oracle.
 
     Strict mode runs over gadget instances built from small normalized
     reachability graphs and counts disagreements as equivalence failures;
     exploratory mode runs over arbitrary random 4-overlapping instances and
     records disagreements as findings only. Per-query sizes are enforced
-    against the |X| bound in both modes.
+    against the |X| bound in both modes. max_size defaults to 5.
 
     Linkage needs no separate symmetry check: under a perfect matching, v
     links to w exactly when w = pi^k(v) for some even k >= 2 (acceptance
@@ -838,52 +842,31 @@ def verify_T_reduction(trials: int, seed: int = 1, exploratory: bool = False,
     L, where L - k is even whenever L is even and every offset qualifies
     when L is odd. So linkage is symmetric on every matching by proof.
     """
-    started = time.perf_counter()
+    spec = GenSpec("ap2dm" if exploratory else "dstcon_raw",
+                   max_size=5 if max_size is None else max_size, seed=seed)
+    # the oracle reduction outputs its own verdict, so oracle_out is bool
+    plan = VerifierPlan(
+        spec, None if exploratory else _ap2dm_gadget,
+        partial(reductions.ap2dm_to_dstcon_queries, oracle=partial(_first, oracles.solve_dstcon)),
+        partial(_first, oracles.solve_ap2dm), bool)
     name = "ap2dm_to_dstcon_queries" + ("_exploratory" if exploratory else "")
-    result = VerifyResult(name=name, trials=trials)
-    for t in range(trials):
-        if exploratory:
-            a = generate(GenSpec("ap2dm", max_size=max_size, seed=seed), t)
-            raw = a
-        else:
-            raw = generate(GenSpec("dstcon_raw", max_size=max_size, seed=seed), t)
-            g = reductions.normalize_dstcon(raw)[0]
-            a, _ = reductions.dstcon_to_ap2dm(g)
-        turing, report = reductions.ap2dm_to_dstcon_queries(a, _solve_dstcon_yes)
-        direct = oracles.solve_ap2dm(a)[0]
-        if turing != direct:
-            entry = (seed + t, serialize(raw))
-            if exploratory:
-                result.findings.append(entry)
-            else:
-                result.equiv_failures.append(entry)
-        if not report.shortness_ok:
-            result.shortness_failures.append((seed + t, serialize(raw)))
-        if report.queries:
-            result.max_ratio = max(
-                result.max_ratio,
-                max(q.size for q in report.queries) / size_param(a, "m_set"))
-    result.wall_time = time.perf_counter() - started
+    result = _verify(name, plan, trials)
+    if exploratory:
+        result.findings, result.equiv_failures = result.equiv_failures, []
     return result
 
 
 def fit_shortness(name: str, trials: int, seed: int = 1) -> dict:
     """Observed input/output size pairs, the tightest fitting constants, and
-    a ratio histogram, alongside the declared constants."""
-    plans = default_plans(seed)
-    if name not in plans:
-        raise GenerationError(f"unknown reduction {name!r}")
-    plan = plans[name]
+    a ratio histogram, alongside the declared constants. The trials are
+    those of `verify_m_reduction`, with the oracle stages left out."""
     pairs: list[tuple[int, int]] = []
     declared = None
-    for t in range(trials):
-        raw = generate(plan.genspec, t)
-        src = plan.prepare(raw) if plan.prepare else raw
-        _, report = plan.reduce(src)
-        if report is None:
+    for rec in _trials(_resolve(name, seed, None), trials, decide=False):
+        if rec.report is None:
             continue
-        declared = (report.k1, report.k2)
-        pairs.append((report.input_param.value, report.output_param.value))
+        declared = (rec.report.k1, rec.report.k2)
+        pairs.append((rec.report.input_param.value, rec.report.output_param.value))
     k1, k2 = declared if declared else (1, 0)
     fit_k1 = max((o / i) for i, o in pairs) if pairs else 0.0  # with k2 = 0
     fit_k2 = max((o - k1 * i) for i, o in pairs) if pairs else 0  # with declared k1

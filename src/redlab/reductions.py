@@ -638,52 +638,43 @@ def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, ReductionReport]:
     return out, report
 
 
-def ap2dm_query_graph(a: Ap2dmInstance) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Vertex set X and one directed edge per stored non-trivial pair."""
-    return a.pairs, a.universe_size
-
-
 def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
     """Oracle (Turing) reduction: build the query graph once and, per
     unordered qualifying pair, ask for reachability in both directions;
     YES iff every query is answered affirmatively.
 
-    `oracle` is any Digraph decider returning a truthy YES. Every issued
-    query is logged with its size, which always equals |X|.
+    `oracle` is any Digraph decider returning a truthy YES. The query graph
+    has vertex set X and one edge per stored non-trivial pair. Every issued
+    query is logged with its size, which always equals |X|; the report's
+    output parameter is the largest query (0 when none is issued).
     Declared per-query shortness k1=1, k2=0 on m_set -> m_ver.
     """
     bad = validate(a, {"overlap_bound": 4})
     if bad:
         raise PreconditionError(f"instance is not 4-overlapping: {bad[0].detail}")
-    edges, n = ap2dm_query_graph(a)
+    n = a.universe_size
     exempt = set(a.exempt)
-    in_size = size_param(a, "m_set")
-    report = ReductionReport(
-        name="ap2dm_to_dstcon_queries",
-        input_param=SizeParam("m_set", in_size),
-        output_param=SizeParam("m_ver", max(1, n)),
-        k1=1,
-        k2=0,
-        shortness_ok=True,
-    )
-    answer = True
+    queries = []
     for v in range(1, n + 1):
         for w in range(v + 1, n + 1):
             if v in exempt and w in exempt:
                 continue
-            pair_ok = True
             for src, dst in ((v, w), (w, v)):
-                q = Digraph(n, edges, src, dst)
-                qsize = size_param(q, "m_ver")
-                res = bool(oracle(q))
-                report.queries.append(QueryRecord(f"({src},{dst})", qsize, res))
-                if qsize > report.k1 * in_size + report.k2:
-                    report.shortness_ok = False
-                if not res:
-                    pair_ok = False
-            if not pair_ok:
-                answer = False
-    return answer, report
+                q = Digraph(n, a.pairs, src, dst)
+                answer = bool(oracle(q))
+                queries.append(QueryRecord(f"({src},{dst})", size_param(q, "m_ver"), answer))
+    in_size = size_param(a, "m_set")
+    largest = max((q.size for q in queries), default=0)
+    report = ReductionReport(
+        name="ap2dm_to_dstcon_queries",
+        input_param=SizeParam("m_set", in_size),
+        output_param=SizeParam("m_ver", largest),
+        k1=1,
+        k2=0,
+        shortness_ok=largest <= in_size,
+        queries=queries,
+    )
+    return all(q.answer for q in queries), report
 
 
 def reduce_degree_dstcon(g: Digraph, target: int = 3) -> tuple[Digraph, ReductionReport]:

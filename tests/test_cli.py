@@ -1,3 +1,5 @@
+import pytest
+
 from redlab.cli import main
 from redlab.instances import CnfFormula, parse, serialize
 
@@ -115,6 +117,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "le_to_xor2sat", "--trials", "20",
                            "--max-size", "6", "--run-dir", str(tmp_path), "--no-timing")
         assert code == 0 and "TRIALS\t20" in out
+
+    def test_over_budget_trials_skipped(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "verify", "dstcon_to_ap2dm", "--trials", "20",
+                           "--max-size", "12", "--run-dir", str(tmp_path), "--no-timing")
+        assert code == 0 and "EQUIV_FAILURES\t8\n" in out
+        lines = out.splitlines()
+        skipped = [line.split("\t") for line in lines if line.startswith("SKIPPED\t")]
+        assert [int(seed) for _, seed, _ in skipped] == [4, 5, 7, 9, 14, 17]
+        assert all("exceed the enumeration budget" in reason for _, _, reason in skipped)
+        # the SKIPPED lines close the summary, after the counterexample lines
+        assert lines[-len(skipped):] == ["\t".join(s) for s in skipped]
+        assert len(list(tmp_path.glob("dstcon_to_ap2dm_seed*.txt"))) == 8
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lp_to_2lp", "--trials", "-3"),
+        ("verify", "ap2dm_to_dstcon_queries", "--max-size", "0"),
+        ("verify", "lp_to_2lp", "--max-size", "0"),
+        ("gen", "2sat3", "--size", "0"),
+    ])
+    def test_non_positive_rejected(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "not a positive integer" in err
 
     def test_turing_name(self, tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "ap2dm_to_dstcon_queries",

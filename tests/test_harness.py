@@ -77,9 +77,12 @@ class TestVerify:
         assert a.to_text(include_timing=False) == b.to_text(include_timing=False)
 
     def test_seed_changes_family(self):
-        a = verify_m_reduction("lp_to_2lp", 40, seed=1)
-        b = verify_m_reduction("lp_to_2lp", 40, seed=2)
-        assert a.trials == b.trials == 40
+        # trial t of a run at seed s draws from seed s + t: runs at seeds 1
+        # and 2 share the trial seeds 2..40 and differ at 1 and 41
+        a = verify_m_reduction("bad_cvc3_to_sat2", 40, seed=1).equiv_failures
+        b = verify_m_reduction("bad_cvc3_to_sat2", 40, seed=2).equiv_failures
+        assert a[0][0] == 1 and b[-1][0] == 41
+        assert [f for f in a if f[0] >= 2] == [f for f in b if f[0] <= 40]
 
     def test_worker_pool_matches_sequential(self):
         base = verify_m_reduction("le_to_xor2sat", 64)
