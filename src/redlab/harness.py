@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_left, insort
+from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+
+import numpy as np
 
 from . import oracles, reductions
 from .instances import (
@@ -36,23 +40,47 @@ class GenerationError(ValueError):
 
 
 MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
+# Lists at least this long are shuffled with all swap targets drawn in one
+# numpy pass; below it the scalar loop is faster (crossover about 24 items).
+BATCH_SHUFFLE_MIN = 24
 
 
 class SplitMix64:
     """SplitMix64 PRNG (Steele, Lea, Flood 2014). Portable: the whole
     algorithm is these few lines, so any implementation can reproduce the
     stream. State advances by the golden-gamma constant; output is the
-    finalizing mix of the new state."""
+    finalizing mix of the new state.
+
+    The state is closed-form: from state s, draw k (k = 1, 2, ...) is the
+    mix of s + k*GAMMA mod 2**64, so any run of draws can be computed at
+    once without changing the stream; `shuffle` relies on this."""
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
 
     def next64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        self.state = (self.state + GAMMA) & MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        z = ((z ^ (z >> 30)) * MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX2) & MASK64
         return z ^ (z >> 31)
+
+    def _next64_batch(self, k: int) -> np.ndarray:
+        """The next k outputs as a uint64 array; the state advances by k
+        draws, exactly as k calls of next64 would leave it."""
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z *= np.uint64(GAMMA)  # uint64 array arithmetic wraps mod 2**64
+        z += np.uint64(self.state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(MIX2)
+        z ^= z >> np.uint64(31)
+        self.state = (self.state + k * GAMMA) & MASK64
+        return z
 
     def randrange(self, n: int) -> int:
         """Uniform-ish integer in [0, n) via modulo (documented, portable)."""
@@ -70,8 +98,16 @@ class SplitMix64:
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, seq: list):
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        """Fisher-Yates from the end: swap i with randrange(i + 1) for
+        i = len-1 .. 1, one draw each."""
+        n = len(seq)
+        if n < BATCH_SHUFFLE_MIN:
+            for i in range(n - 1, 0, -1):
+                j = self.randrange(i + 1)
+                seq[i], seq[j] = seq[j], seq[i]
+            return
+        targets = self._next64_batch(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), targets.tolist()):
             seq[i], seq[j] = seq[j], seq[i]
 
 
@@ -103,6 +139,28 @@ class GenSpec:
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
+
+
+def _shuffled(items: list, rng: SplitMix64) -> list:
+    """A shuffled copy of items, which stay as they are."""
+    out = items[:]
+    rng.shuffle(out)
+    return out
+
+
+def _discard(ascending: list[int], x: int):
+    """Remove x from an ascending list that holds it."""
+    del ascending[bisect_left(ascending, x)]
+
+
+def _take_first(open_: deque, count: int, credit: list[int]) -> list[int]:
+    """The first `count` elements of open_ (all of them if fewer), each
+    charged one credit; those with credit left stay in front, in order."""
+    firsts = [open_.popleft() for _ in range(min(count, len(open_)))]
+    for u in firsts:
+        credit[u] -= 1
+    open_.extendleft(u for u in reversed(firsts) if credit[u] > 0)
+    return firsts
 
 
 def _plant_unsat_core(n: int, cap: int, rng: SplitMix64) -> list[tuple[int, int]] | None:
@@ -174,23 +232,41 @@ def _gen_2sat3(spec: GenSpec, rng: SplitMix64) -> CnfFormula:
                 for l in clause:
                     credits[abs(l)] -= 1
             m = max(m, len(core))
+    # buckets[c]: the variables with c > 0 credits left, ascending
+    buckets: list[list[int]] = [[] for _ in range(spec.occ_bound + 1)]
+    for v in range(1, n + 1):
+        if credits[v] > 0:
+            buckets[credits[v]].append(v)
+    live = sum(map(len, buckets))
     for _ in range(m - len(clauses)):
-        avail = [v for v in range(1, n + 1) if credits[v] > 0]
-        if len(avail) < 2:
+        if live < 2:
             if spec.clauses is None:
                 break  # drawn count: stop at the credit frontier
             raise GenerationError("occurrence credits stranded; lower the clause count")
         # draw the two largest credits (rng tie-breaks) so credits never
         # concentrate on a single variable
-        top = max(credits[v] for v in avail)
-        firsts = [v for v in avail if credits[v] == top]
-        v1 = firsts[rng.randrange(len(firsts))]
-        others = [v for v in avail if v != v1]
-        second = max(credits[v] for v in others)
-        seconds = [v for v in others if credits[v] == second]
-        v2 = seconds[rng.randrange(len(seconds))]
-        credits[v1] -= 1
-        credits[v2] -= 1
+        top = len(buckets) - 1
+        while not buckets[top]:
+            top -= 1
+        firsts = buckets[top]
+        i1 = rng.randrange(len(firsts))
+        v1 = firsts[i1]
+        if len(firsts) > 1:  # v2 from the same bucket, v1 left out
+            i2 = rng.randrange(len(firsts) - 1)
+            v2 = firsts[i2 + (i2 >= i1)]
+        else:
+            second = top - 1
+            while not buckets[second]:
+                second -= 1
+            seconds = buckets[second]
+            v2 = seconds[rng.randrange(len(seconds))]
+        for v in (v1, v2):
+            _discard(buckets[credits[v]], v)
+            credits[v] -= 1
+            if credits[v]:
+                insort(buckets[credits[v]], v)
+            else:
+                live -= 1
         if planted:
             true_slot = rng.randrange(2)
             lits = []
@@ -348,15 +424,16 @@ def _gen_xce(spec: GenSpec, rng: SplitMix64) -> XceInstance:
                 credits[e] -= 1
             i += size
     extra = rng.randint(0, nx)
+    avail = [e for e in range(1, nx + 1) if credits[e] > 0]  # ascending
     for _ in range(extra):
-        avail = [e for e in range(1, nx + 1) if credits[e] > 0]
         if not avail:
             break
         size = min(rng.randint(1, 3), len(avail))
-        rng.shuffle(avail)
-        chosen = avail[:size]
+        chosen = _shuffled(avail, rng)[:size]
         for e in chosen:
             credits[e] -= 1
+            if credits[e] == 0:
+                _discard(avail, e)
         sets.append(tuple(sorted(chosen)))
     exempt = tuple(e for e in range(1, nx + 1) if rng.chance(spec.exemption_density))
     return XceInstance(nx, exempt, tuple(sets))
@@ -386,18 +463,31 @@ def _gen_ap2dm(spec: GenSpec, rng: SplitMix64) -> Ap2dmInstance:
     exempt = {e for e in range(1, nx + 1) if rng.chance(spec.exemption_density)}
     if exempt == set(range(1, nx + 1)) and nx >= 1:
         exempt.discard(rng.randint(1, nx))
+    # An exempt element without a non-exempt partner on one side is offered
+    # every non-exempt element in ascending order on that side. It has no
+    # pair with any of them there, so it pairs with the first ones whose
+    # credit on the other side is left, as many as its own credit allows.
+    # open_in / open_out: those non-exempt elements, ascending. Every pair
+    # added here joins the current exempt element to a non-exempt one, so
+    # the drawn pairs settle which exempt elements need linking.
+    has_out = {u for u, w in pairs if u in exempt and w not in exempt}
+    has_in = {w for u, w in pairs if w in exempt and u not in exempt}
+    non_exempt = [u for u in range(1, nx + 1) if u not in exempt]
+    open_in = deque(u for u in non_exempt if in_credit[u] > 0)
+    open_out = deque(u for u in non_exempt if out_credit[u] > 0)
     keep = []
     for v in sorted(exempt):
-        non_exempt = [u for u in range(1, nx + 1) if u not in exempt]
-        outs = [w for (u, w) in pairs if u == v and w not in exempt]
-        ins = [u for (u, w) in pairs if w == v and u not in exempt]
         ok = True
-        if not outs:
-            cands = [u for u in non_exempt if add(v, u)]
-            ok = bool(cands)
-        if ok and not ins:
-            cands = [u for u in non_exempt if add(u, v)]
-            ok = bool(cands)
+        if v not in has_out:
+            firsts = _take_first(open_in, out_credit[v], in_credit)
+            out_credit[v] -= len(firsts)
+            pairs.extend((v, u) for u in firsts)
+            ok = bool(firsts)
+        if ok and v not in has_in:
+            firsts = _take_first(open_out, in_credit[v], out_credit)
+            in_credit[v] -= len(firsts)
+            pairs.extend((u, v) for u in firsts)
+            ok = bool(firsts)
         if ok:
             keep.append(v)
     return Ap2dmInstance(nx, tuple(keep), tuple(pairs))
@@ -411,17 +501,18 @@ def _gen_lin(mode: str):
         col_credit = [k] * (n + 1)
         entries: list[tuple[int, int, int]] = []
         rows: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
+        avail = [c for c in range(1, n + 1) if col_credit[c] > 0]  # ascending
         for r in range(1, m + 1):
             width = rng.choice((0, 1, 1, 2, 2, 2))
-            avail = [c for c in range(1, n + 1) if col_credit[c] > 0]
-            rng.shuffle(avail)
-            for c in avail[:width]:
+            for c in _shuffled(avail, rng)[:width]:
                 v = 0
                 while v == 0:
                     v = rng.randint(-3, 3)
                 entries.append((r, c, v))
                 rows[r].append((c, v))
                 col_credit[c] -= 1
+                if col_credit[c] == 0:
+                    _discard(avail, c)
         planted = rng.chance(spec.sat_bias)
         x = [rng.randrange(2) for _ in range(n + 1)]
         lower: list[int] = []

@@ -404,10 +404,19 @@ def _validate_ap2dm(a: Ap2dmInstance, tags: dict, out: list[Violation]):
     # Connectivity promise for exempt elements. Default mode requires at least
     # one partner on each side outside the exemption set; "exactly_one" is the
     # strict reading.
+    # Partners are counted in one pass over every stored pair, malformed
+    # ones included.
     strict = tags.get("uniquely_connected") == "exactly_one"
+    n_outs = dict.fromkeys(exempt, 0)
+    n_ins = dict.fromkeys(exempt, 0)
+    for u, w in a.pairs:
+        if u in exempt:
+            if w not in exempt:
+                n_outs[u] += 1
+        elif w in exempt:
+            n_ins[w] += 1
     for v in sorted(exempt):
-        outs = sum(1 for (u, w) in a.pairs if u == v and w not in exempt)
-        ins = sum(1 for (u, w) in a.pairs if w == v and u not in exempt)
+        outs, ins = n_outs[v], n_ins[v]
         if outs == 0 or ins == 0:
             out.append(Violation("uniquely_connected", (v, outs, ins),
                                  f"exempt element {v} lacks a non-exempt partner (out={outs}, in={ins})"))

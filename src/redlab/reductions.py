@@ -342,13 +342,18 @@ def xce2_to_2lp(x: XceInstance) -> tuple[LinSystem, ReductionReport]:
         if cost[e] > 2:
             raise PreconditionError(f"element {e} has overlapping cost {cost[e]}, bound 2")
     exempt = set(x.exempt)
+    # the sets covering each element, ascending (at most 2 by the check above)
+    covering: list[list[int]] = [[] for _ in range(x.universe_size + 1)]
+    for j, s in enumerate(x.sets, 1):
+        for e in s:
+            if 1 <= e <= x.universe_size and j not in covering[e]:
+                covering[e].append(j)
     entries: list[tuple[int, int, int]] = []
     lower: list[int] = []
     upper: list[int] = []
     for e in range(1, x.universe_size + 1):
-        for j, s in enumerate(x.sets, 1):
-            if e in s:
-                entries.append((e, j, 1))
+        for j in covering[e]:
+            entries.append((e, j, 1))
         if e in exempt:
             lower.append(0)
         else:
@@ -522,32 +527,42 @@ def normalize_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
     new_t = fresh("t'")
     edges.append((new_s, g.s))
     edges.append((g.t, new_t))
-    # relay splitting until indegree <= 2 and outdegree <= 2 everywhere
-    changed = True
-    while changed:
-        changed = False
-        indeg = {}
-        outdeg = {}
-        for u, v in edges:
-            outdeg[u] = outdeg.get(u, 0) + 1
-            indeg[v] = indeg.get(v, 0) + 1
-        for v in sorted(set(list(indeg) + list(outdeg))):
-            if indeg.get(v, 0) > 2:
-                relay = fresh(f"in{v}")
-                moved = [e for e in edges if e[1] == v][:2]
-                for e in moved:
-                    edges[edges.index(e)] = (e[0], relay)
-                edges.append((relay, v))
-                changed = True
-                break
-            if outdeg.get(v, 0) > 2:
-                relay = fresh(f"out{v}")
-                moved = [e for e in edges if e[0] == v][:2]
-                for e in moved:
-                    edges[edges.index(e)] = (relay, e[1])
-                edges.append((v, relay))
-                changed = True
-                break
+    # Relay splitting until indegree <= 2 and outdegree <= 2 everywhere, one
+    # vertex at a time in ascending order: a split moves the first two in-
+    # (or out-) edges of v, in list order, onto a fresh relay and adds one
+    # edge between the relay and v, so only v's degree changes. Relay, mid,
+    # s' and t' vertices never exceed 2; s and t can need two splits on one
+    # side.
+    indeg = {}
+    outdeg = {}
+    for u, v in edges:
+        outdeg[u] = outdeg.get(u, 0) + 1
+        indeg[v] = indeg.get(v, 0) + 1
+    crowded = {v for v, d in indeg.items() if d > 2} | {v for v, d in outdeg.items() if d > 2}
+    # ins[v] / outs[v]: the positions of a crowded v's edges, ascending
+    ins: dict[int, list[int]] = {v: [] for v in crowded}
+    outs: dict[int, list[int]] = {v: [] for v in crowded}
+    if crowded:
+        for pos, (u, v) in enumerate(edges):
+            if u in outs:
+                outs[u].append(pos)
+            if v in ins:
+                ins[v].append(pos)
+    for v in sorted(crowded):
+        while len(ins[v]) > 2:
+            relay = fresh(f"in{v}")
+            for pos in ins[v][:2]:
+                edges[pos] = (edges[pos][0], relay)
+            del ins[v][:2]
+            ins[v].append(len(edges))
+            edges.append((relay, v))
+        while len(outs[v]) > 2:
+            relay = fresh(f"out{v}")
+            for pos in outs[v][:2]:
+                edges[pos] = (relay, edges[pos][1])
+            del outs[v][:2]
+            outs[v].append(len(edges))
+            edges.append((v, relay))
     out = Digraph(nxt, tuple(edges), new_s, new_t)
     report = _report("normalize_dstcon", g, "m_ver", out, "m_ver", 4, 4, names=names)
     return out, report

@@ -4,6 +4,7 @@ import pytest
 
 from redlab import oracles
 from redlab.harness import (
+    BATCH_SHUFFLE_MIN,
     CORRUPTED,
     GEN_TAGS,
     GENERATORS,
@@ -32,6 +33,21 @@ class TestSplitMix64:
         rng = SplitMix64(42)
         assert all(0 <= rng.randrange(7) < 7 for _ in range(200))
         assert all(3 <= rng.randint(3, 5) <= 5 for _ in range(200))
+
+    @pytest.mark.parametrize("seed", [0, 42, (1 << 64) - 1])
+    def test_batched_shuffle_keeps_the_stream(self, seed):
+        # reference: the literal scalar Fisher-Yates; n crosses the batch threshold
+        assert BATCH_SHUFFLE_MIN < 130
+        for n in range(131):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            got, want = list(range(n)), list(range(n))
+            rng.shuffle(got)
+            for i in range(n - 1, 0, -1):
+                j = ref.next64() % (i + 1)
+                want[i], want[j] = want[j], want[i]
+            assert got == want, n
+            # the state advanced by exactly n - 1 draws
+            assert [rng.next64() for _ in range(5)] == [ref.next64() for _ in range(5)], n
 
 
 class TestGenerate:
