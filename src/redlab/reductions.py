@@ -533,12 +533,12 @@ def normalize_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
     # edge between the relay and v, so only v's degree changes. Relay, mid,
     # s' and t' vertices never exceed 2; s and t can need two splits on one
     # side.
-    indeg = {}
-    outdeg = {}
+    n_in: dict[int, int] = {}
+    n_out: dict[int, int] = {}
     for u, v in edges:
-        outdeg[u] = outdeg.get(u, 0) + 1
-        indeg[v] = indeg.get(v, 0) + 1
-    crowded = {v for v, d in indeg.items() if d > 2} | {v for v, d in outdeg.items() if d > 2}
+        n_out[u] = n_out.get(u, 0) + 1
+        n_in[v] = n_in.get(v, 0) + 1
+    crowded = {v for v, d in n_in.items() if d > 2} | {v for v, d in n_out.items() if d > 2}
     # ins[v] / outs[v]: the positions of a crowded v's edges, ascending
     ins: dict[int, list[int]] = {v: [] for v in crowded}
     outs: dict[int, list[int]] = {v: [] for v in crowded}
