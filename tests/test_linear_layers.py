@@ -164,6 +164,7 @@ def _generated(problem: str, sizes_trials, **extra):
 MALFORMED_XCE = [
     XceInstance(3, (1,), ((1, 1, 2), (2, 3))),  # a set repeats an element
     XceInstance(3, (), ((0, 1), (-1, 2), (3,))),  # elements out of range below
+    XceInstance(2, (), ((1, 3),)),  # out of range above: IndexError in the cost count
     XceInstance(2, (2,), ((1, 2), (1,), (2,))),
     XceInstance(4, (1, 2), ((1, 2), (1, 2), (3, 4))),  # a set listed twice
     XceInstance(3, (), ((1, 2), (1, 3), (1,))),  # cost 3: precondition
