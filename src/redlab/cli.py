@@ -82,38 +82,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
-_SOLVERS = {
-    CnfFormula: ("2sat", oracles.solve_2sat),
-    Digraph: ("dstcon", oracles.solve_dstcon),
-    UGraph: ("2cvc", oracles.solve_2cvc),
-    XceInstance: ("xce", oracles.solve_xce),
-    Ap2dmInstance: ("ap2dm", oracles.solve_ap2dm),
-    LinSystem: ("lin", oracles.solve_lin),
+# class -> (decider returning (yes, witness), the witness's output line)
+_SOLVE = {
+    CnfFormula: (oracles.solve_2sat,
+                 lambda w: "v " + " ".join(str(v if w[v] else -v) for v in sorted(w))),
+    Digraph: (oracles.solve_dstcon, lambda w: "path " + " ".join(map(str, w))),
+    UGraph: (oracles.solve_2cvc, lambda w: "cover " + " ".join(map(str, sorted(w)))),
+    XceInstance: (oracles.solve_xce, lambda w: "sets " + " ".join(map(str, w))),
+    Ap2dmInstance: (oracles.solve_ap2dm, lambda w: f"pair {w[0]} {w[1]}"),  # NO only
+    LinSystem: (oracles.solve_lin, lambda w: "x " + " ".join(map(str, w))),
+    XorSystem: (lambda x: (oracles.solve_xor2sat(x), None), None),
 }
 
 
 def cmd_solve(args) -> int:
     instance = _read(args.file)
-    if isinstance(instance, XorSystem):
-        yes = oracles.solve_xor2sat(instance)
-        print("YES" if yes else "NO")
-        return 0 if yes else 1
-    kind, solver = _SOLVERS[type(instance)]
-    yes, witness = solver(instance)
+    decide, witness_line = _SOLVE[type(instance)]
+    yes, witness = decide(instance)
     print("YES" if yes else "NO")
-    if witness is not None and len(witness) > 0:
-        if isinstance(instance, CnfFormula):
-            print("v " + " ".join(str(v if witness[v] else -v) for v in sorted(witness)))
-        elif isinstance(instance, Digraph):
-            print("path " + " ".join(str(v) for v in witness))
-        elif isinstance(instance, UGraph):
-            print("cover " + " ".join(str(v) for v in sorted(witness)))
-        elif isinstance(instance, XceInstance):
-            print("sets " + " ".join(str(i) for i in witness))
-        elif isinstance(instance, LinSystem):
-            print("x " + " ".join(str(b) for b in witness))
-        elif isinstance(instance, Ap2dmInstance) and not yes:
-            print(f"pair {witness[0]} {witness[1]}")
+    if witness:
+        print(witness_line(witness))
     return 0 if yes else 1
 
 

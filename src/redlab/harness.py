@@ -640,12 +640,14 @@ def _first(fn, instance):
     return fn(instance)[0]
 
 
-def _post_2cvc3(out: UGraph, src) -> list[str]:
-    return [f"{v.rule}:{v.detail}" for v in validate(out, {"deg_bound": 3})]
+def _post_valid(out, src, tags: dict | None = None) -> list[str]:
+    """Generic postcheck: the output passes its own type invariants and
+    `tags`. Plans bind the tags with functools.partial."""
+    return [f"{v.rule}:{v.detail}" for v in validate(out, tags)]
 
 
 def _post_3xce2(out: XceInstance, src) -> list[str]:
-    bad = [f"{v.rule}:{v.detail}" for v in validate(out)]
+    bad = _post_valid(out, src)
     cost = out.overlap_costs()
     for e in range(1, out.universe_size + 1):
         if cost[e] != 2:
@@ -654,16 +656,7 @@ def _post_3xce2(out: XceInstance, src) -> list[str]:
 
 
 def _post_twolp(out: LinSystem, src: LinSystem) -> list[str]:
-    return [f"{v.rule}:{v.detail}" for v in validate(out, {"col_bound": src.col_bound + 2})]
-
-
-def _post_valid(out, src) -> list[str]:
-    """Generic postcheck: the output passes its own type invariants."""
-    return [f"{v.rule}:{v.detail}" for v in validate(out)]
-
-
-def _post_ap2dm(out: Ap2dmInstance, src) -> list[str]:
-    return [f"{v.rule}:{v.detail}" for v in validate(out, {"overlap_bound": 4})]
+    return _post_valid(out, src, {"col_bound": src.col_bound + 2})
 
 
 @dataclass(frozen=True)
@@ -691,7 +684,7 @@ def default_plans(seed: int = 1) -> dict[str, VerifierPlan]:
         "sat2_to_2cvc3": VerifierPlan(
             GenSpec("2sat3", max_size=10, seed=seed, vc_budget=13),
             reductions.normalize_2sat3, reductions.sat2_to_2cvc3,
-            sat2, cvc, _post_2cvc3),
+            sat2, cvc, partial(_post_valid, tags={"deg_bound": 3})),
         "cvc3_to_sat2": VerifierPlan(
             GenSpec("ugraph3", max_size=14, seed=seed),
             None, reductions.cvc3_to_sat2,
@@ -727,7 +720,8 @@ def default_plans(seed: int = 1) -> dict[str, VerifierPlan]:
         "dstcon_to_ap2dm": VerifierPlan(
             GenSpec("dstcon_raw", max_size=5, seed=seed),
             partial(_first, reductions.normalize_dstcon), reductions.dstcon_to_ap2dm,
-            dstcon, partial(_first, oracles.solve_ap2dm), _post_ap2dm),
+            dstcon, partial(_first, oracles.solve_ap2dm),
+            partial(_post_valid, tags={"overlap_bound": 4})),
         "reduce_degree_dstcon": VerifierPlan(
             GenSpec("digraph4", max_size=10, seed=seed, deg_bound=4),
             None, reductions.reduce_degree_dstcon,
@@ -759,10 +753,7 @@ def _bad_sat2_to_2cvc3(f: CnfFormula):
 
 def _bad_cvc3_to_sat2(g: UGraph):
     """Drops the exclusivity clause on non-grip edges."""
-    deg = g.degrees()
-    for v in range(1, g.num_vertices + 1):
-        if deg[v] > 3:
-            raise reductions.PreconditionError("degree over 3")
+    reductions._require(g, {"deg_bound": 3})
     clauses = tuple((u, v) for u, v in g.edges)
     f = CnfFormula(g.num_vertices, clauses)
     rep = reductions._report("bad_cvc3_to_sat2", g, "m_ver", f, "m_vbl", 1, 0)

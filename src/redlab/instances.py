@@ -8,9 +8,7 @@ between workers; parsing, serialization, and validation are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
-
-SIZE_PARAM_NAMES = ("m_vbl", "m_cls", "m_ver", "m_edg", "m_set", "m_row", "m_col")
+from typing import Callable, Iterable, NamedTuple
 
 # LinSystem coefficients must fit a 63-bit signed budget so that a row sum of
 # two entries stays inside int64.
@@ -189,56 +187,23 @@ class XorSystem:
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
 
-
 # ---------------------------------------------------------------------------
 # Size parameters
 # ---------------------------------------------------------------------------
 
-_SIZE_PARAMS = {
-    CnfFormula: {
-        "m_vbl": lambda f: f.num_vars,
-        "m_cls": lambda f: len(f.clauses),
-    },
-    Digraph: {
-        "m_ver": lambda g: g.num_vertices,
-        "m_edg": lambda g: len(g.edges),
-    },
-    UGraph: {
-        "m_ver": lambda g: g.num_vertices,
-        "m_edg": lambda g: len(g.edges),
-    },
-    XceInstance: {
-        "m_set": lambda x: len(x.sets),
-    },
-    Ap2dmInstance: {
-        "m_set": lambda a: a.universe_size,
-    },
-    # Deliberately swapped-looking: m_row counts the columns (variables) of A
-    # and m_col the rows. These are the established names for these problems.
-    LinSystem: {
-        "m_row": lambda s: s.num_cols,
-        "m_col": lambda s: s.num_rows,
-    },
-    XorSystem: {
-        "m_vbl": lambda x: x.num_vars,
-        "m_cls": lambda x: len(x.constraints),
-    },
-}
-
-
 def size_param(instance, name: str) -> int:
     """Return the named size parameter, clamped into N+ (empty instances map to 1)."""
-    table = _SIZE_PARAMS.get(type(instance))
-    if table is None or name not in table:
+    problem = PROBLEMS.get(type(instance))
+    if problem is None or name not in problem.size_params:
         raise SizeParamError(f"size parameter {name!r} is not defined for {type(instance).__name__}")
-    return max(1, table[name](instance))
+    return max(1, problem.size_params[name](instance))
 
 
 def size_param_names(instance) -> tuple[str, ...]:
-    table = _SIZE_PARAMS.get(type(instance))
-    if table is None:
+    problem = PROBLEMS.get(type(instance))
+    if problem is None:
         raise SizeParamError(f"no size parameters for {type(instance).__name__}")
-    return tuple(table)
+    return tuple(problem.size_params)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +244,7 @@ def _check_lemma1(out: list[Violation], num_vertices: int, edges, k: int):
 
 def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
     counts: dict[int, int] = {}
+    exact, clean = tags.get("exact"), tags.get("clean")
     for j, clause in enumerate(f.clauses, 1):
         if not 1 <= len(clause) <= 2:
             out.append(Violation("clause_width", (j,), f"clause {j} has {len(clause)} literals"))
@@ -288,9 +254,9 @@ def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
                 out.append(Violation("literal_range", (j, lit), f"literal {lit} out of range in clause {j}"))
             else:
                 counts[var] = counts.get(var, 0) + 1
-        if tags.get("exact") and len(clause) != 2:
+        if exact and len(clause) != 2:
             out.append(Violation("exact", (j,), f"clause {j} has {len(clause)} literals, expected 2"))
-        if tags.get("clean") and len({abs(l) for l in clause}) != len(clause):
+        if clean and len({abs(l) for l in clause}) != len(clause):
             out.append(Violation("clean", (j,), f"clause {j} repeats a variable"))
     bound = tags.get("occ_bound")
     if bound is not None:
@@ -475,17 +441,6 @@ def _validate_xor(x: XorSystem, tags: dict, out: list[Violation]):
             out.append(Violation("constant_range", (i, con.c), f"constraint {i} constant must be 0 or 1"))
 
 
-_VALIDATORS = {
-    CnfFormula: _validate_cnf,
-    Digraph: _validate_digraph,
-    UGraph: _validate_ugraph,
-    XceInstance: _validate_xce,
-    Ap2dmInstance: _validate_ap2dm,
-    LinSystem: _validate_lin,
-    XorSystem: _validate_xor,
-}
-
-
 def validate(instance, tags: dict | None = None) -> list[Violation]:
     """Check all type invariants plus the requested tags.
 
@@ -493,7 +448,7 @@ def validate(instance, tags: dict | None = None) -> list[Violation]:
     means the instance is valid. Violations are data, never exceptions.
     """
     out: list[Violation] = []
-    _VALIDATORS[type(instance)](instance, tags or {}, out)
+    PROBLEMS[type(instance)].validate(instance, tags or {}, out)
     return out
 
 
@@ -501,52 +456,17 @@ def validate(instance, tags: dict | None = None) -> list[Violation]:
 # Text formats
 # ---------------------------------------------------------------------------
 
+# Each class has a writer and a reader. A writer gives the header's fields
+# after "p <word>", then the body lines. A reader gets the header tokens,
+# which `parse` has already checked against the usage string, and the
+# numbered body lines.
+
 
 def serialize(instance) -> str:
-    lines: list[str] = []
-    if isinstance(instance, CnfFormula):
-        lines.append(f"p cnf2 {instance.num_vars} {len(instance.clauses)}")
-        for clause in instance.clauses:
-            lines.append(" ".join(str(l) for l in clause) + " 0")
-    elif isinstance(instance, Digraph):
-        lines.append(f"p digraph {instance.num_vertices} {len(instance.edges)}")
-        for u, v in instance.edges:
-            lines.append(f"e {u} {v}")
-        lines.append(f"s {instance.s}")
-        lines.append(f"t {instance.t}")
-    elif isinstance(instance, UGraph):
-        lines.append(f"p graph {instance.num_vertices} {len(instance.edges)}")
-        for u, v in instance.edges:
-            lines.append(f"e {u} {v}")
-    elif isinstance(instance, XceInstance):
-        lines.append(f"p xce {instance.universe_size} {len(instance.sets)}")
-        lines.append(("r " + " ".join(str(e) for e in instance.exempt)).rstrip())
-        for s in instance.sets:
-            lines.append("c " + " ".join(str(e) for e in s))
-    elif isinstance(instance, Ap2dmInstance):
-        lines.append(f"p ap2dm {instance.universe_size}")
-        lines.append(("r " + " ".join(str(e) for e in instance.exempt)).rstrip())
-        for u, v in instance.pairs:
-            lines.append(f"m {u} {v}")
-    elif isinstance(instance, LinSystem):
-        lines.append(f"p lin {instance.mode} {instance.num_rows} {instance.num_cols} {instance.col_bound}")
-        for r, c, v in instance.entries:
-            lines.append(f"a {r} {c} {v}")
-        for r, v in enumerate(instance.lower, 1):
-            lines.append(f"b {r} {v}")
-        if instance.mode == "band":
-            for r, v in enumerate(instance.upper, 1):
-                lines.append(f"B {r} {v}")
-    elif isinstance(instance, XorSystem):
-        lines.append(f"p xor {instance.num_vars} {len(instance.constraints)}")
-        for con in instance.constraints:
-            if isinstance(con, Parity):
-                lines.append(f"x {con.u} {con.v} {con.c}")
-            else:
-                lines.append(f"u {con.u} {con.c}")
-    else:
+    problem = PROBLEMS.get(type(instance))
+    if problem is None:
         raise TypeError(f"cannot serialize {type(instance).__name__}")
-    return "\n".join(lines) + "\n"
+    return f"p {problem.header} " + "\n".join(problem.write(instance)) + "\n"
 
 
 def _content_lines(text: str):
@@ -564,17 +484,6 @@ def _int(tok: str, no: int, what: str) -> int:
         raise ParseError(f"expected integer {what}, got {tok!r}", no) from None
 
 
-_HEADER_CLASSES = {
-    "cnf2": CnfFormula,
-    "digraph": Digraph,
-    "graph": UGraph,
-    "xce": XceInstance,
-    "ap2dm": Ap2dmInstance,
-    "lin": LinSystem,
-    "xor": XorSystem,
-}
-
-
 def parse(text: str, expected: type | None = None):
     """Parse one instance from text; the header selects the class.
 
@@ -587,186 +496,235 @@ def parse(text: str, expected: type | None = None):
     no, toks = lines[0]
     if toks[0] != "p" or len(toks) < 2:
         raise ParseError("missing problem header", no)
-    cls = _HEADER_CLASSES.get(toks[1])
+    cls = _BY_HEADER.get(toks[1])
     if cls is None:
         raise ParseError(f"unknown problem kind {toks[1]!r}", no)
     if expected is not None and cls is not expected:
         raise ParseError(f"expected {expected.__name__} but header says {toks[1]!r}", no)
-    body = lines[1:]
+    problem = PROBLEMS[cls]
+    # the header has the usage string's tokens; a <a|b> token takes a or b
+    shape = problem.usage.split()
+    if len(toks) != len(shape) or any(
+            "|" in want and tok not in want[1:-1].split("|") for tok, want in zip(toks, shape)):
+        raise ParseError(f"header must be '{problem.usage}'", no)
+    return problem.read(toks, no, lines[1:])
 
-    if cls is CnfFormula:
-        if len(toks) != 4:
-            raise ParseError("header must be 'p cnf2 <n> <m>'", no)
-        n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
-        clauses = []
-        for lno, t in body:
-            lits = [_int(x, lno, "literal") for x in t]
-            if not lits or lits[-1] != 0:
-                raise ParseError("clause line must end with 0", lno)
-            lits = lits[:-1]
-            if not 1 <= len(lits) <= 2:
-                raise ParseError(f"clause must have 1 or 2 literals, got {len(lits)}", lno)
-            for l in lits:
-                if l == 0 or abs(l) > n:
-                    raise ParseError(f"literal {l} out of range", lno)
-            clauses.append(tuple(lits))
-        if len(clauses) != m:
-            raise ParseError(f"header declares {m} clauses, found {len(clauses)}")
-        return CnfFormula(n, tuple(clauses))
 
-    if cls is Digraph:
-        if len(toks) != 4:
-            raise ParseError("header must be 'p digraph <n> <m>'", no)
-        n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
-        edges, s, t = [], None, None
-        seen = set()
-        for lno, tks in body:
-            if tks[0] == "e" and len(tks) == 3:
-                u, v = _int(tks[1], lno, "u"), _int(tks[2], lno, "v")
-                _check_vertex_pair(u, v, n, lno, allow_equal=False)
-                if (u, v) in seen:
-                    raise ParseError(f"duplicate edge ({u},{v})", lno)
-                seen.add((u, v))
-                edges.append((u, v))
-            elif tks[0] == "s" and len(tks) == 2:
-                s = _int(tks[1], lno, "s")
-            elif tks[0] == "t" and len(tks) == 2:
-                t = _int(tks[1], lno, "t")
-            else:
-                raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
-        if len(edges) != m:
-            raise ParseError(f"header declares {m} edges, found {len(edges)}")
-        if s is None or t is None:
-            raise ParseError("missing s or t line")
-        if not (1 <= s <= n and 1 <= t <= n):
-            raise ParseError(f"s={s} or t={t} out of range")
-        return Digraph(n, tuple(edges), s, t)
+def _check_vertex_pair(u: int, v: int, n: int, lno: int):
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ParseError(f"vertex index out of range in ({u},{v})", lno)
+    if u == v:
+        raise ParseError(f"self-loop at {u}", lno)
 
-    if cls is UGraph:
-        if len(toks) != 4:
-            raise ParseError("header must be 'p graph <n> <m>'", no)
-        n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
-        edges = []
-        seen = set()
-        for lno, tks in body:
-            if tks[0] != "e" or len(tks) != 3:
-                raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
+
+def _read_exempt(body: list, nx: int) -> list[int]:
+    """The ids of the exemption line 'r ...' that must open the body."""
+    if not body or body[0][1][0] != "r":
+        raise ParseError("first body line must be the exemption line 'r ...'")
+    rno, rtoks = body[0]
+    exempt = [_int(x, rno, "exempt id") for x in rtoks[1:]]
+    for e in exempt:
+        if not 1 <= e <= nx:
+            raise ParseError(f"exempt element {e} out of range", rno)
+    return exempt
+
+
+def _write_cnf(f: CnfFormula) -> list[str]:
+    return [f"{f.num_vars} {len(f.clauses)}",
+            *(" ".join(str(l) for l in clause) + " 0" for clause in f.clauses)]
+
+
+def _read_cnf(toks, no, body) -> CnfFormula:
+    n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
+    clauses = []
+    for lno, t in body:
+        lits = [_int(x, lno, "literal") for x in t]
+        if not lits or lits[-1] != 0:
+            raise ParseError("clause line must end with 0", lno)
+        lits = lits[:-1]
+        if not 1 <= len(lits) <= 2:
+            raise ParseError(f"clause must have 1 or 2 literals, got {len(lits)}", lno)
+        for l in lits:
+            if l == 0 or abs(l) > n:
+                raise ParseError(f"literal {l} out of range", lno)
+        clauses.append(tuple(lits))
+    if len(clauses) != m:
+        raise ParseError(f"header declares {m} clauses, found {len(clauses)}")
+    return CnfFormula(n, tuple(clauses))
+
+
+def _write_digraph(g: Digraph) -> list[str]:
+    return [*_write_ugraph(g), f"s {g.s}", f"t {g.t}"]
+
+
+def _read_digraph(toks, no, body) -> Digraph:
+    n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
+    edges, s, t = [], None, None
+    seen = set()
+    for lno, tks in body:
+        if tks[0] == "e" and len(tks) == 3:
             u, v = _int(tks[1], lno, "u"), _int(tks[2], lno, "v")
-            _check_vertex_pair(u, v, n, lno, allow_equal=False)
-            if u >= v:
-                raise ParseError(f"edge must satisfy u < v, got ({u},{v})", lno)
+            _check_vertex_pair(u, v, n, lno)
             if (u, v) in seen:
                 raise ParseError(f"duplicate edge ({u},{v})", lno)
             seen.add((u, v))
             edges.append((u, v))
-        if len(edges) != m:
-            raise ParseError(f"header declares {m} edges, found {len(edges)}")
-        return UGraph(n, tuple(edges))
+        elif tks[0] == "s" and len(tks) == 2:
+            s = _int(tks[1], lno, "s")
+        elif tks[0] == "t" and len(tks) == 2:
+            t = _int(tks[1], lno, "t")
+        else:
+            raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges, found {len(edges)}")
+    if s is None or t is None:
+        raise ParseError("missing s or t line")
+    if not (1 <= s <= n and 1 <= t <= n):
+        raise ParseError(f"s={s} or t={t} out of range")
+    return Digraph(n, tuple(edges), s, t)
 
-    if cls is XceInstance:
-        if len(toks) != 4:
-            raise ParseError("header must be 'p xce <nx> <nc>'", no)
-        nx, nc = _int(toks[2], no, "nx"), _int(toks[3], no, "nc")
-        if not body or body[0][1][0] != "r":
-            raise ParseError("first body line must be the exemption line 'r ...'")
-        rno, rtoks = body[0]
-        exempt = [_int(x, rno, "exempt id") for x in rtoks[1:]]
-        for e in exempt:
+
+def _write_ugraph(g: UGraph | Digraph) -> list[str]:
+    return [f"{g.num_vertices} {len(g.edges)}", *(f"e {u} {v}" for u, v in g.edges)]
+
+
+def _read_ugraph(toks, no, body) -> UGraph:
+    n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
+    edges = []
+    seen = set()
+    for lno, tks in body:
+        if tks[0] != "e" or len(tks) != 3:
+            raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
+        u, v = _int(tks[1], lno, "u"), _int(tks[2], lno, "v")
+        _check_vertex_pair(u, v, n, lno)
+        if u >= v:
+            raise ParseError(f"edge must satisfy u < v, got ({u},{v})", lno)
+        if (u, v) in seen:
+            raise ParseError(f"duplicate edge ({u},{v})", lno)
+        seen.add((u, v))
+        edges.append((u, v))
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges, found {len(edges)}")
+    return UGraph(n, tuple(edges))
+
+
+def _write_xce(x: XceInstance) -> list[str]:
+    return [f"{x.universe_size} {len(x.sets)}", " ".join(["r", *map(str, x.exempt)]),
+            *("c " + " ".join(str(e) for e in s) for s in x.sets)]
+
+
+def _read_xce(toks, no, body) -> XceInstance:
+    nx, nc = _int(toks[2], no, "nx"), _int(toks[3], no, "nc")
+    exempt = _read_exempt(body, nx)
+    sets = []
+    for lno, tks in body[1:]:
+        if tks[0] != "c" or not 2 <= len(tks) <= 4:
+            raise ParseError(f"set line must be 'c <id> [<id> [<id>]]', got {' '.join(tks)!r}", lno)
+        elems = [_int(x, lno, "element") for x in tks[1:]]
+        if len(set(elems)) != len(elems):
+            raise ParseError("set repeats an element", lno)
+        for e in elems:
             if not 1 <= e <= nx:
-                raise ParseError(f"exempt element {e} out of range", rno)
-        sets = []
-        for lno, tks in body[1:]:
-            if tks[0] != "c" or not 2 <= len(tks) <= 4:
-                raise ParseError(f"set line must be 'c <id> [<id> [<id>]]', got {' '.join(tks)!r}", lno)
-            elems = [_int(x, lno, "element") for x in tks[1:]]
-            if len(set(elems)) != len(elems):
-                raise ParseError("set repeats an element", lno)
-            for e in elems:
-                if not 1 <= e <= nx:
-                    raise ParseError(f"element {e} out of range", lno)
-            sets.append(tuple(sorted(elems)))
-        if len(sets) != nc:
-            raise ParseError(f"header declares {nc} sets, found {len(sets)}")
-        return XceInstance(nx, tuple(exempt), tuple(sets))
+                raise ParseError(f"element {e} out of range", lno)
+        sets.append(tuple(sorted(elems)))
+    if len(sets) != nc:
+        raise ParseError(f"header declares {nc} sets, found {len(sets)}")
+    return XceInstance(nx, tuple(exempt), tuple(sets))
 
-    if cls is Ap2dmInstance:
-        if len(toks) != 3:
-            raise ParseError("header must be 'p ap2dm <nx>'", no)
-        nx = _int(toks[2], no, "nx")
-        if not body or body[0][1][0] != "r":
-            raise ParseError("first body line must be the exemption line 'r ...'")
-        rno, rtoks = body[0]
-        exempt = [_int(x, rno, "exempt id") for x in rtoks[1:]]
-        for e in exempt:
-            if not 1 <= e <= nx:
-                raise ParseError(f"exempt element {e} out of range", rno)
-        pairs = []
-        seen = set()
-        for lno, tks in body[1:]:
-            if tks[0] != "m" or len(tks) != 3:
-                raise ParseError(f"pair line must be 'm <u> <v>', got {' '.join(tks)!r}", lno)
-            u, v = _int(tks[1], lno, "u"), _int(tks[2], lno, "v")
-            if u == v:
-                raise ParseError(f"trivial pair ({u},{u}) must stay implicit", lno)
-            if not (1 <= u <= nx and 1 <= v <= nx):
-                raise ParseError(f"pair ({u},{v}) out of range", lno)
-            if (u, v) in seen:
-                raise ParseError(f"duplicate pair ({u},{v})", lno)
-            seen.add((u, v))
-            pairs.append((u, v))
-        return Ap2dmInstance(nx, tuple(exempt), tuple(pairs))
 
-    if cls is LinSystem:
-        if len(toks) != 6 or toks[2] not in ("geq", "band", "eq"):
-            raise ParseError("header must be 'p lin <geq|band|eq> <m> <n> <k>'", no)
-        mode = toks[2]
-        m, n, k = (_int(toks[i], no, "header field") for i in (3, 4, 5))
-        entries = []
-        seen = set()
-        lower: dict[int, int] = {}
-        upper: dict[int, int] = {}
-        row_nnz = [0] * (m + 1)
-        for lno, tks in body:
-            if tks[0] == "a" and len(tks) == 4:
-                r, c, v = (_int(x, lno, "entry") for x in tks[1:])
-                if not (1 <= r <= m and 1 <= c <= n):
-                    raise ParseError(f"entry ({r},{c}) out of range", lno)
-                if v == 0:
-                    raise ParseError("explicit zero entry", lno)
-                if abs(v) > MAX_LIN_ENTRY:
-                    raise ParseError("entry exceeds the 63-bit width budget", lno)
-                if (r, c) in seen:
-                    raise ParseError(f"duplicate entry at ({r},{c})", lno)
-                seen.add((r, c))
-                row_nnz[r] += 1
-                if row_nnz[r] > 2:
-                    raise ParseError(f"row {r} has more than 2 nonzero entries", lno)
-                entries.append((r, c, v))
-            elif tks[0] == "b" and len(tks) == 3:
-                r, v = _int(tks[1], lno, "row"), _int(tks[2], lno, "bound")
-                if not 1 <= r <= m or r in lower:
-                    raise ParseError(f"bad or repeated lower bound for row {r}", lno)
-                lower[r] = v
-            elif tks[0] == "B" and len(tks) == 3:
-                if mode != "band":
-                    raise ParseError("upper bounds only allowed in band mode", lno)
-                r, v = _int(tks[1], lno, "row"), _int(tks[2], lno, "bound")
-                if not 1 <= r <= m or r in upper:
-                    raise ParseError(f"bad or repeated upper bound for row {r}", lno)
-                upper[r] = v
-            else:
-                raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
-        if sorted(lower) != list(range(1, m + 1)):
-            raise ParseError("each row needs exactly one lower bound")
-        if mode == "band" and sorted(upper) != list(range(1, m + 1)):
-            raise ParseError("band mode needs exactly one upper bound per row")
-        return LinSystem(mode, m, n, k, tuple(entries),
-                         tuple(lower[r] for r in range(1, m + 1)),
-                         tuple(upper[r] for r in range(1, m + 1)) if mode == "band" else None)
+def _write_ap2dm(a: Ap2dmInstance) -> list[str]:
+    return [str(a.universe_size), " ".join(["r", *map(str, a.exempt)]),
+            *(f"m {u} {v}" for u, v in a.pairs)]
 
-    # XorSystem
-    if len(toks) != 4:
-        raise ParseError("header must be 'p xor <n> <m>'", no)
+
+def _read_ap2dm(toks, no, body) -> Ap2dmInstance:
+    nx = _int(toks[2], no, "nx")
+    exempt = _read_exempt(body, nx)
+    pairs = []
+    seen = set()
+    for lno, tks in body[1:]:
+        if tks[0] != "m" or len(tks) != 3:
+            raise ParseError(f"pair line must be 'm <u> <v>', got {' '.join(tks)!r}", lno)
+        u, v = _int(tks[1], lno, "u"), _int(tks[2], lno, "v")
+        if u == v:
+            raise ParseError(f"trivial pair ({u},{u}) must stay implicit", lno)
+        if not (1 <= u <= nx and 1 <= v <= nx):
+            raise ParseError(f"pair ({u},{v}) out of range", lno)
+        if (u, v) in seen:
+            raise ParseError(f"duplicate pair ({u},{v})", lno)
+        seen.add((u, v))
+        pairs.append((u, v))
+    return Ap2dmInstance(nx, tuple(exempt), tuple(pairs))
+
+
+def _write_lin(s: LinSystem):
+    yield f"{s.mode} {s.num_rows} {s.num_cols} {s.col_bound}"
+    for r, c, v in s.entries:
+        yield f"a {r} {c} {v}"
+    for r, v in enumerate(s.lower, 1):
+        yield f"b {r} {v}"
+    if s.mode == "band":
+        for r, v in enumerate(s.upper, 1):
+            yield f"B {r} {v}"
+
+
+def _read_lin(toks, no, body) -> LinSystem:
+    mode = toks[2]
+    m, n, k = (_int(toks[i], no, "header field") for i in (3, 4, 5))
+    entries = []
+    seen = set()
+    lower: dict[int, int] = {}
+    upper: dict[int, int] = {}
+    row_nnz = [0] * (m + 1)
+    for lno, tks in body:
+        if tks[0] == "a" and len(tks) == 4:
+            r, c, v = (_int(x, lno, "entry") for x in tks[1:])
+            if not (1 <= r <= m and 1 <= c <= n):
+                raise ParseError(f"entry ({r},{c}) out of range", lno)
+            if v == 0:
+                raise ParseError("explicit zero entry", lno)
+            if abs(v) > MAX_LIN_ENTRY:
+                raise ParseError("entry exceeds the 63-bit width budget", lno)
+            if (r, c) in seen:
+                raise ParseError(f"duplicate entry at ({r},{c})", lno)
+            seen.add((r, c))
+            row_nnz[r] += 1
+            if row_nnz[r] > 2:
+                raise ParseError(f"row {r} has more than 2 nonzero entries", lno)
+            entries.append((r, c, v))
+        elif tks[0] == "b" and len(tks) == 3:
+            r, v = _int(tks[1], lno, "row"), _int(tks[2], lno, "bound")
+            if not 1 <= r <= m or r in lower:
+                raise ParseError(f"bad or repeated lower bound for row {r}", lno)
+            lower[r] = v
+        elif tks[0] == "B" and len(tks) == 3:
+            if mode != "band":
+                raise ParseError("upper bounds only allowed in band mode", lno)
+            r, v = _int(tks[1], lno, "row"), _int(tks[2], lno, "bound")
+            if not 1 <= r <= m or r in upper:
+                raise ParseError(f"bad or repeated upper bound for row {r}", lno)
+            upper[r] = v
+        else:
+            raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
+    if sorted(lower) != list(range(1, m + 1)):
+        raise ParseError("each row needs exactly one lower bound")
+    if mode == "band" and sorted(upper) != list(range(1, m + 1)):
+        raise ParseError("band mode needs exactly one upper bound per row")
+    return LinSystem(mode, m, n, k, tuple(entries),
+                     tuple(lower[r] for r in range(1, m + 1)),
+                     tuple(upper[r] for r in range(1, m + 1)) if mode == "band" else None)
+
+
+def _write_xor(x: XorSystem):
+    yield f"{x.num_vars} {len(x.constraints)}"
+    for con in x.constraints:
+        if isinstance(con, Parity):
+            yield f"x {con.u} {con.v} {con.c}"
+        else:
+            yield f"u {con.u} {con.c}"
+
+
+def _read_xor(toks, no, body) -> XorSystem:
     n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
     cons = []
     for lno, tks in body:
@@ -789,8 +747,53 @@ def parse(text: str, expected: type | None = None):
     return XorSystem(n, tuple(cons))
 
 
-def _check_vertex_pair(u: int, v: int, n: int, lno: int, allow_equal: bool):
-    if not (1 <= u <= n and 1 <= v <= n):
-        raise ParseError(f"vertex index out of range in ({u},{v})", lno)
-    if u == v and not allow_equal:
-        raise ParseError(f"self-loop at {u}", lno)
+# ---------------------------------------------------------------------------
+# Problem table
+# ---------------------------------------------------------------------------
+
+
+class Problem(NamedTuple):
+    """What the format and the checks know of one instance class."""
+
+    header: str  # the word after "p"
+    usage: str  # the header line's shape, which `parse` checks
+    size_params: dict  # name -> getter
+    validate: Callable  # (instance, tags, out) -> None, appends Violations
+    write: Callable  # instance -> header fields, then body lines
+    read: Callable  # (header tokens, header line number, body) -> instance
+
+
+PROBLEMS = {
+    CnfFormula: Problem(
+        "cnf2", "p cnf2 <n> <m>",
+        {"m_vbl": lambda f: f.num_vars, "m_cls": lambda f: len(f.clauses)},
+        _validate_cnf, _write_cnf, _read_cnf),
+    Digraph: Problem(
+        "digraph", "p digraph <n> <m>",
+        {"m_ver": lambda g: g.num_vertices, "m_edg": lambda g: len(g.edges)},
+        _validate_digraph, _write_digraph, _read_digraph),
+    UGraph: Problem(
+        "graph", "p graph <n> <m>",
+        {"m_ver": lambda g: g.num_vertices, "m_edg": lambda g: len(g.edges)},
+        _validate_ugraph, _write_ugraph, _read_ugraph),
+    XceInstance: Problem(
+        "xce", "p xce <nx> <nc>",
+        {"m_set": lambda x: len(x.sets)},
+        _validate_xce, _write_xce, _read_xce),
+    Ap2dmInstance: Problem(
+        "ap2dm", "p ap2dm <nx>",
+        {"m_set": lambda a: a.universe_size},
+        _validate_ap2dm, _write_ap2dm, _read_ap2dm),
+    # Deliberately swapped-looking: m_row counts the columns (variables) of A
+    # and m_col the rows. These are the established names for these problems.
+    LinSystem: Problem(
+        "lin", "p lin <geq|band|eq> <m> <n> <k>",
+        {"m_row": lambda s: s.num_cols, "m_col": lambda s: s.num_rows},
+        _validate_lin, _write_lin, _read_lin),
+    XorSystem: Problem(
+        "xor", "p xor <n> <m>",
+        {"m_vbl": lambda x: x.num_vars, "m_cls": lambda x: len(x.constraints)},
+        _validate_xor, _write_xor, _read_xor),
+}
+
+_BY_HEADER = {problem.header: cls for cls, problem in PROBLEMS.items()}

@@ -8,6 +8,10 @@ a name table in report.notes["names"] for debugging.
 
 Outputs are emitted record by record in construction order; the builders keep
 only counters and the current gadget index between emissions.
+
+Every transformation first checks its input with `validate` (`_require`),
+raising PreconditionError with the first violation's detail; its own
+preconditions (a normalized formula, an LP mode, a degree bound) follow.
 """
 
 from __future__ import annotations
@@ -32,6 +36,13 @@ from .instances import (
 
 class PreconditionError(ValueError):
     """Input violates a reduction's precondition."""
+
+
+def _require(instance, tags: dict | None = None):
+    """Raise PreconditionError with the first violation `validate` reports."""
+    bad = validate(instance, tags)
+    if bad:
+        raise PreconditionError(bad[0].detail)
 
 
 @dataclass
@@ -121,6 +132,7 @@ def normalize_2sat3(f: CnfFormula) -> CnfFormula:
     The empty output encodes trivially-satisfiable; a propagation conflict
     yields the fixed canonical unsatisfiable formula.
     """
+    _require(f)
     clauses = [tuple(c) for c in f.clauses]
     while True:
         changed = False
@@ -181,6 +193,7 @@ def sat2_to_2cvc3(f: CnfFormula) -> tuple[UGraph, ReductionReport]:
 
     Declared shortness k1=8, k2=0 on m_vbl -> m_ver.
     """
+    _require(f)
     if f.clauses and not is_normalized_2sat3(f):
         raise PreconditionError("sat2_to_2cvc3 requires a normalized formula")
     n, m = f.num_vars, len(f.clauses)
@@ -227,10 +240,8 @@ def cvc3_to_sat2(g: UGraph) -> tuple[CnfFormula, ReductionReport]:
 
     Declared shortness k1=1, k2=0 on m_ver -> m_vbl.
     """
+    _require(g, {"deg_bound": 3})
     deg = g.degrees()
-    for v in range(1, g.num_vertices + 1):
-        if deg[v] > 3:
-            raise PreconditionError(f"vertex {v} has degree {deg[v]}, bound 3")
     clauses: list[tuple[int, int]] = []
     for u, v in g.edges:
         clauses.append((u, v))
@@ -261,6 +272,7 @@ def sat2_to_3xce2(f: CnfFormula) -> tuple[XceInstance, ReductionReport]:
     variables with one occurrence of each polarity.
     Declared shortness k1=6, k2=0 on m_vbl -> m_set.
     """
+    _require(f)
     if f.clauses and not is_normalized_2sat3(f):
         raise PreconditionError("sat2_to_3xce2 requires a normalized formula")
     n, m = f.num_vars, len(f.clauses)
@@ -337,17 +349,13 @@ def xce2_to_2lp(x: XceInstance) -> tuple[LinSystem, ReductionReport]:
     [1,1]: the natural immediate-NO short circuit.
     Declared shortness k1=1, k2=0 on m_set -> m_row.
     """
-    cost = x.overlap_costs()
-    for e in range(1, x.universe_size + 1):
-        if cost[e] > 2:
-            raise PreconditionError(f"element {e} has overlapping cost {cost[e]}, bound 2")
+    _require(x)
     exempt = set(x.exempt)
-    # the sets covering each element, ascending (at most 2 by the check above)
+    # the sets covering each element, ascending (at most 2 once valid)
     covering: list[list[int]] = [[] for _ in range(x.universe_size + 1)]
     for j, s in enumerate(x.sets, 1):
         for e in s:
-            if 1 <= e <= x.universe_size and j not in covering[e]:
-                covering[e].append(j)
+            covering[e].append(j)
     entries: list[tuple[int, int, int]] = []
     lower: list[int] = []
     upper: list[int] = []
@@ -377,6 +385,7 @@ def lp_to_2lp(s: LinSystem) -> tuple[LinSystem, ReductionReport]:
 
     Declared shortness k1=1, k2=0 on m_col.
     """
+    _require(s)
     if s.mode != "geq":
         raise PreconditionError("lp_to_2lp expects a GEQ system")
     rowsum = [0] * (s.num_rows + 1)
@@ -400,6 +409,7 @@ def twolp_to_lp(s: LinSystem) -> tuple[LinSystem, ReductionReport]:
     columns; every column gains at most 2 nonzeros.
     Declared shortness k1=6, k2=0 on m_col (pruning keeps n' <= 2m).
     """
+    _require(s)
     if s.mode != "band":
         raise PreconditionError("twolp_to_lp expects a BAND system")
     used = sorted({c for _, c, _ in s.entries})
@@ -442,6 +452,7 @@ def le_to_xor2sat(s: LinSystem) -> tuple[XorSystem, ReductionReport]:
 
     Declared shortness k1=1, k2=0 on m_row -> m_vbl.
     """
+    _require(s)
     if s.mode != "eq":
         raise PreconditionError("le_to_xor2sat expects an EQ system")
     cons: list = []
@@ -497,6 +508,7 @@ def normalize_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
 
     Declared shortness k1=4, k2=4 on m_ver.
     """
+    _require(g)
     indeg = [0] * (g.num_vertices + 1)
     outdeg = [0] * (g.num_vertices + 1)
     for u, v in g.edges:
@@ -596,6 +608,7 @@ def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, ReductionReport]:
 
     Declared shortness k1=3, k2=2 on m_ver -> m_set.
     """
+    _require(g)
     _check_dstcon_normalized(g)
     inner = [v for v in range(1, g.num_vertices + 1) if v not in (g.s, g.t)]
     n = len(inner)
@@ -664,9 +677,7 @@ def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
     output parameter is the largest query (0 when none is issued).
     Declared per-query shortness k1=1, k2=0 on m_set -> m_ver.
     """
-    bad = validate(a, {"overlap_bound": 4})
-    if bad:
-        raise PreconditionError(f"instance is not 4-overlapping: {bad[0].detail}")
+    _require(a, {"overlap_bound": 4})
     n = a.universe_size
     exempt = set(a.exempt)
     queries = []
@@ -702,6 +713,7 @@ def reduce_degree_dstcon(g: Digraph, target: int = 3) -> tuple[Digraph, Reductio
     """
     if target != 3:
         raise PreconditionError("only the degree-3 target is implemented")
+    _require(g)
     ins: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices + 1)]
     outs: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices + 1)]
     for idx, (u, v) in enumerate(g.edges):

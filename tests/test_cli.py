@@ -87,6 +87,15 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "nope", "a", "b")
         assert code == 2 and "unknown reduction" in err
 
+    def test_invalid_input_exit_2(self, tmp_path, capsys):
+        # parses, but column 1 holds 2 nonzeros against the declared bound 1
+        src = tmp_path / "in.lin"
+        src.write_text("p lin geq 2 1 1\na 1 1 1\na 2 1 1\nb 1 0\nb 2 0\n")
+        dst = tmp_path / "out.lin"
+        code, _, err = run(capsys, "reduce", "lp_to_2lp", str(src), str(dst))
+        assert code == 2 and err == "error: column 1 has 2 nonzeros, bound 1\n"
+        assert not dst.exists()
+
     def test_precondition_exit_2(self, tmp_path, capsys):
         src = tmp_path / "in.cnf"
         src.write_text("p cnf2 2 1\n1 2 0\n")  # removable literals
@@ -189,6 +198,16 @@ class TestFitExampleDot:
         f.write_text("p cnf2 1 0\n")
         code, _, err = run(capsys, "dot", str(f), "-o", str(tmp_path / "x.dot"))
         assert code == 2 and "not graph-shaped" in err
+
+
+def test_problem_tables_agree():
+    """Every class a generator produces has one problem record and one
+    `solve` entry, and neither table has a class no generator produces."""
+    from redlab import cli, harness, instances
+
+    generated = {type(harness.generate(harness.GenSpec(name, max_size=4)))
+                 for name in harness.GENERATORS}
+    assert set(instances.PROBLEMS) == set(cli._SOLVE) == generated
 
 
 def test_usage_error_exit_2(capsys):

@@ -130,6 +130,18 @@ class TestVerify:
         with pytest.raises(GenerationError):
             verify_m_reduction("no_such_reduction", 5)
 
+    def test_invalid_reduce_input_skipped(self):
+        """An input `validate` rejects skips the trial with its first detail."""
+        from dataclasses import replace
+
+        from redlab.harness import _run_trial
+        from redlab.instances import LinSystem
+
+        bad = LinSystem("geq", 2, 1, 1, ((1, 1, 1), (2, 1, 1)), (0, 0))
+        plan = replace(default_plans()["lp_to_2lp"], prepare=lambda s: bad)
+        rec = _run_trial(plan, 0, decide=True)
+        assert rec.skipped == "column 1 has 2 nonzeros, bound 1" and rec.report is None
+
 
 class TestTuringVerify:
     def test_strict_mode_counts_disagreements(self):

@@ -153,6 +153,30 @@ class TestFormats:
         text = "p cnf2 2 1\n1 -2 0\n"
         assert serialize(parse(text)) == text
 
+    @pytest.mark.parametrize("header,usage", [
+        ("p cnf2 2", "p cnf2 <n> <m>"),
+        ("p digraph 2 1 1", "p digraph <n> <m>"),
+        ("p graph", "p graph <n> <m>"),
+        ("p xce 3", "p xce <nx> <nc>"),
+        ("p ap2dm 3 1", "p ap2dm <nx>"),
+        ("p lin geq 1 1", "p lin <geq|band|eq> <m> <n> <k>"),
+        ("p lin le 1 1 1", "p lin <geq|band|eq> <m> <n> <k>"),
+        ("p xor 1 1 1", "p xor <n> <m>"),
+    ])
+    def test_header_shape_errors(self, header, usage):
+        with pytest.raises(ParseError) as err:
+            parse(header + "\n")
+        assert str(err.value) == f"line 1: header must be '{usage}'"
+
+    def test_exemption_line_required(self):
+        for text in ("p xce 2 0\n", "p ap2dm 2\nm 1 2\n"):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == "first body line must be the exemption line 'r ...'"
+        with pytest.raises(ParseError) as err:
+            parse("p ap2dm 2\nr 1 3\n")
+        assert str(err.value) == "line 2: exempt element 3 out of range"
+
 
 def _clause(n):
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))

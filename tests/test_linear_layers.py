@@ -6,7 +6,9 @@ ap2dm validator counts exempt partners in one pass over the pairs, and
 `normalize_dstcon` splits each vertex once through per-vertex edge-position
 lists. The original double loop, per-exempt scan and restart-after-every-
 relay loop are kept here as references; outputs, reports and violation
-lists must match them exactly, malformed inputs included.
+lists must match them exactly, malformed inputs included, except that an
+input `validate` rejects must raise PreconditionError with the detail of
+the first violation.
 """
 
 from __future__ import annotations
@@ -146,8 +148,17 @@ def _outcome(fn, x):
     """fn(x), or the exception it raised as (type name, message)."""
     try:
         return fn(x)
-    except (PreconditionError, IndexError) as exc:
+    except PreconditionError as exc:
         return type(exc).__name__, str(exc)
+
+
+def _expected(reference, x):
+    """The reference outcome, or for an input `validate` rejects the
+    PreconditionError carrying the first violation's detail."""
+    bad = validate(x)
+    if bad:
+        return "PreconditionError", bad[0].detail
+    return _outcome(reference, x)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +175,7 @@ def _generated(problem: str, sizes_trials, **extra):
 MALFORMED_XCE = [
     XceInstance(3, (1,), ((1, 1, 2), (2, 3))),  # a set repeats an element
     XceInstance(3, (), ((0, 1), (-1, 2), (3,))),  # elements out of range below
-    XceInstance(2, (), ((1, 3),)),  # out of range above: IndexError in the cost count
+    XceInstance(2, (), ((1, 3),)),  # out of range above
     XceInstance(2, (2,), ((1, 2), (1,), (2,))),
     XceInstance(4, (1, 2), ((1, 2), (1, 2), (3, 4))),  # a set listed twice
     XceInstance(3, (), ((1, 2), (1, 3), (1,))),  # cost 3: precondition
@@ -197,7 +208,11 @@ MALFORMED_DIGRAPH = [
     Digraph(2, ((1, 1), (1, 2)), 1, 1),  # s == t
     Digraph(4, ((1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (4, 1), (2, 3)), 1, 2),  # s split 3 times
     Digraph(5, ((2, 1), (3, 1), (4, 1), (5, 1), (1, 2)), 2, 1),  # indegree 4: precondition
+    Digraph(3, ((1, -1), (2, 3)), 1, 3),  # negative head
 ]
+
+# the indices of the cases `validate` rejects
+REJECTED = {"xce": [0, 1, 2, 5], "digraph": [2, 3, 4, 5, 8]}
 
 TAGS = ({}, {"overlap_bound": 4}, {"uniquely_connected": "exactly_one"},
         {"overlap_bound": 2, "uniquely_connected": "exactly_one"})
@@ -210,7 +225,7 @@ class TestXce2To2LpIndex:
 
     @pytest.mark.parametrize("x", MALFORMED_XCE)
     def test_malformed_match_reference(self, x):
-        assert _outcome(lambda y: xce2_to_2lp(y)[0], x) == _outcome(xce2_to_2lp_reference, x)
+        assert _outcome(lambda y: xce2_to_2lp(y)[0], x) == _expected(xce2_to_2lp_reference, x)
 
 
 class TestValidateAp2dmOnePass:
@@ -252,7 +267,14 @@ class TestNormalizeDstconOnePass:
 
     @pytest.mark.parametrize("g", MALFORMED_DIGRAPH)
     def test_hand_built_match_reference(self, g):
-        assert _outcome(self._new, g) == _outcome(normalize_dstcon_reference, g)
+        assert _outcome(self._new, g) == _expected(normalize_dstcon_reference, g)
+
+
+def test_rejected_cases():
+    assert REJECTED == {
+        "xce": [i for i, x in enumerate(MALFORMED_XCE) if validate(x)],
+        "digraph": [i for i, g in enumerate(MALFORMED_DIGRAPH) if validate(g)],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -482,3 +482,47 @@ class TestReportFormat:
         lines = rep.to_text().splitlines()
         assert lines[1].startswith("QUERY 1\tSIZE 14\tANSWER ")
         assert len(lines) == 1 + 170
+
+
+# One input per reduction that `validate` rejects, each otherwise shaped
+# like that reduction's input (normalized, the right LP mode, ...).
+INVALID_INPUTS = {
+    "normalize_2sat3": CnfFormula(2, ((1, 3),)),
+    "sat2_to_2cvc3": CnfFormula(1, ((1, -2), (-1, 2))),
+    "cvc3_to_sat2": UGraph(3, ((1, 2), (2, 2))),
+    "sat2_to_3xce2": CnfFormula(2, ((0, 1), (-1, 2), (-2, 1))),
+    "xce2_to_2lp": XceInstance(3, (), ((0, 1), (-1, 2))),
+    "lp_to_2lp": LinSystem("geq", 2, 1, 1, ((1, 1, 1), (2, 1, 1)), (0, 0)),
+    "twolp_to_lp": LinSystem("band", 1, 2, 3, ((1, 1, 1), (1, 3, 1)), (0,), (1,)),
+    "le_to_xor2sat": LinSystem("eq", 1, 1, 3, ((1, 1, 0),), (0,)),
+    "normalize_dstcon": Digraph(3, ((0, 1), (0, 2), (0, 3), (2, 0)), 1, 3),
+    "dstcon_to_ap2dm": Digraph(4, ((1, 2), (2, 2), (2, 4)), 1, 4),
+    "reduce_degree_dstcon": Digraph(3, ((1, 2), (2, 5)), 1, 3),
+}
+
+
+class TestRejectWhatValidateRejects:
+    def test_every_reduction_covered(self):
+        from redlab.reductions import REDUCTIONS
+
+        assert set(INVALID_INPUTS) == set(REDUCTIONS)
+
+    @pytest.mark.parametrize("name", list(INVALID_INPUTS))
+    def test_first_violation_raised(self, name):
+        from redlab.reductions import REDUCTIONS
+
+        x = INVALID_INPUTS[name]
+        bad = validate(x)
+        assert bad
+        with pytest.raises(PreconditionError) as err:
+            REDUCTIONS[name](x)
+        assert str(err.value) == bad[0].detail
+
+    def test_tags_of_the_input_class(self):
+        """cvc3_to_sat2 asks for degree 3, the oracle reduction for 4-overlap."""
+        star = UGraph(5, ((1, 2), (1, 3), (1, 4), (1, 5)))
+        with pytest.raises(PreconditionError, match="^vertex 1 has degree 4, bound 3$"):
+            cvc3_to_sat2(star)
+        a = Ap2dmInstance(5, (), ((1, 2), (1, 3), (1, 4), (1, 5)))
+        with pytest.raises(PreconditionError, match="^element 1 has 5 right partners, bound 4$"):
+            ap2dm_to_dstcon_queries(a, _dstcon)
