@@ -244,7 +244,6 @@ def _check_lemma1(out: list[Violation], num_vertices: int, edges, k: int):
 
 def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
     counts: dict[int, int] = {}
-    exact, clean = tags.get("exact"), tags.get("clean")
     for j, clause in enumerate(f.clauses, 1):
         if not 1 <= len(clause) <= 2:
             out.append(Violation("clause_width", (j,), f"clause {j} has {len(clause)} literals"))
@@ -254,9 +253,9 @@ def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
                 out.append(Violation("literal_range", (j, lit), f"literal {lit} out of range in clause {j}"))
             else:
                 counts[var] = counts.get(var, 0) + 1
-        if exact and len(clause) != 2:
+        if tags.get("exact") and len(clause) != 2:
             out.append(Violation("exact", (j,), f"clause {j} has {len(clause)} literals, expected 2"))
-        if clean and len({abs(l) for l in clause}) != len(clause):
+        if tags.get("clean") and len({abs(l) for l in clause}) != len(clause):
             out.append(Violation("clean", (j,), f"clause {j} repeats a variable"))
     bound = tags.get("occ_bound")
     if bound is not None:
