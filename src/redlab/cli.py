@@ -9,6 +9,7 @@ run included) and `fit`, which changes no output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -183,7 +184,9 @@ def cmd_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The redlab argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="redlab",
         description="generate, solve, reduce, and verify parameterized reachability/cover instances")
@@ -203,18 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags", default=None,
                    help="comma-separated tag overrides, e.g. occ_bound=3,deg_bound=4")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="decide an instance file, exit 0=YES 1=NO")
     p.add_argument("file")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reduce", help="apply a named reduction to a file")
     p.add_argument("name")
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="run the verification harness")
     p.add_argument("name")
@@ -223,22 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--run-dir", default=".")
     p.add_argument("--no-timing", action="store_true", help="omit the WALLTIME line")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fit", help="fit observed shortness constants")
     p.add_argument("name")
     p.add_argument("--trials", type=_positive, default=200)
     p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("example", help="emit a worked figure instance end to end")
     p.add_argument("which", choices=("fig1", "fig2", "fig3"))
-    p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("dot", help="write a DOT rendering of a graph-shaped instance")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_dot)
     return parser
 
 
@@ -249,7 +245,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # looked up when called, so a wrapper put on a cmd_* function after
+        # the cached parser was built still runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ParseError, FileNotFoundError, oracles.BudgetError,
             reductions.PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,13 @@
 
 Each solver is deliberately implemented by a different method than the
 transformations it is used to verify: implication-graph SCCs for 2-CNF,
-breadth-first search for reachability, and exhaustive/backtracking
-enumeration within fixed budgets for the rest. All functions are pure.
+breadth-first search for reachability, simple-cycle enumeration of the pair
+digraph for matching, and exhaustive/backtracking enumeration for the rest.
+The exponential ones run within fixed budgets. All functions are pure.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import product
 
 import numpy as np
@@ -29,11 +29,16 @@ SAT_ENUM_BUDGET = 24  # variables
 XOR_ENUM_BUDGET = 20  # variables
 CVC_BUDGET = 26  # vertices
 XCE_BUDGET = 24  # sets
-# The matching budget keeps every in-budget instance within about a second:
-# the largest of 50 seeded matching gadgets settles in about 0.5 s at 26
-# elements and 14 s at 32 (2-CPU x86 host).
-AP2DM_BUDGET = 26  # elements
+# The matching budget keeps every in-budget instance within about a second.
+# Over 300 seeded instances per size knob of each family, at seeds 1 and
+# 1001 (2-CPU x86 host): matching gadgets of up to 50 elements settle in at
+# most 15 ms; random ap2dm instances of up to 32 elements settle in at most
+# 0.93 s, but one of 33 elements takes 1.4 s, one of 34 3.5 s and one of 37
+# 23 s.
+AP2DM_BUDGET = 32  # elements
 LIN_BUDGET = 24  # columns
+# A matching search tests its open pairs with _separated once per this many cycles.
+SEPARATION_PERIOD = 512
 
 
 class BudgetError(ValueError):
@@ -332,54 +337,37 @@ def check_exact_cover(x: XceInstance, selected: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _partner_lists(a: Ap2dmInstance) -> list[list[int]]:
-    """Sorted allowed right partners of each element, 0-based, trivial pair included."""
-    partners: list[list[int]] = [[v] for v in range(a.universe_size)]
-    for u, w in a.pairs:
-        partners[u - 1].append(w - 1)
-    for p in partners:
-        p.sort()
-    return partners
-
-
-def _matchings(partners: list[list[int]]) -> Iterator[list[int]]:
-    """Perfect matchings in lexicographic order, as 0-based permutation lists.
-
-    Depth-first assignment over the allowed-partner lists. The yielded list
-    is reused; copy it to keep it past the next step.
-    """
-    n = len(partners)
-    if n == 0:
-        yield []
-        return
-    used = [False] * n
-    pi = [0] * n
-    candidates = [iter(partners[0])] + [None] * (n - 1)  # per depth, untried partners
-    depth = 0
-    while depth >= 0:
-        for w in candidates[depth]:
-            if not used[w]:
-                break
-        else:  # depth exhausted: free the choice one level up and resume there
-            depth -= 1
-            used[pi[depth]] = False
-            continue
-        pi[depth] = w
-        if depth == n - 1:
-            yield pi
-            continue
-        used[w] = True
-        depth += 1
-        candidates[depth] = iter(partners[depth])
-
-
 def perfect_matchings(a: Ap2dmInstance) -> list[tuple[int, ...]]:
     """All perfect matchings of the pair structure (trivial pairs included).
 
     Each matching is returned as a permutation tuple pi with pi[v-1] the
-    right partner of v. Depth-first assignment over allowed-partner lists.
+    right partner of v, in lexicographic order. Depth-first assignment over
+    the sorted allowed-partner lists.
     """
-    return [tuple(w + 1 for w in pi) for pi in _matchings(_partner_lists(a))]
+    n = a.universe_size
+    partners: list[list[int]] = [[v] for v in range(1, n + 1)]
+    for u, w in a.pairs:
+        partners[u - 1].append(w)
+    for p in partners:
+        p.sort()
+    used = [False] * (n + 1)
+    pi: list[int] = []
+    out: list[tuple[int, ...]] = []
+
+    def extend(v: int):
+        if v == n:
+            out.append(tuple(pi))
+            return
+        for w in partners[v]:
+            if not used[w]:
+                used[w] = True
+                pi.append(w)
+                extend(v + 1)
+                pi.pop()
+                used[w] = False
+
+    extend(0)
+    return out
 
 
 def linked_by_chain(a: Ap2dmInstance, pi: tuple[int, ...], v: int, w: int) -> bool:
@@ -408,41 +396,55 @@ def linked_by_power(pi: tuple[int, ...], v: int, w: int) -> bool:
     return False
 
 
-def _cycle_links(pi: list[int], starts) -> list[int]:
-    """Linked sets under a 0-based matching, as bit masks, for every element
-    on a cycle through one of `starts`; the other entries stay 0.
+def _offset_links(cycle: list[int]) -> list[int]:
+    """Linked sets along one cycle of a matching, as bit masks: entry i is
+    the set of cycle[i].
 
-    An element links to its whole cycle when the cycle is odd and to the
-    elements at even offsets along it when the cycle is even.
+    An element links to the elements at even offsets from it along its
+    cycle, which is the whole cycle when the cycle is odd.
     """
-    links = [0] * len(pi)
-    for start in starts:
-        if links[start]:  # every element links to itself, so a done mask is set
-            continue
-        z = pi[start]
-        if z == start:
-            links[start] = 1 << start
-            continue
-        cycle = [start]
-        while z != start:
-            cycle.append(z)
-            z = pi[z]
-        even = odd = 0
-        for u in cycle[::2]:
-            even |= 1 << u
-        for u in cycle[1::2]:
-            odd |= 1 << u
-        if len(cycle) & 1:
-            even = odd = even | odd
-        for u in cycle[::2]:
-            links[u] = even
-        for u in cycle[1::2]:
-            links[u] = odd
-    return links
+    even = odd = 0
+    for u in cycle[::2]:
+        even |= 1 << u
+    for u in cycle[1::2]:
+        odd |= 1 << u
+    if len(cycle) & 1:
+        return [even | odd] * len(cycle)
+    return [even, odd] * (len(cycle) // 2)
+
+
+def _separated(succ: list[list[int]], u: int, w: int) -> bool:
+    """True if no simple cycle passes through both u and w: one of them does
+    not reach the other, or one element lies on every path from u to w and
+    on every path from w to u, so a cycle through both would visit it twice."""
+
+    def interior(s: int, t: int, banned: int = -1) -> set[int] | None:
+        """Inner elements of a shortest s..t path avoiding `banned`, or None."""
+        parent = {s: s}
+        queue = [s]
+        for x in queue:
+            for y in succ[x]:
+                if y not in parent and y != banned:
+                    parent[y] = x
+                    queue.append(y)
+        if t not in parent:
+            return None
+        inner = set()
+        z = parent[t]
+        while z != s:
+            inner.add(z)
+            z = parent[z]
+        return inner
+
+    there, back = interior(u, w), interior(w, u)
+    if there is None or back is None:
+        return True
+    # an element on every path both ways lies on both shortest paths
+    return any(interior(u, w, x) is None and interior(w, u, x) is None for x in there & back)
 
 
 def solve_ap2dm(a: Ap2dmInstance) -> tuple[bool, tuple[int, int] | None]:
-    """Perfect-matching enumeration; returns (yes, None) or (no, failing pair).
+    """Simple-cycle enumeration; returns (yes, None) or (no, failing pair).
 
     For every ordered distinct pair (v, w) with v or w outside the exemption
     set, some perfect matching must link v to w under the chain definition.
@@ -451,14 +453,31 @@ def solve_ap2dm(a: Ap2dmInstance) -> tuple[bool, tuple[int, int] | None]:
 
     Linkage lemma (acceptance criterion 8 checks it against the literal
     chain test): under a perfect matching pi, v links to w exactly when
-    w = pi^k(v) for some even k >= 2. Stepping by two around v's cycle of
-    length L visits every element of the cycle when L is odd and the
-    elements at even offsets when L is even. So one cycle decomposition per
-    matching gives every linked set, and linkage is symmetric: the offset
-    from w back to v is L - k, even whenever L is even. The required pairs
-    of each element still unlinked are kept as a bit mask; each matching
-    visits only the cycles through elements with a non-empty mask, and the
-    enumeration stops once every mask is empty.
+    w = pi^k(v) for some even k >= 2, that is, when w lies at an even offset
+    from v on v's cycle of pi, or anywhere on it when that cycle is odd.
+
+    Cycle-cover lemma: trivial pairs are always allowed, so a perfect
+    matching is a set of vertex-disjoint simple cycles of the digraph of
+    non-trivial pairs, plus fixed points; and any one simple cycle becomes a
+    perfect matching by fixing every element off it. So v's linked set is
+    {v} together with the offset links (`_offset_links`) of v on each simple
+    cycle through v, and there are fewer simple cycles than perfect
+    matchings.
+
+    The cycles are enumerated after Johnson 1975 ("Finding all the
+    elementary circuits of a directed graph"): one depth-first search per
+    root in ascending order, inside the root's strongly connected component
+    among the elements >= root, closing on an edge back to the root, so each
+    cycle is found once, from its smallest element. An element is not
+    re-entered while the path blocks every way from it back to the root.
+    The required partners of each element still unlinked are kept as a bit
+    mask. A search from root r touches only its component, so r's mask is
+    final once the search ends, and r's partners off the component are final
+    before it starts: the search stops as soon as r's lowest unlinked partner
+    is final, or no element of the component has an unlinked partner in it
+    that a cycle could still link. Pairs that `_separated` rules out are
+    dropped from that test; it runs on the remaining pairs once every
+    SEPARATION_PERIOD cycles of a search, as only long searches repay it.
     """
     n = a.universe_size
     if n > AP2DM_BUDGET:
@@ -469,21 +488,107 @@ def solve_ap2dm(a: Ap2dmInstance) -> tuple[bool, tuple[int, int] | None]:
     # required partners of v: every other element, minus the exempt ones if v is exempt
     unlinked = [(everyone & ~exempt_mask if v + 1 in exempt else everyone) & ~(1 << v)
                 for v in range(n)]
-    open_vs = [v for v in range(n) if unlinked[v]]
-    if open_vs:
-        for pi in _matchings(_partner_lists(a)):
-            links = _cycle_links(pi, open_vs)
-            closed = False
-            for v in open_vs:
-                unlinked[v] &= ~links[v]
-                closed = closed or not unlinked[v]
-            if closed:
-                open_vs = [v for v in open_vs if unlinked[v]]
-                if not open_vs:
-                    break
-    for v, m in enumerate(unlinked, 1):
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for u, w in set(a.pairs):
+        if u != w:
+            succ[u - 1].append(w - 1)
+            pred[w - 1].append(u - 1)
+    separated = [0] * n  # partners no simple cycle can link, found so far
+    tested = [0] * n  # partners already given to _separated
+    blocked: list[bool] = []
+    blocked_by = [0] * n  # elements to unblock along with each one, as a mask
+    path: list[int] = []
+    root = comp = final = live = cycles = 0
+
+    def unblock(u: int):
+        blocked[u] = False
+        waiting, blocked_by[u] = blocked_by[u], 0
+        while waiting:
+            x = (waiting & -waiting).bit_length() - 1
+            waiting &= waiting - 1
+            if blocked[x]:
+                unblock(x)
+
+    def drop_separated():
+        """Test the untested open pairs of the live elements with _separated."""
+        nonlocal live
+        rest = live
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            todo = unlinked[u] & comp & ~tested[u]
+            tested[u] |= todo
+            while todo:
+                w = (todo & -todo).bit_length() - 1
+                todo &= todo - 1
+                tested[w] |= 1 << u
+                if _separated(succ, u, w):
+                    separated[u] |= 1 << w
+                    separated[w] |= 1 << u
+            if not unlinked[u] & comp & ~separated[u]:
+                live &= ~(1 << u)
+
+    def circuit(v: int) -> bool:
+        """Search on from v at the end of the path; True if a cycle closed."""
+        nonlocal live, cycles
+        closed = False
+        path.append(v)
+        blocked[v] = True
+        for w in succ[v]:
+            if w == root:
+                closed = True
+                cycles += 1
+                for u, links in zip(path, _offset_links(path)):
+                    if unlinked[u] & links:
+                        unlinked[u] &= ~links
+                        if not unlinked[u] & comp & ~separated[u]:
+                            live &= ~(1 << u)
+                if not cycles % SEPARATION_PERIOD:
+                    drop_separated()
+            elif not blocked[w]:
+                closed = circuit(w) or closed
+            else:
+                continue
+            m = unlinked[root]
+            if not live or m & -m & (final | separated[root]):
+                break
+        if closed:
+            unblock(v)
+        else:
+            for w in succ[v]:
+                blocked_by[w] |= 1 << v
+        path.pop()
+        return closed
+
+    def reach(adj: list[list[int]]) -> int:
+        """The root and the elements above it that it reaches over adj."""
+        seen = 1 << root
+        stack = [root]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y > root and not seen >> y & 1:
+                    seen |= 1 << y
+                    stack.append(y)
+        return seen
+
+    for root in range(n):
+        if not any(unlinked[root:]):
+            break
+        comp = reach(succ) & reach(pred)
+        final = everyone & ~comp
+        # elements of the component with a partner in it that a cycle may link
+        live = sum(1 << u for u in range(root, n)
+                   if comp >> u & 1 and unlinked[u] & comp & ~separated[u])
+        m = unlinked[root]
+        if live and not m & -m & (final | separated[root]):
+            blocked = [not comp >> v & 1 for v in range(n)]  # the search stays in comp
+            blocked_by[root:] = [0] * (n - root)
+            cycles = 0
+            circuit(root)
+            m = unlinked[root]
         if m:
-            return False, (v, (m & -m).bit_length())
+            return False, (root + 1, (m & -m).bit_length())
     return True, None
 
 

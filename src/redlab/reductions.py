@@ -680,15 +680,15 @@ def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
     _require(a, {"overlap_bound": 4})
     n = a.universe_size
     exempt = set(a.exempt)
+    size = max(1, n)  # m_ver of every query graph, whose vertex set is X
     queries = []
     for v in range(1, n + 1):
         for w in range(v + 1, n + 1):
             if v in exempt and w in exempt:
                 continue
             for src, dst in ((v, w), (w, v)):
-                q = Digraph(n, a.pairs, src, dst)
-                answer = bool(oracle(q))
-                queries.append(QueryRecord(f"({src},{dst})", size_param(q, "m_ver"), answer))
+                answer = bool(oracle(Digraph(n, a.pairs, src, dst)))
+                queries.append(QueryRecord(f"({src},{dst})", size, answer))
     in_size = size_param(a, "m_set")
     largest = max((q.size for q in queries), default=0)
     report = ReductionReport(

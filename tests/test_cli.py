@@ -1,5 +1,6 @@
 import pytest
 
+from redlab import cli
 from redlab.cli import main
 from redlab.instances import CnfFormula, parse, serialize
 
@@ -129,15 +130,15 @@ class TestVerify:
 
     def test_over_budget_trials_skipped(self, tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "dstcon_to_ap2dm", "--trials", "20",
-                           "--max-size", "12", "--run-dir", str(tmp_path), "--no-timing")
-        assert code == 0 and "EQUIV_FAILURES\t8\n" in out
+                           "--max-size", "14", "--run-dir", str(tmp_path), "--no-timing")
+        assert code == 0 and "EQUIV_FAILURES\t7\n" in out
         lines = out.splitlines()
         skipped = [line.split("\t") for line in lines if line.startswith("SKIPPED\t")]
-        assert [int(seed) for _, seed, _ in skipped] == [4, 5, 7, 9, 14, 17]
+        assert [int(seed) for _, seed, _ in skipped] == [2, 4, 8, 10, 16, 18]
         assert all("exceed the enumeration budget" in reason for _, _, reason in skipped)
         # the SKIPPED lines close the summary, after the counterexample lines
         assert lines[-len(skipped):] == ["\t".join(s) for s in skipped]
-        assert len(list(tmp_path.glob("dstcon_to_ap2dm_seed*.txt"))) == 8
+        assert len(list(tmp_path.glob("dstcon_to_ap2dm_seed*.txt"))) == 7
 
     @pytest.mark.parametrize("argv", [
         ("verify", "lp_to_2lp", "--trials", "-3"),
@@ -213,3 +214,12 @@ def test_problem_tables_agree():
 def test_usage_error_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+class TestParser:
+    def test_built_once_and_dispatch_reads_module(self, monkeypatch, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        run(capsys, "example", "fig1")
+        # a command function replaced after the parser was built still runs
+        monkeypatch.setattr(cli, "cmd_example", lambda args: 7)
+        assert run(capsys, "example", "fig1")[0] == 7

@@ -1,6 +1,7 @@
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from redlab import figures, oracles, reductions
 from redlab.harness import GenSpec, generate
@@ -14,6 +15,7 @@ from redlab.instances import (
     Unit,
     XceInstance,
     XorSystem,
+    validate,
 )
 from redlab.oracles import (
     AP2DM_BUDGET,
@@ -213,6 +215,86 @@ def _ap2dm_corpus() -> list[Ap2dmInstance]:
     return corpus
 
 
+def _matching_cycles(pi: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of a matching, fixed points included, as 0-based lists."""
+    seen = [False] * len(pi)
+    cycles = []
+    for start in range(len(pi)):
+        if seen[start]:
+            continue
+        cycle = []
+        z = start
+        while not seen[z]:
+            seen[z] = True
+            cycle.append(z)
+            z = pi[z] - 1
+        cycles.append(cycle)
+    return cycles
+
+
+def _simple_cycles(succ: list[list[int]]) -> list[list[int]]:
+    """Every simple cycle of a digraph, once, by plain DFS from its smallest element."""
+    cycles = []
+
+    def extend(path: list[int]):
+        for w in succ[path[-1]]:
+            if w == path[0]:
+                cycles.append(list(path))
+            elif w > path[0] and w not in path:
+                extend(path + [w])
+
+    for root in range(len(succ)):
+        extend([root])
+    return cycles
+
+
+def _enumeration_solve_ap2dm(a: Ap2dmInstance) -> tuple[bool, tuple[int, int] | None]:
+    """The matching oracle by perfect-matching enumeration: linkage read off
+    the cycles of each matching, stopping once every required pair is linked."""
+    n = a.universe_size
+    exempt = set(a.exempt)
+    everyone = (1 << n) - 1
+    exempt_mask = sum(1 << v for v in range(n) if v + 1 in exempt)
+    unlinked = [(everyone & ~exempt_mask if v + 1 in exempt else everyone) & ~(1 << v)
+                for v in range(n)]
+    for pi in perfect_matchings(a):
+        if not any(unlinked):
+            break
+        for cycle in _matching_cycles(pi):
+            for u, links in zip(cycle, oracles._offset_links(cycle)):
+                unlinked[u] &= ~links
+    for v, m in enumerate(unlinked, 1):
+        if m:
+            return False, (v, (m & -m).bit_length())
+    return True, None
+
+
+def _mid_size_corpus() -> list[Ap2dmInstance]:
+    """Matching gadgets at dstcon_raw max_size 6-8, random instances at 9-14."""
+    corpus = []
+    for max_size in (6, 7, 8):
+        spec = GenSpec("dstcon_raw", max_size=max_size, seed=90 + max_size)
+        corpus += [reductions.dstcon_to_ap2dm(reductions.normalize_dstcon(generate(spec, t))[0])[0]
+                   for t in range(75)]
+    for max_size in range(9, 15):
+        spec = GenSpec("ap2dm", max_size=max_size, seed=90 + max_size)
+        corpus += [generate(spec, t) for t in range(75)]
+    return corpus
+
+
+@st.composite
+def ap2dm_instances(draw):
+    """Valid instances of at most 7 elements, overlap bound 4."""
+    n = draw(st.integers(1, 7))
+    element = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(element, element).filter(lambda p: p[0] != p[1]),
+                          max_size=3 * n, unique=True))
+    exempt = draw(st.sets(element, max_size=n // 2))
+    a = Ap2dmInstance(n, tuple(exempt), tuple(pairs))
+    assume(not validate(a, {"overlap_bound": 4}))
+    return a
+
+
 class TestAp2dm:
     def test_single_element_vacuous(self):
         assert solve_ap2dm(Ap2dmInstance(1, (), ())) == (True, None)
@@ -246,11 +328,53 @@ class TestAp2dm:
         assert verdicts == [_reference_solve_ap2dm(a) for a in corpus]
         assert {yes for yes, _ in verdicts} == {True, False}
 
+    @settings(max_examples=300, deadline=None)
+    @given(ap2dm_instances())
+    def test_matches_literal_reference_on_random_instances(self, a):
+        assert solve_ap2dm(a) == _reference_solve_ap2dm(a)
+
+    def test_matches_enumeration_oracle_mid_size(self, monkeypatch):
+        corpus = _mid_size_corpus()
+        expected = [_enumeration_solve_ap2dm(a) for a in corpus]
+        assert [solve_ap2dm(a) for a in corpus] == expected
+        assert {yes for yes, _ in expected} == {True, False}
+        # again with the _separated pass after every cycle, not every 512th
+        monkeypatch.setattr(oracles, "SEPARATION_PERIOD", 1)
+        assert [solve_ap2dm(a) for a in corpus] == expected
+
+    def test_separated_pairs_share_no_simple_cycle(self):
+        separated_pairs = 0
+        for max_size in (6, 8, 10):
+            spec = GenSpec("ap2dm", max_size=max_size, seed=500 + max_size)
+            for t in range(40):
+                a = generate(spec, t)
+                n = a.universe_size
+                succ = [[] for _ in range(n)]
+                for u, w in a.pairs:
+                    succ[u - 1].append(w - 1)
+                together = set()  # pairs on a common simple cycle
+                for cycle in _simple_cycles(succ):
+                    together |= {(u, w) for u in cycle for w in cycle}
+                for u, w in product(range(n), repeat=2):
+                    if u != w and oracles._separated(succ, u, w):
+                        separated_pairs += 1
+                        assert (u, w) not in together, (a, u, w)
+        assert separated_pairs > 0
+
+    def test_largest_seeded_gadget_at_max_size_12(self):
+        g = generate(GenSpec("dstcon_raw", max_size=12, seed=1), 16)
+        a = reductions.dstcon_to_ap2dm(reductions.normalize_dstcon(g)[0])[0]
+        assert a.universe_size == 32
+        assert solve_ap2dm(a) == (True, None)
+
     def test_cycle_links_equal_chain_links(self):
         for a in _ap2dm_corpus():
             n = a.universe_size
             for pi in perfect_matchings(a):
-                masks = oracles._cycle_links([w - 1 for w in pi], range(n))
+                masks = [0] * n
+                for cycle in _matching_cycles(pi):
+                    for u, links in zip(cycle, oracles._offset_links(cycle)):
+                        masks[u] = links
                 cycle_sets = [{w for w in range(1, n + 1) if m >> (w - 1) & 1} for m in masks]
                 assert cycle_sets == _chain_linked_sets(a, pi), (a, pi)
 
