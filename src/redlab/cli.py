@@ -2,8 +2,12 @@
 
 Exit codes: 0 = YES/success, 1 = NO, 2 = usage or I/O error. All subcommands
 are reproducible from their flags; the only environment dependence is the
-optional REDLAB_WORKERS worker count used by `verify` (the oracle-reduction
-run included) and `fit`, which changes no output.
+optional REDLAB_WORKERS worker count used by `verify` and `fit`, which
+changes no output.
+
+`reduce` takes the many-one reductions of `reductions.REDUCTIONS`. `verify`
+and `fit` take every name `harness._resolve` knows: those reductions, the
+`bad_*` mutation fixtures and the oracle reduction `ap2dm_to_dstcon_queries`.
 """
 
 from __future__ import annotations
@@ -39,39 +43,17 @@ def _positive(text: str) -> int:
     return value
 
 
-_TAG_TYPES = {
-    "occ_bound": int,
-    "deg_bound": int,
-    "overlap_bound": int,
-    "col_bound": int,
-    "exemption_density": float,
-}
-
-
-def _parse_tags(text: str) -> dict:
-    tags = {}
-    for item in text.split(","):
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        if key not in _TAG_TYPES:
-            raise ValueError(f"unknown tag {key!r} (known: {', '.join(_TAG_TYPES)})")
-        tags[key] = _TAG_TYPES[key](value)
-    return tags
-
-
 def cmd_gen(args) -> int:
-    tags = _parse_tags(args.tags) if args.tags else {}
     spec = harness.GenSpec(
         problem=args.problem,
         max_size=args.size,
         seed=args.seed,
         clauses=args.clauses,
-        occ_bound=tags.get("occ_bound", args.occ_bound),
-        deg_bound=tags.get("deg_bound", args.deg_bound),
-        overlap_bound=tags.get("overlap_bound", args.overlap_bound),
-        col_bound=tags.get("col_bound", args.col_bound),
-        exemption_density=tags.get("exemption_density", args.exemption_density),
+        occ_bound=args.occ_bound,
+        deg_bound=args.deg_bound,
+        overlap_bound=args.overlap_bound,
+        col_bound=args.col_bound,
+        exemption_density=args.exemption_density,
         sat_bias=args.bias,
     )
     instance = harness.generate(spec)
@@ -123,11 +105,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.name == "ap2dm_to_dstcon_queries":
-        result = harness.verify_T_reduction(args.trials, seed=args.seed, max_size=args.max_size)
-    else:
-        result = harness.verify_m_reduction(args.name, args.trials, max_size=args.max_size,
-                                            seed=args.seed)
+    result = harness.verify_m_reduction(args.name, args.trials, max_size=args.max_size,
+                                        seed=args.seed)
     run_dir = Path(args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     for seed, text in result.equiv_failures:
@@ -203,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--col-bound", type=int, default=3)
     p.add_argument("--exemption-density", type=float, default=0.3)
     p.add_argument("--bias", type=float, default=0.5, help="planted-witness fraction")
-    p.add_argument("--tags", default=None,
-                   help="comma-separated tag overrides, e.g. occ_bound=3,deg_bound=4")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("solve", help="decide an instance file, exit 0=YES 1=NO")

@@ -210,10 +210,12 @@ def _gen_2sat3(spec: GenSpec, rng: SplitMix64) -> CnfFormula:
     if n < 2:
         cap = 0  # a clean 2-literal clause needs two distinct variables
     if spec.clauses is not None:
-        if spec.clauses > (spec.occ_bound * n) // 2:
-            raise GenerationError(
-                f"{spec.clauses} clauses exceed floor({spec.occ_bound}*{n}/2) literal slots")
+        slots = (spec.occ_bound * n) // 2
+        if not 0 <= spec.clauses <= slots:
+            raise GenerationError(f"clause count {spec.clauses} is outside 0..{slots} "
+                                  f"(floor({spec.occ_bound}*{n}/2) literal slots)")
         m = spec.clauses
+        cap = min(cap, m)  # a planted core must fit the exact count
     else:
         m = rng.randint(0, max(0, cap))
     # trial mix: planted satisfying assignment / planted unsatisfiable core
@@ -289,45 +291,24 @@ def _gen_ugraph(spec: GenSpec, rng: SplitMix64) -> UGraph:
     deg = [0] * (n + 1)
     edges: list[tuple[int, int]] = []
     present: set[tuple[int, int]] = set()
-    if planted:
-        # Plant a 2-checkered cover: pick V'; edges either leave V' or join
-        # two V' vertices whose degrees stay <= 2 (so the edge is a grip).
-        inside = [v for v in range(1, n + 1) if rng.chance(0.5)]
-        inside_set = set(inside)
-        attempts = rng.randint(0, 2 * n)
-        for _ in range(attempts):
-            u = rng.randint(1, n)
-            v = rng.randint(1, n)
-            if u == v:
-                continue
-            e = (min(u, v), max(u, v))
-            if e in present:
-                continue
-            if u in inside_set and v in inside_set:
-                if deg[u] >= 2 or deg[v] >= 2:
-                    continue
-            elif u not in inside_set and v not in inside_set:
-                continue  # would be uncovered
-            if deg[u] >= k or deg[v] >= k:
-                continue
-            present.add(e)
-            edges.append(e)
-            deg[u] += 1
-            deg[v] += 1
-    else:
-        attempts = rng.randint(0, 2 * n)
-        for _ in range(attempts):
-            u = rng.randint(1, n)
-            v = rng.randint(1, n)
-            if u == v:
-                continue
-            e = (min(u, v), max(u, v))
-            if e in present or deg[u] >= k or deg[v] >= k:
-                continue
-            present.add(e)
-            edges.append(e)
-            deg[u] += 1
-            deg[v] += 1
+    # Plant a 2-checkered cover: pick V'; edges either leave V' or join two
+    # V' vertices whose degrees stay <= 2 (so the edge is a grip).
+    inside = {v for v in range(1, n + 1) if rng.chance(0.5)} if planted else set()
+    for _ in range(rng.randint(0, 2 * n)):
+        u = rng.randint(1, n)
+        v = rng.randint(1, n)
+        if u == v:
+            continue
+        e = (min(u, v), max(u, v))
+        if e in present or deg[u] >= k or deg[v] >= k:
+            continue
+        if planted and (u in inside) == (v in inside) and (
+                u not in inside or deg[u] >= 2 or deg[v] >= 2):
+            continue  # uncovered, or a V' edge that would not be a grip
+        present.add(e)
+        edges.append(e)
+        deg[u] += 1
+        deg[v] += 1
     return UGraph(n, tuple(edges))
 
 
@@ -385,25 +366,20 @@ def _gen_digraph4(spec: GenSpec, rng: SplitMix64) -> Digraph:
     planted = rng.chance(spec.sat_bias)
     s, t = rng.randint(1, n), rng.randint(1, n)
 
-    def add_ok(u, v):
-        return u != v and (u, v) not in present and deg[u] < k and deg[v] < k
+    def add(u, v):
+        if u != v and (u, v) not in present and deg[u] < k and deg[v] < k:
+            present.add((u, v))
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
 
     if planted and s != t:
         nodes = [v for v in range(1, n + 1) if v not in (s, t) and rng.chance(0.4)]
         path = [s] + nodes + [t]
         for u, v in zip(path, path[1:]):
-            if add_ok(u, v):
-                present.add((u, v))
-                edges.append((u, v))
-                deg[u] += 1
-                deg[v] += 1
+            add(u, v)
     for _ in range(rng.randint(0, 2 * n)):
-        u, v = rng.randint(1, n), rng.randint(1, n)
-        if add_ok(u, v):
-            present.add((u, v))
-            edges.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
+        add(rng.randint(1, n), rng.randint(1, n))
     return Digraph(n, tuple(edges), s, t)
 
 
@@ -799,12 +775,25 @@ def _ap2dm_gadget(g: Digraph) -> Ap2dmInstance:
     return reductions.dstcon_to_ap2dm(reductions.normalize_dstcon(g)[0])[0]
 
 
+def _oracle_plan(seed: int) -> VerifierPlan:
+    """The strict oracle-reduction plan: the reduction's own verdict against
+    the matching oracle, over the matching gadgets of small raw
+    reachability instances."""
+    # the oracle reduction outputs its own verdict, so oracle_out is bool
+    return VerifierPlan(
+        GenSpec("dstcon_raw", max_size=5, seed=seed), _ap2dm_gadget,
+        partial(reductions.ap2dm_to_dstcon_queries, oracle=partial(_first, oracles.solve_dstcon)),
+        partial(_first, oracles.solve_ap2dm), bool)
+
+
 def _resolve(name: str, seed: int, max_size: int | None) -> VerifierPlan:
-    """The plan a reduction name means: its default plan, or for a corrupted
+    """The plan a `verify` or `fit` name means: a default plan, the strict
+    oracle-reduction plan for `ap2dm_to_dstcon_queries`, or for a corrupted
     fixture the base plan with the fixture as its reduce. max_size, when
     given, replaces the family's size knob."""
     base, bad = CORRUPTED.get(name, (name, None))
-    plan = default_plans(seed).get(base)
+    plan = (_oracle_plan(seed) if base == "ap2dm_to_dstcon_queries"
+            else default_plans(seed).get(base))
     if plan is None:
         raise GenerationError(f"unknown reduction {name!r}")
     if bad is not None:
@@ -901,9 +890,8 @@ def verify_m_reduction(name: str, trials: int, max_size: int | None = None,
 
     Failures never abort the run; each kind is collected with a reproducing
     seed and the serialized instance, and a trial over an oracle budget or
-    outside a reduction's precondition is recorded as skipped. A corrupted
-    fixture name from the mutation registry is accepted too, and max_size
-    overrides the family's size knob.
+    outside a reduction's precondition is recorded as skipped. `name` is any
+    name `_resolve` knows, and max_size overrides the family's size knob.
     """
     return _verify(name, _resolve(name, seed, max_size), trials)
 
@@ -912,11 +900,12 @@ def verify_T_reduction(trials: int, seed: int = 1, exploratory: bool = False,
                        max_size: int | None = None) -> VerifyResult:
     """Check the oracle reduction against the matching oracle.
 
-    Strict mode runs over gadget instances built from small normalized
-    reachability graphs and counts disagreements as equivalence failures;
-    exploratory mode runs over arbitrary random 4-overlapping instances and
-    records disagreements as findings only. Per-query sizes are enforced
-    against the |X| bound in both modes. max_size defaults to 5.
+    Strict mode is `verify_m_reduction("ap2dm_to_dstcon_queries", ...)`: it
+    runs over gadget instances built from small normalized reachability
+    graphs and counts disagreements as equivalence failures. Exploratory
+    mode runs the same plan over arbitrary random 4-overlapping instances
+    and records disagreements as findings only. Per-query sizes are
+    enforced against the |X| bound in both modes. max_size defaults to 5.
 
     Linkage needs no separate symmetry check: under a perfect matching, v
     links to w exactly when w = pi^k(v) for some even k >= 2 (acceptance
@@ -924,17 +913,13 @@ def verify_T_reduction(trials: int, seed: int = 1, exploratory: bool = False,
     L, where L - k is even whenever L is even and every offset qualifies
     when L is odd. So linkage is symmetric on every matching by proof.
     """
-    spec = GenSpec("ap2dm" if exploratory else "dstcon_raw",
-                   max_size=5 if max_size is None else max_size, seed=seed)
-    # the oracle reduction outputs its own verdict, so oracle_out is bool
-    plan = VerifierPlan(
-        spec, None if exploratory else _ap2dm_gadget,
-        partial(reductions.ap2dm_to_dstcon_queries, oracle=partial(_first, oracles.solve_dstcon)),
-        partial(_first, oracles.solve_ap2dm), bool)
-    name = "ap2dm_to_dstcon_queries" + ("_exploratory" if exploratory else "")
-    result = _verify(name, plan, trials)
-    if exploratory:
-        result.findings, result.equiv_failures = result.equiv_failures, []
+    name = "ap2dm_to_dstcon_queries"
+    if not exploratory:
+        return verify_m_reduction(name, trials, max_size=max_size, seed=seed)
+    plan = _resolve(name, seed, max_size)
+    plan = replace(plan, genspec=replace(plan.genspec, problem="ap2dm"), prepare=None)
+    result = _verify(name + "_exploratory", plan, trials)
+    result.findings, result.equiv_failures = result.equiv_failures, []
     return result
 
 

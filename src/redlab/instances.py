@@ -253,10 +253,6 @@ def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
                 out.append(Violation("literal_range", (j, lit), f"literal {lit} out of range in clause {j}"))
             else:
                 counts[var] = counts.get(var, 0) + 1
-        if tags.get("exact") and len(clause) != 2:
-            out.append(Violation("exact", (j,), f"clause {j} has {len(clause)} literals, expected 2"))
-        if tags.get("clean") and len({abs(l) for l in clause}) != len(clause):
-            out.append(Violation("clean", (j,), f"clause {j} repeats a variable"))
     bound = tags.get("occ_bound")
     if bound is not None:
         for var in sorted(counts):
@@ -273,7 +269,7 @@ def _validate_digraph(g: Digraph, tags: dict, out: list[Violation]):
         if not (1 <= u <= g.num_vertices and 1 <= v <= g.num_vertices):
             out.append(Violation("vertex_range", (u, v), f"edge ({u},{v}) out of range"))
             continue
-        if u == v and not tags.get("loops"):
+        if u == v:
             out.append(Violation("self_loop", (u,), f"self-loop at {u}"))
         if (u, v) in seen:
             out.append(Violation("duplicate_edge", (u, v), f"duplicate edge ({u},{v})"))

@@ -47,7 +47,6 @@ def _require(instance, tags: dict | None = None):
 
 @dataclass
 class QueryRecord:
-    summary: str
     size: int
     answer: bool
 
@@ -688,7 +687,7 @@ def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
                 continue
             for src, dst in ((v, w), (w, v)):
                 answer = bool(oracle(Digraph(n, a.pairs, src, dst)))
-                queries.append(QueryRecord(f"({src},{dst})", size, answer))
+                queries.append(QueryRecord(size, answer))
     in_size = size_param(a, "m_set")
     largest = max((q.size for q in queries), default=0)
     report = ReductionReport(
@@ -703,7 +702,7 @@ def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
     return all(q.answer for q in queries), report
 
 
-def reduce_degree_dstcon(g: Digraph, target: int = 3) -> tuple[Digraph, ReductionReport]:
+def reduce_degree_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
     """Folklore vertex splitting down to total degree <= 3: a vertex of
     degree d > 3 becomes a directed path of d-2 copies whose in-edges attach
     before its out-edges, preserving reachability exactly.
@@ -711,8 +710,6 @@ def reduce_degree_dstcon(g: Digraph, target: int = 3) -> tuple[Digraph, Reductio
     Declared shortness k1=2, k2=0 on m_ver (tight for inputs of total
     degree <= 4, where each vertex yields at most 2 copies).
     """
-    if target != 3:
-        raise PreconditionError("only the degree-3 target is implemented")
     _require(g)
     ins: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices + 1)]
     outs: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices + 1)]

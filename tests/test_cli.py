@@ -28,7 +28,7 @@ class TestGen:
     def test_tags_override(self, tmp_path, capsys):
         out = tmp_path / "g.dg"
         code, _, _ = run(capsys, "gen", "digraph4", "--size", "8", "--seed", "4",
-                         "--tags", "deg_bound=3", "-o", str(out))
+                         "--deg-bound", "3", "-o", str(out))
         assert code == 0
         g = parse(out.read_text())
         deg = [0] * (g.num_vertices + 1)
@@ -37,9 +37,9 @@ class TestGen:
             deg[v] += 1
         assert max(deg) <= 3
 
-    def test_bad_tag_exit_2(self, capsys):
-        code, _, err = run(capsys, "gen", "xce", "--size", "5", "--tags", "wat=1")
-        assert code == 2 and "unknown tag" in err
+    def test_negative_clause_count_exit_2(self, capsys):
+        code, out, err = run(capsys, "gen", "2sat3", "--size", "5", "--clauses", "-1")
+        assert code == 2 and out == "" and "outside 0..7" in err
 
 
 class TestSolve:
@@ -158,9 +158,12 @@ class TestVerify:
 
 class TestFitExampleDot:
     def test_fit(self, capsys):
-        code, out, _ = run(capsys, "fit", "cvc3_to_sat2", "--trials", "50")
-        assert code == 0
-        assert "DECLARED K1 1 K2 0" in out and "MAX_RATIO 1.000000" in out
+        # the oracle reduction resolves like every many-one reduction
+        for name in ("cvc3_to_sat2", "ap2dm_to_dstcon_queries"):
+            code, out, _ = run(capsys, "fit", name, "--trials", "50")
+            assert code == 0
+            assert "DECLARED K1 1 K2 0" in out and "MAX_RATIO 1.000000" in out
+            assert "OBSERVED_PAIRS 50\n" in out
 
     def test_example_fig1(self, capsys):
         code, out, _ = run(capsys, "example", "fig1")

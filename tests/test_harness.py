@@ -69,6 +69,20 @@ class TestGenerate:
         f = generate(GenSpec("2sat3", max_size=10, seed=5, clauses=15))
         assert f.num_vars == 10 and len(f.clauses) == 15
 
+    def test_exact_clause_count_over_grid(self):
+        # a planted unsatisfiable core must fit the requested count too; one
+        # variable offers a literal slot but no clean 2-literal clause
+        for n in range(1, 13):
+            for k in range(3 * n // 2 + 1):
+                for seed in range(40):
+                    spec = GenSpec("2sat3", max_size=n, seed=seed, clauses=k)
+                    if (n, k) == (1, 1):
+                        with pytest.raises(GenerationError):
+                            generate(spec)
+                        continue
+                    f = generate(spec)
+                    assert (f.num_vars, len(f.clauses)) == (n, k), (n, k, seed)
+
     def test_unknown_problem(self):
         with pytest.raises(GenerationError):
             generate(GenSpec("nope", max_size=3, seed=0))
