@@ -75,8 +75,7 @@ def example_text(which: str) -> str:
         g, a, report = fig3()
         dst, _ = oracles.solve_dstcon(g)
         apm, _ = oracles.solve_ap2dm(a)
-        turing, treport = reductions.ap2dm_to_dstcon_queries(
-            a, lambda q: oracles.solve_dstcon(q)[0])
+        turing, treport = reductions.ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
         lines.append("# graph")
         lines.append(serialize(g).rstrip())
         lines.append("# matching instance")

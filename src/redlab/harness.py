@@ -782,7 +782,7 @@ def _oracle_plan(seed: int) -> VerifierPlan:
     # the oracle reduction outputs its own verdict, so oracle_out is bool
     return VerifierPlan(
         GenSpec("dstcon_raw", max_size=5, seed=seed), _ap2dm_gadget,
-        partial(reductions.ap2dm_to_dstcon_queries, oracle=partial(_first, oracles.solve_dstcon)),
+        partial(reductions.ap2dm_to_dstcon_queries, oracle=oracles.dstcon_oracle),
         partial(_first, oracles.solve_ap2dm), bool)
 
 

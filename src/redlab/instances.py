@@ -243,7 +243,8 @@ def _check_lemma1(out: list[Violation], num_vertices: int, edges, k: int):
 
 
 def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
-    counts: dict[int, int] = {}
+    bound = tags.get("occ_bound")
+    counts: dict[int, int] = {}  # filled only when occ_bound asks for it
     for j, clause in enumerate(f.clauses, 1):
         if not 1 <= len(clause) <= 2:
             out.append(Violation("clause_width", (j,), f"clause {j} has {len(clause)} literals"))
@@ -251,20 +252,18 @@ def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
             var = abs(lit)
             if lit == 0 or var > f.num_vars:
                 out.append(Violation("literal_range", (j, lit), f"literal {lit} out of range in clause {j}"))
-            else:
+            elif bound is not None:
                 counts[var] = counts.get(var, 0) + 1
-    bound = tags.get("occ_bound")
-    if bound is not None:
-        for var in sorted(counts):
-            if counts[var] > bound:
-                out.append(Violation("occ_bound", (var, counts[var]),
-                                     f"variable {var} occurs {counts[var]} times, bound {bound}"))
+    for var in sorted(counts):
+        if counts[var] > bound:
+            out.append(Violation("occ_bound", (var, counts[var]),
+                                 f"variable {var} occurs {counts[var]} times, bound {bound}"))
 
 
 def _validate_digraph(g: Digraph, tags: dict, out: list[Violation]):
+    k = tags.get("deg_bound")
     seen = set()
-    indeg = [0] * (g.num_vertices + 1)
-    outdeg = [0] * (g.num_vertices + 1)
+    deg = [0] * (g.num_vertices + 1)  # in + out degree, counted only under deg_bound
     for u, v in g.edges:
         if not (1 <= u <= g.num_vertices and 1 <= v <= g.num_vertices):
             out.append(Violation("vertex_range", (u, v), f"edge ({u},{v}) out of range"))
@@ -274,23 +273,23 @@ def _validate_digraph(g: Digraph, tags: dict, out: list[Violation]):
         if (u, v) in seen:
             out.append(Violation("duplicate_edge", (u, v), f"duplicate edge ({u},{v})"))
         seen.add((u, v))
-        outdeg[u] += 1
-        indeg[v] += 1
+        if k is not None:
+            deg[u] += 1
+            deg[v] += 1
     for name, w in (("s", g.s), ("t", g.t)):
         if not 1 <= w <= g.num_vertices:
             out.append(Violation("endpoint_range", (name, w), f"{name}={w} out of range"))
-    k = tags.get("deg_bound")
     if k is not None:
         for v in range(1, g.num_vertices + 1):
-            if indeg[v] + outdeg[v] > k:
-                out.append(Violation("deg_bound", (v, indeg[v] + outdeg[v]),
-                                     f"vertex {v} has degree {indeg[v] + outdeg[v]}, bound {k}"))
+            if deg[v] > k:
+                out.append(Violation("deg_bound", (v, deg[v]), f"vertex {v} has degree {deg[v]}, bound {k}"))
         _check_lemma1(out, g.num_vertices, g.edges, k)
 
 
 def _validate_ugraph(g: UGraph, tags: dict, out: list[Violation]):
+    k = tags.get("deg_bound")
     seen = set()
-    deg = [0] * (g.num_vertices + 1)
+    deg = [0] * (g.num_vertices + 1)  # counted only under deg_bound
     for u, v in g.edges:
         if not (1 <= u <= g.num_vertices and 1 <= v <= g.num_vertices):
             out.append(Violation("vertex_range", (u, v), f"edge {{{u},{v}}} out of range"))
@@ -302,9 +301,9 @@ def _validate_ugraph(g: UGraph, tags: dict, out: list[Violation]):
         if key in seen:
             out.append(Violation("duplicate_edge", key, f"duplicate edge {{{u},{v}}}"))
         seen.add(key)
-        deg[u] += 1
-        deg[v] += 1
-    k = tags.get("deg_bound")
+        if k is not None:
+            deg[u] += 1
+            deg[v] += 1
     if k is not None:
         for v in range(1, g.num_vertices + 1):
             if deg[v] > k:

@@ -9,6 +9,7 @@ The exponential ones run within fixed budgets. All functions are pure.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import product
 
 import numpy as np
@@ -177,6 +178,33 @@ def solve_dstcon(g: Digraph) -> tuple[bool, list[int] | None]:
                     return True, path[::-1]
                 queue.append(w)
     return False, None
+
+
+def dstcon_oracle(num_vertices: int, edges) -> Callable[[int, int], bool]:
+    """Reachability over one fixed digraph on 1..num_vertices: returns
+    ask(s, t), which is True iff t is reachable from s (s == t included).
+
+    The successor lists are built once. A source's reached set is computed
+    by BFS on its first query and reused by every later query from it.
+    """
+    succ: list[list[int]] = [[] for _ in range(num_vertices + 1)]
+    for u, v in edges:
+        succ[u].append(v)
+    reached: dict[int, set[int]] = {}
+
+    def ask(s: int, t: int) -> bool:
+        seen = reached.get(s)
+        if seen is None:
+            seen = reached[s] = {s}
+            queue = [s]
+            for v in queue:
+                for w in succ[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+        return t in seen
+
+    return ask
 
 
 def check_path(g: Digraph, path: list[int]) -> bool:

@@ -666,28 +666,31 @@ def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, ReductionReport]:
 
 
 def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
-    """Oracle (Turing) reduction: build the query graph once and, per
-    unordered qualifying pair, ask for reachability in both directions;
-    YES iff every query is answered affirmatively.
+    """Oracle (Turing) reduction: per unordered qualifying pair, ask for
+    reachability in both directions on one query graph; YES iff every query
+    is answered affirmatively.
 
-    `oracle` is any Digraph decider returning a truthy YES. The query graph
-    has vertex set X and one edge per stored non-trivial pair. Every issued
-    query is logged with its size, which always equals |X|; the report's
-    output parameter is the largest query (0 when none is issued).
+    The query graph has vertex set X and one edge per stored non-trivial
+    pair. `oracle(n, edges)` is called once with it and returns
+    `ask(s, t)`, a reachability decider whose truthy answer is YES; each
+    `ask` call is one query. Queries are issued for v < w, (v, w) before
+    (w, v), skipping pairs of two exempt elements. Every query is logged
+    with its size, which always equals |X|; the report's output parameter
+    is the largest query (0 when none is issued).
     Declared per-query shortness k1=1, k2=0 on m_set -> m_ver.
     """
     _require(a, {"overlap_bound": 4})
     n = a.universe_size
     exempt = set(a.exempt)
     size = max(1, n)  # m_ver of every query graph, whose vertex set is X
+    ask = oracle(n, a.pairs)
     queries = []
     for v in range(1, n + 1):
         for w in range(v + 1, n + 1):
             if v in exempt and w in exempt:
                 continue
             for src, dst in ((v, w), (w, v)):
-                answer = bool(oracle(Digraph(n, a.pairs, src, dst)))
-                queries.append(QueryRecord(size, answer))
+                queries.append(QueryRecord(size, bool(ask(src, dst))))
     in_size = size_param(a, "m_set")
     largest = max((q.size for q in queries), default=0)
     report = ReductionReport(

@@ -157,8 +157,7 @@ def test_criterion_7_matching_gadget_backward():
     # Figure 3 end to end
     g, a, _ = figures.fig3()
     bfs_yes = oracles.solve_dstcon(g)[0]
-    turing_yes, trep = reductions.ap2dm_to_dstcon_queries(
-        a, lambda q: oracles.solve_dstcon(q)[0])
+    turing_yes, trep = reductions.ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
     queries_ok = (len(trep.queries) <= 182
                   and all(q.size == 14 for q in trep.queries))
     oracle_yes = oracles.solve_ap2dm(a)[0]

@@ -1,9 +1,9 @@
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from redlab import figures, oracles, reductions
+from redlab import figures, harness, oracles, reductions
 from redlab.harness import GenSpec, generate
 from redlab.instances import (
     Ap2dmInstance,
@@ -25,6 +25,7 @@ from redlab.oracles import (
     check_exact_cover,
     check_path,
     check_vector,
+    dstcon_oracle,
     linked_by_chain,
     linked_by_power,
     perfect_matchings,
@@ -74,6 +75,16 @@ class Test2Sat:
                 assert check_assignment(f, wa)
 
 
+@st.composite
+def _digraph_queries(draw):
+    """(n, edges, queries): a digraph on 1..n for n <= 8, loops and repeated
+    edges allowed, and every (s, t) pair, s == t included, in drawn order."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(1, n)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    return n, edges, draw(st.permutations(list(product(range(1, n + 1), repeat=2))))
+
+
 class TestDstcon:
     def test_fig3_path(self):
         yes, path = solve_dstcon(FIG3)
@@ -85,6 +96,31 @@ class TestDstcon:
 
     def test_unreachable(self):
         assert solve_dstcon(Digraph(2, (), 1, 2)) == (False, None)
+
+    @given(_digraph_queries())
+    @example((4, [(1, 4), (2, 4), (4, 4)], [(3, 3), (1, 4), (2, 4), (4, 1), (3, 4), (4, 4)]))
+    @settings(max_examples=300, deadline=None)
+    def test_query_oracle_matches_bfs(self, case):
+        n, edges, queries = case
+        ask = dstcon_oracle(n, edges)
+        for s, t in queries:
+            assert ask(s, t) == solve_dstcon(Digraph(n, edges, s, t))[0], (s, t)
+
+    def test_query_oracle_on_reduction_graphs(self):
+        """Every qualifying pair of 200 strict oracle-reduction gadgets, 200
+        random ap2dm instances at max_size 5-8 and the fig3 gadget."""
+        plan = harness._oracle_plan(1)
+        corpus = [plan.prepare(generate(plan.genspec, t)) for t in range(200)]
+        for max_size in (5, 6, 7, 8):
+            spec = GenSpec("ap2dm", max_size=max_size, seed=60 + max_size)
+            corpus += [generate(spec, t) for t in range(50)]
+        corpus.append(figures.fig3()[1])
+        for a in corpus:
+            n, exempt = a.universe_size, set(a.exempt)
+            ask = dstcon_oracle(n, a.pairs)
+            for v, w in permutations(range(1, n + 1), 2):
+                if not (v in exempt and w in exempt):
+                    assert ask(v, w) == solve_dstcon(Digraph(n, a.pairs, v, w))[0], (a, v, w)
 
 
 class Test2Cvc:

@@ -1,6 +1,6 @@
 import pytest
 
-from redlab import oracles
+from redlab import harness, oracles
 from redlab.harness import GenSpec, generate
 from redlab.instances import (
     Ap2dmInstance,
@@ -42,6 +42,22 @@ UNSAT4 = CnfFormula(4, ((-1, 2), (-2, -1), (1, 3), (-3, 4), (-4, -3)))
 
 def _dstcon(g):
     return oracles.solve_dstcon(g)[0]
+
+
+def _counting_oracle(graphs: list, asks: list):
+    """`oracles.dstcon_oracle` that logs each query graph it is built on to
+    `graphs` as (n, edges) and each query to `asks` as (s, t, answer)."""
+    def oracle(n, edges):
+        graphs.append((n, edges))
+        ask = oracles.dstcon_oracle(n, edges)
+
+        def counted(s, t):
+            asks.append((s, t, ask(s, t)))
+            return asks[-1][2]
+
+        return counted
+
+    return oracle
 
 
 class TestNormalize2Sat:
@@ -382,33 +398,60 @@ class TestDstconToAp2dm:
 class TestTuringReduction:
     def test_fig3_queries(self):
         a, _ = dstcon_to_ap2dm(FIG3)
-        yes, rep = ap2dm_to_dstcon_queries(a, _dstcon)
+        graphs, asks = [], []
+        yes, rep = ap2dm_to_dstcon_queries(a, _counting_oracle(graphs, asks))
         assert yes is True
-        assert len(rep.queries) == 170  # <= 182 distinct ordered pairs
+        assert len(rep.queries) == len(asks) == 170  # <= 182 distinct ordered pairs
         assert all(q.size == 14 for q in rep.queries)
+        assert graphs == [(14, a.pairs)]
         assert rep.shortness_ok
+
+    def test_call_contract(self):
+        """One oracle call per instance on its query graph, then one ask per
+        logged query, in log order: v < w, (v, w) before (w, v), pairs of two
+        exempt elements skipped."""
+        plan = harness._oracle_plan(1)
+        corpus = [plan.prepare(generate(plan.genspec, t)) for t in range(200)]
+        for max_size in (5, 6, 7, 8):
+            spec = GenSpec("ap2dm", max_size=max_size, seed=40 + max_size)
+            corpus += [generate(spec, t) for t in range(50)]
+        issued = 0
+        for a in corpus:
+            graphs, asks = [], []
+            yes, rep = ap2dm_to_dstcon_queries(a, _counting_oracle(graphs, asks))
+            n, exempt = a.universe_size, set(a.exempt)
+            order = [q for v in range(1, n + 1) for w in range(v + 1, n + 1)
+                     if not (v in exempt and w in exempt) for q in ((v, w), (w, v))]
+            if rep.queries:
+                issued += 1
+                assert graphs == [(n, a.pairs)]
+            assert [(s, t) for s, t, _ in asks] == order
+            assert [answer for _, _, answer in asks] == [q.answer for q in rep.queries]
+            assert yes == all(answer for _, _, answer in asks)
+        assert issued > 300
 
     def test_trivial_only_pair_fails(self):
         a = Ap2dmInstance(2, (), ())
-        yes, rep = ap2dm_to_dstcon_queries(a, _dstcon)
+        yes, rep = ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
         assert yes is False
         assert any(not q.answer for q in rep.queries)
 
     def test_single_element_no_queries(self):
-        yes, rep = ap2dm_to_dstcon_queries(Ap2dmInstance(1, (), ()), _dstcon)
+        yes, rep = ap2dm_to_dstcon_queries(Ap2dmInstance(1, (), ()), oracles.dstcon_oracle)
         assert yes is True and rep.queries == []
 
     def test_overlap_precondition(self):
         a = Ap2dmInstance(5, (), ((1, 2), (1, 3), (1, 4), (1, 5)))
         with pytest.raises(PreconditionError):
-            ap2dm_to_dstcon_queries(a, _dstcon)
+            ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
 
     def test_oracle_errors_propagate(self):
-        def broken(_):
+        def broken(s, t):
             raise RuntimeError("oracle down")
 
         with pytest.raises(RuntimeError):
-            ap2dm_to_dstcon_queries(Ap2dmInstance(2, (), ((1, 2), (2, 1))), broken)
+            ap2dm_to_dstcon_queries(Ap2dmInstance(2, (), ((1, 2), (2, 1))),
+                                    lambda n, edges: broken)
 
 
 class TestReduceDegree:
@@ -478,7 +521,7 @@ class TestReportFormat:
 
     def test_query_lines(self):
         a, _ = dstcon_to_ap2dm(FIG3)
-        _, rep = ap2dm_to_dstcon_queries(a, _dstcon)
+        _, rep = ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
         lines = rep.to_text().splitlines()
         assert lines[1].startswith("QUERY 1\tSIZE 14\tANSWER ")
         assert len(lines) == 1 + 170
@@ -525,4 +568,4 @@ class TestRejectWhatValidateRejects:
             cvc3_to_sat2(star)
         a = Ap2dmInstance(5, (), ((1, 2), (1, 3), (1, 4), (1, 5)))
         with pytest.raises(PreconditionError, match="^element 1 has 5 right partners, bound 4$"):
-            ap2dm_to_dstcon_queries(a, _dstcon)
+            ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
