@@ -52,8 +52,9 @@ def _counting_oracle(graphs: list, asks: list):
         ask = oracles.dstcon_oracle(n, edges)
 
         def counted(s, t):
-            asks.append((s, t, ask(s, t)))
-            return asks[-1][2]
+            answer = ask(s, t)
+            asks.append((s, t, answer))
+            return answer
 
         return counted
 
