@@ -747,7 +747,8 @@ def _bad_xce2_to_2lp(x: XceInstance):
 
 def _bad_dstcon_to_ap2dm(g: Digraph):
     """Omits the per-vertex layer couplings, severing the exemption promise
-    routes between the layers."""
+    routes between the layers. Element ids follow the layout in
+    `reductions.dstcon_to_ap2dm`'s docstring."""
     out, rep = reductions.dstcon_to_ap2dm(g)
     inner = [v for v in range(1, g.num_vertices + 1) if v not in (g.s, g.t)]
     n = len(inner)
@@ -875,10 +876,9 @@ def _verify(name: str, plan: VerifierPlan, trials: int) -> VerifyResult:
         if report is not None:
             if not report.shortness_ok:
                 result.shortness_failures.append((rec.seed, serialize(rec.raw)))
-            denom = report.k1 * report.input_param.value
-            if denom > 0:
-                result.max_ratio = max(
-                    result.max_ratio, (report.output_param.value - report.k2) / denom)
+            # the input parameter is clamped into N+ and every k1 is >= 1
+            result.max_ratio = max(result.max_ratio, (report.output_param.value - report.k2)
+                                   / (report.k1 * report.input_param.value))
         result.structural_failures.extend((rec.seed, msg) for msg in rec.struct)
     result.wall_time = time.perf_counter() - started
     return result

@@ -8,7 +8,7 @@ between workers; parsing, serialization, and validation are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 # LinSystem coefficients must fit a 63-bit signed budget so that a row sum of
 # two entries stays inside int64.
@@ -211,37 +211,6 @@ def size_param_names(instance) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _connected(num_vertices: int, und_edges: Iterable[tuple[int, int]]) -> bool:
-    if num_vertices <= 1:
-        return True
-    parent = list(range(num_vertices + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = num_vertices
-    for u, v in und_edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
-
-
-def _check_lemma1(out: list[Violation], num_vertices: int, edges, k: int):
-    """For connected graphs with >=1 edge: m_ver <= 2*m_edg and m_edg <= k*m_ver/2."""
-    if not edges or not _connected(num_vertices, edges):
-        return
-    n, m = num_vertices, len(edges)
-    if n > 2 * m:
-        out.append(Violation("lemma1_vertices", (n, m), f"m_ver={n} > 2*m_edg={2 * m}"))
-    if 2 * m > k * n:
-        out.append(Violation("lemma1_edges", (n, m), f"m_edg={m} > {k}*m_ver/2={k * n / 2}"))
-
-
 def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
     bound = tags.get("occ_bound")
     counts: dict[int, int] = {}  # filled only when occ_bound asks for it
@@ -260,6 +229,11 @@ def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
                                  f"variable {var} occurs {counts[var]} times, bound {bound}"))
 
 
+# Neither graph validator tests Lemma 1's size relation for connected graphs
+# of degree at most k (m_ver <= 2*m_edg and m_edg <= k*m_ver/2): a connected
+# graph with an edge has m_edg >= m_ver - 1, and each edge either adds 2 to
+# the degree sum or is reported as vertex_range or self_loop, so a graph with
+# 2*m_edg > k*m_ver already has a violation.
 def _validate_digraph(g: Digraph, tags: dict, out: list[Violation]):
     k = tags.get("deg_bound")
     seen = set()
@@ -283,7 +257,6 @@ def _validate_digraph(g: Digraph, tags: dict, out: list[Violation]):
         for v in range(1, g.num_vertices + 1):
             if deg[v] > k:
                 out.append(Violation("deg_bound", (v, deg[v]), f"vertex {v} has degree {deg[v]}, bound {k}"))
-        _check_lemma1(out, g.num_vertices, g.edges, k)
 
 
 def _validate_ugraph(g: UGraph, tags: dict, out: list[Violation]):
@@ -308,7 +281,6 @@ def _validate_ugraph(g: UGraph, tags: dict, out: list[Violation]):
         for v in range(1, g.num_vertices + 1):
             if deg[v] > k:
                 out.append(Violation("deg_bound", (v, deg[v]), f"vertex {v} has degree {deg[v]}, bound {k}"))
-        _check_lemma1(out, g.num_vertices, g.edges, k)
 
 
 def _validate_xce(x: XceInstance, tags: dict, out: list[Violation]):

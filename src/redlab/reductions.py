@@ -605,62 +605,48 @@ def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, ReductionReport]:
     and t, per-vertex couplings tie the layers, and layer-0 elements form
     the exemption set. |X| = 3|V - {s,t}| + 2.
 
+    Element ids: s is 1, t is 2, and the i-th internal vertex (0-based, in
+    vertex order) is 3 + L*n + i in layer L, for n internal vertices. No
+    pair repeats: the input has no duplicate edge or self-loop, and being
+    normalized, no s->t edge, no edge into s and none out of t. The one
+    exception is n = 1, where both chain ends are the same vertex, so its
+    anchors are taken once.
+
     Declared shortness k1=3, k2=2 on m_ver -> m_set.
     """
     _require(g)
     _check_dstcon_normalized(g)
     inner = [v for v in range(1, g.num_vertices + 1) if v not in (g.s, g.t)]
     n = len(inner)
-    s_id, t_id = 1, 2
-    ids: dict[tuple[int, int], int] = {}
+    pos = {v: i for i, v in enumerate(inner)}
+    l0, l1, l2 = 3, 3 + n, 3 + 2 * n  # first element of each layer
     names = {1: "s", 2: "t"}
-    for layer in (0, 1, 2):
-        for v in inner:
-            ids[(v, layer)] = len(ids) + 3
-            names[ids[(v, layer)]] = f"v{v}[{layer}]"
-    inner_set = set(inner)
-
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
-
-    def add(u: int, v: int):
-        if (u, v) not in seen:
-            seen.add((u, v))
-            pairs.append((u, v))
+    for layer, first in enumerate((l0, l1, l2)):
+        for i, v in enumerate(inner):
+            names[first + i] = f"v{v}[{layer}]"
 
     # M0: layer-0 copy of the internal edges
-    for u, v in g.edges:
-        if u in inner_set and v in inner_set:
-            add(ids[(u, 0)], ids[(v, 0)])
+    pairs = [(l0 + pos[u], l0 + pos[v]) for u, v in g.edges if u in pos and v in pos]
     # M1/M2: bidirectional chains along the inner vertex order
     for i in range(n - 1):
-        a, b = ids[(inner[i], 1)], ids[(inner[i + 1], 1)]
-        add(a, b)
-        add(b, a)
+        pairs += [(l1 + i, l1 + i + 1), (l1 + i + 1, l1 + i)]
     for i in range(n - 1):
-        a, b = ids[(inner[i + 1], 2)], ids[(inner[i], 2)]
-        add(a, b)
-        add(b, a)
+        pairs += [(l2 + i + 1, l2 + i), (l2 + i, l2 + i + 1)]
     # M3: per-vertex layer couplings
-    for v in inner:
-        add(ids[(v, 2)], ids[(v, 0)])
-        add(ids[(v, 0)], ids[(v, 1)])
+    for i in range(n):
+        pairs += [(l2 + i, l0 + i), (l0 + i, l1 + i)]
     # M4: chain anchors (absent when there are no internal vertices)
-    if inner:
-        add(ids[(inner[0], 1)], s_id)
-        add(ids[(inner[-1], 1)], s_id)
-        add(t_id, ids[(inner[0], 2)])
-        add(t_id, ids[(inner[-1], 2)])
+    ends = dict.fromkeys((0, n - 1) if n else ())
+    pairs += [(l1 + i, 1) for i in ends] + [(2, l2 + i) for i in ends]
     # M5: endpoint attachments
     for u, v in g.edges:
         if u == g.s:
-            add(s_id, ids[(v, 0)])
+            pairs.append((1, l0 + pos[v]))
         if v == g.t:
-            add(ids[(u, 0)], t_id)
+            pairs.append((l0 + pos[u], 2))
     # M6 (trivial pairs) stays implicit.
 
-    exempt = tuple(ids[(v, 0)] for v in inner)
-    out = Ap2dmInstance(3 * n + 2, exempt, tuple(pairs))
+    out = Ap2dmInstance(3 * n + 2, tuple(range(l0, l1)), tuple(pairs))
     report = _report("dstcon_to_ap2dm", g, "m_ver", out, "m_set", 3, 2, names=names)
     return out, report
 

@@ -11,6 +11,7 @@ from redlab.instances import (
     SizeParamError,
     UGraph,
     Unit,
+    Violation,
     XceInstance,
     XorSystem,
     parse,
@@ -71,6 +72,31 @@ class TestValidate:
     def test_lemma1_skipped_when_disconnected(self):
         g = UGraph(4, ((1, 2),))
         assert validate(g, {"deg_bound": 1}) == []
+
+    def test_deg_bound_reports_out_of_range_edge(self):
+        # the edge {2,5} is reported, not indexed into a per-vertex table
+        for g, detail in ((UGraph(3, ((1, 2), (2, 5))), "edge {2,5} out of range"),
+                          (Digraph(3, ((1, 2), (2, 5)), 1, 3), "edge (2,5) out of range")):
+            assert validate(g, {"deg_bound": 3}) == [Violation("vertex_range", (2, 5), detail)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_deg_bound_accepts_by_independent_recount(self, data):
+        """Tagged validation accepts exactly the valid graphs whose recounted
+        degrees stay within k, and its violations extend the untagged ones."""
+        from collections import Counter
+
+        n = data.draw(st.integers(0, 6))
+        ids = st.integers(-1, n + 1)
+        edges = tuple(data.draw(st.lists(st.tuples(ids, ids), max_size=10)))
+        k = data.draw(st.integers(1, 4))
+        directed = data.draw(st.booleans())
+        g = Digraph(n, edges, data.draw(ids), data.draw(ids)) if directed else UGraph(n, edges)
+        untagged = validate(g)
+        tagged = validate(g, {"deg_bound": k})
+        degree = Counter(w for e in edges for w in e)  # a digraph self-loop counts twice
+        assert (tagged == []) == (untagged == [] and all(d <= k for d in degree.values()))
+        assert tagged[:len(untagged)] == untagged
 
     def test_occ_soundness_by_independent_recount(self):
         # instances accepted under occ_bound=3 recount to <= 3 via Counter

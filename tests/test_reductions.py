@@ -380,6 +380,10 @@ class TestDstconToAp2dm:
         assert _dstcon(g) is True
         yes, fail = oracles.solve_ap2dm(a)
         assert yes is False and set(fail) == {1, 2}  # the (s, t) pair itself
+        # the only gadget whose chain ends coincide: its anchors appear once
+        assert a.pairs == ((5, 3), (3, 4), (4, 1), (2, 5), (1, 3), (3, 2))
+        assert a.exempt == (3,)
+        assert dstcon_to_ap2dm(Digraph(2, (), 1, 2))[0] == Ap2dmInstance(2, (), ())
 
     def test_precondition_checks(self):
         with pytest.raises(PreconditionError):
@@ -570,3 +574,8 @@ class TestRejectWhatValidateRejects:
         a = Ap2dmInstance(5, (), ((1, 2), (1, 3), (1, 4), (1, 5)))
         with pytest.raises(PreconditionError, match="^element 1 has 5 right partners, bound 4$"):
             ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
+
+    def test_out_of_range_edge_under_degree_tag(self):
+        with pytest.raises(PreconditionError) as err:
+            cvc3_to_sat2(UGraph(3, ((1, 2), (2, 5))))
+        assert str(err.value) == "edge {2,5} out of range"
