@@ -18,18 +18,7 @@ import sys
 from pathlib import Path
 
 from . import figures, harness, oracles, reductions
-from .instances import (
-    Ap2dmInstance,
-    CnfFormula,
-    Digraph,
-    LinSystem,
-    ParseError,
-    UGraph,
-    XceInstance,
-    XorSystem,
-    parse,
-    serialize,
-)
+from .instances import Ap2dmInstance, Digraph, ParseError, UGraph, parse, serialize
 
 
 def _read(path: str):
@@ -65,26 +54,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# class -> (decider returning (yes, witness), the witness's output line)
-_SOLVE = {
-    CnfFormula: (oracles.solve_2sat,
-                 lambda w: "v " + " ".join(str(v if w[v] else -v) for v in sorted(w))),
-    Digraph: (oracles.solve_dstcon, lambda w: "path " + " ".join(map(str, w))),
-    UGraph: (oracles.solve_2cvc, lambda w: "cover " + " ".join(map(str, sorted(w)))),
-    XceInstance: (oracles.solve_xce, lambda w: "sets " + " ".join(map(str, w))),
-    Ap2dmInstance: (oracles.solve_ap2dm, lambda w: f"pair {w[0]} {w[1]}"),  # NO only
-    LinSystem: (oracles.solve_lin, lambda w: "x " + " ".join(map(str, w))),
-    XorSystem: (lambda x: (oracles.solve_xor2sat(x), None), None),
-}
-
-
 def cmd_solve(args) -> int:
     instance = _read(args.file)
-    decide, witness_line = _SOLVE[type(instance)]
-    yes, witness = decide(instance)
+    yes, witness, _ = oracles.decide(instance)
     print("YES" if yes else "NO")
     if witness:
-        print(witness_line(witness))
+        print(oracles.DECIDERS[type(instance)][2](witness))
     return 0 if yes else 1
 
 
@@ -110,7 +85,10 @@ def cmd_verify(args) -> int:
     run_dir = Path(args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     for seed, text in result.equiv_failures:
-        (run_dir / f"{result.name}_seed{seed}.txt").write_text(text)
+        path = run_dir / f"{result.name}_seed{seed}.txt"
+        data = text.encode()
+        if not (path.is_file() and path.read_bytes() == data):  # a rerun leaves it untouched
+            path.write_bytes(data)
     sys.stdout.write(result.to_text(include_timing=not args.no_timing))
     return 0
 

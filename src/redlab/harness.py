@@ -153,7 +153,7 @@ def _discard(ascending: list[int], x: int):
     del ascending[bisect_left(ascending, x)]
 
 
-def _take_first(open_: deque, count: int, credit: list[int]) -> list[int]:
+def _take_front(open_: deque, count: int, credit: list[int]) -> list[int]:
     """The first `count` elements of open_ (all of them if fewer), each
     charged one credit; those with credit left stay in front, in order."""
     firsts = [open_.popleft() for _ in range(min(count, len(open_)))]
@@ -455,12 +455,12 @@ def _gen_ap2dm(spec: GenSpec, rng: SplitMix64) -> Ap2dmInstance:
     for v in sorted(exempt):
         ok = True
         if v not in has_out:
-            firsts = _take_first(open_in, out_credit[v], in_credit)
+            firsts = _take_front(open_in, out_credit[v], in_credit)
             out_credit[v] -= len(firsts)
             pairs.extend((v, u) for u in firsts)
             ok = bool(firsts)
         if ok and v not in has_in:
-            firsts = _take_first(open_out, in_credit[v], out_credit)
+            firsts = _take_front(open_out, in_credit[v], out_credit)
             in_credit[v] -= len(firsts)
             pairs.extend((u, v) for u in firsts)
             ok = bool(firsts)
@@ -609,11 +609,9 @@ class VerifyResult:
         return "\n".join(lines) + "\n"
 
 
-def _first(fn, instance):
-    """fn(instance)[0]: an oracle's verdict without its witness, or a
-    reduction's output without its report. Plans bind it with
-    functools.partial, which pickles for the worker pool."""
-    return fn(instance)[0]
+def _normalized(g: Digraph) -> Digraph:
+    """A raw reachability instance in normal form."""
+    return reductions.normalize_dstcon(g)[0]
 
 
 def _post_valid(out, src, tags: dict | None = None) -> list[str]:
@@ -638,70 +636,54 @@ def _post_twolp(out: LinSystem, src: LinSystem) -> list[str]:
 @dataclass(frozen=True)
 class VerifierPlan:
     """How to verify one reduction: generator family, optional preparation
-    step (normalize, build a gadget), the two oracles, and structural
-    postchecks."""
+    step (normalize, build a gadget), the reduction and structural
+    postchecks. Both sides are decided through `oracles.DECIDERS`, by
+    instance class; a reduction whose output is a bool is its own verdict."""
 
     genspec: GenSpec
     prepare: object | None  # instance -> instance (e.g. normalize)
-    reduce: object  # instance -> (instance, report)
-    oracle_in: object
-    oracle_out: object
+    reduce: object  # instance -> (instance or bool, report)
     postcheck: object | None = None  # (out, src) -> [messages]
 
 
 def default_plans(seed: int = 1) -> dict[str, VerifierPlan]:
     """Default verification families, sized to keep every oracle in budget."""
-    sat2 = partial(_first, oracles.solve_2sat)
-    cvc = partial(_first, oracles.solve_2cvc)
-    xce = partial(_first, oracles.solve_xce)
-    lin = partial(_first, oracles.solve_lin)
-    dstcon = partial(_first, oracles.solve_dstcon)
     return {
         "sat2_to_2cvc3": VerifierPlan(
             GenSpec("2sat3", max_size=10, seed=seed, vc_budget=13),
             reductions.normalize_2sat3, reductions.sat2_to_2cvc3,
-            sat2, cvc, partial(_post_valid, tags={"deg_bound": 3})),
+            partial(_post_valid, tags={"deg_bound": 3})),
         "cvc3_to_sat2": VerifierPlan(
             GenSpec("ugraph3", max_size=14, seed=seed),
-            None, reductions.cvc3_to_sat2,
-            cvc, sat2),
+            None, reductions.cvc3_to_sat2),
         "sat2_to_3xce2": VerifierPlan(
             GenSpec("2sat3", max_size=8, seed=seed, max_clauses=6),
-            reductions.normalize_2sat3, reductions.sat2_to_3xce2,
-            sat2, xce, _post_3xce2),
+            reductions.normalize_2sat3, reductions.sat2_to_3xce2, _post_3xce2),
         "xce2_to_2lp": VerifierPlan(
             GenSpec("xce", max_size=9, seed=seed),
-            None, reductions.xce2_to_2lp,
-            xce, lin, _post_valid),
+            None, reductions.xce2_to_2lp, _post_valid),
         "lp_to_2lp": VerifierPlan(
             GenSpec("lin_geq", max_size=10, seed=seed, max_rows=8),
-            None, reductions.lp_to_2lp,
-            lin, lin, _post_valid),
+            None, reductions.lp_to_2lp, _post_valid),
         "twolp_to_lp": VerifierPlan(
             GenSpec("lin_band", max_size=6, seed=seed, max_rows=6),
-            None, reductions.twolp_to_lp,
-            lin, lin, _post_twolp),
+            None, reductions.twolp_to_lp, _post_twolp),
         "le_to_xor2sat": VerifierPlan(
             GenSpec("lin_eq", max_size=12, seed=seed, max_rows=8),
-            None, reductions.le_to_xor2sat,
-            lin, oracles.solve_xor2sat, _post_valid),
+            None, reductions.le_to_xor2sat, _post_valid),
         "normalize_2sat3": VerifierPlan(
             GenSpec("2sat3", max_size=12, seed=seed),
-            None, reductions._normalize_2sat3_op,
-            sat2, sat2),
+            None, reductions._normalize_2sat3_op),
         "normalize_dstcon": VerifierPlan(
             GenSpec("digraph4", max_size=6, seed=seed, deg_bound=3),
-            None, reductions.normalize_dstcon,
-            dstcon, dstcon),
+            None, reductions.normalize_dstcon),
         "dstcon_to_ap2dm": VerifierPlan(
             GenSpec("dstcon_raw", max_size=5, seed=seed),
-            partial(_first, reductions.normalize_dstcon), reductions.dstcon_to_ap2dm,
-            dstcon, partial(_first, oracles.solve_ap2dm),
+            _normalized, reductions.dstcon_to_ap2dm,
             partial(_post_valid, tags={"overlap_bound": 4})),
         "reduce_degree_dstcon": VerifierPlan(
             GenSpec("digraph4", max_size=10, seed=seed, deg_bound=4),
-            None, reductions.reduce_degree_dstcon,
-            dstcon, dstcon),
+            None, reductions.reduce_degree_dstcon),
     }
 
 
@@ -773,18 +755,16 @@ CORRUPTED = {
 
 def _ap2dm_gadget(g: Digraph) -> Ap2dmInstance:
     """The matching gadget of a raw reachability instance."""
-    return reductions.dstcon_to_ap2dm(reductions.normalize_dstcon(g)[0])[0]
+    return reductions.dstcon_to_ap2dm(_normalized(g))[0]
 
 
 def _oracle_plan(seed: int) -> VerifierPlan:
     """The strict oracle-reduction plan: the reduction's own verdict against
     the matching oracle, over the matching gadgets of small raw
     reachability instances."""
-    # the oracle reduction outputs its own verdict, so oracle_out is bool
     return VerifierPlan(
         GenSpec("dstcon_raw", max_size=5, seed=seed), _ap2dm_gadget,
-        partial(reductions.ap2dm_to_dstcon_queries, oracle=oracles.dstcon_oracle),
-        partial(_first, oracles.solve_ap2dm), bool)
+        partial(reductions.ap2dm_to_dstcon_queries, oracle=oracles.dstcon_oracle))
 
 
 def _resolve(name: str, seed: int, max_size: int | None) -> VerifierPlan:
@@ -818,9 +798,10 @@ class _Trial:
 
 
 def _run_trial(plan: VerifierPlan, trial: int, decide: bool) -> _Trial:
-    """generate -> prepare -> reduce, then with `decide` both oracles and
-    the postcheck. A trial over an oracle budget or outside a reduction's
-    precondition is skipped rather than ending the run."""
+    """generate -> prepare -> reduce, then with `decide` both oracles, the
+    checks of their YES witnesses and the postcheck. A trial over an oracle
+    budget or outside a reduction's precondition is skipped rather than
+    ending the run."""
     seed = plan.genspec.seed + trial
     raw = generate(plan.genspec, trial)
     try:
@@ -828,9 +809,13 @@ def _run_trial(plan: VerifierPlan, trial: int, decide: bool) -> _Trial:
         out, report = plan.reduce(src)
         rec = _Trial(seed, raw, report)
         if decide:
-            rec.equiv = plan.oracle_in(src) == plan.oracle_out(out)
+            yes_in, _, ok_in = oracles.decide(src)
+            yes_out, _, ok_out = (out, None, True) if isinstance(out, bool) else oracles.decide(out)
+            rec.equiv = yes_in == yes_out
+            rec.struct = [f"witness:{type(x).__name__}"
+                          for x, ok in ((src, ok_in), (out, ok_out)) if not ok]
             if plan.postcheck:
-                rec.struct = plan.postcheck(out, src)
+                rec.struct += plan.postcheck(out, src)
     except (oracles.BudgetError, reductions.PreconditionError) as exc:
         return _Trial(seed, skipped=str(exc))
     return rec

@@ -734,3 +734,34 @@ def solve_xor2sat_enum(x: XorSystem) -> bool:
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The decider table
+# ---------------------------------------------------------------------------
+
+# class -> (the name of its decider in this module, its standalone witness
+# checker or None, the witness's output line). A decider is looked up by name
+# when it is called, so a wrapper put on the module attribute runs too.
+DECIDERS = {
+    CnfFormula: ("solve_2sat", check_assignment,
+                 lambda w: "v " + " ".join(str(v if w[v] else -v) for v in sorted(w))),
+    Digraph: ("solve_dstcon", check_path, lambda w: "path " + " ".join(map(str, w))),
+    UGraph: ("solve_2cvc", check_cover, lambda w: "cover " + " ".join(map(str, sorted(w)))),
+    XceInstance: ("solve_xce", check_exact_cover, lambda w: "sets " + " ".join(map(str, w))),
+    Ap2dmInstance: ("solve_ap2dm", None, lambda w: f"pair {w[0]} {w[1]}"),  # NO only
+    LinSystem: ("solve_lin", check_vector, lambda w: "x " + " ".join(map(str, w))),
+    XorSystem: ("solve_xor2sat", None, None),  # a bare verdict
+}
+
+
+def decide(instance) -> tuple[bool, object, bool]:
+    """(yes, witness or None, whether the class's checker accepts a YES
+    witness) from the decider `DECIDERS` names for type(instance); the last
+    is True for a NO verdict and for a class without a checker."""
+    name, check, _ = DECIDERS[type(instance)]
+    result = globals()[name](instance)
+    if isinstance(result, bool):
+        return result, None, True
+    yes, witness = result
+    return yes, witness, not (yes and check) or check(instance, witness)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from redlab import cli
@@ -123,6 +125,23 @@ class TestVerify:
         files = list(tmp_path.glob("bad_cvc3_to_sat2_seed*.txt"))
         assert files and files[0].read_text().startswith("p graph")
 
+    def test_rerun_leaves_equal_counterexample_files(self, tmp_path, capsys):
+        """A second identical run rewrites no counterexample file; a file
+        holding other bytes is rewritten."""
+        args = ("verify", "bad_cvc3_to_sat2", "--trials", "100",
+                "--run-dir", str(tmp_path), "--no-timing")
+        run(capsys, *args)
+        files = sorted(tmp_path.glob("bad_cvc3_to_sat2_seed*.txt"))
+        assert len(files) >= 2
+        stale = files[0]
+        expected = stale.read_bytes()
+        stale.write_text("stale\n")
+        for f in files[1:]:
+            os.utime(f, ns=(1, 1))  # any rewrite moves the time off 1 ns
+        run(capsys, *args)
+        assert stale.read_bytes() == expected
+        assert all(f.stat().st_mtime_ns == 1 for f in files[1:])
+
     def test_max_size_override(self, tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "le_to_xor2sat", "--trials", "20",
                            "--max-size", "6", "--run-dir", str(tmp_path), "--no-timing")
@@ -206,12 +225,12 @@ class TestFitExampleDot:
 
 def test_problem_tables_agree():
     """Every class a generator produces has one problem record and one
-    `solve` entry, and neither table has a class no generator produces."""
-    from redlab import cli, harness, instances
+    decider entry, and neither table has a class no generator produces."""
+    from redlab import harness, instances, oracles
 
     generated = {type(harness.generate(harness.GenSpec(name, max_size=4)))
                  for name in harness.GENERATORS}
-    assert set(instances.PROBLEMS) == set(cli._SOLVE) == generated
+    assert set(instances.PROBLEMS) == set(oracles.DECIDERS) == generated
 
 
 def test_usage_error_exit_2(capsys):

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from redlab import oracles
+from redlab import oracles, reductions
 from redlab.harness import (
     BATCH_SHUFFLE_MIN,
     CORRUPTED,
@@ -208,3 +208,38 @@ class TestMutationSensitivity:
         for name in CORRUPTED:
             r = verify_m_reduction(name, 200)
             assert len(r.equiv_failures) >= 1, name
+
+
+class TestWitnessCheck:
+    def test_rejected_yes_witness_is_structural(self, monkeypatch):
+        """A decider that says YES with a flipped assignment is caught by
+        its checker; the engine finds the decider in `oracles` when called."""
+        honest = verify_m_reduction("normalize_2sat3", 100)
+        assert honest.structural_failures == [] and not honest.skipped
+        solve = oracles.solve_2sat
+
+        def flipped(f):
+            _, assignment = solve(f)
+            assignment = assignment or dict.fromkeys(range(1, f.num_vars + 1), False)
+            return True, {v: not b for v, b in assignment.items()}
+
+        monkeypatch.setattr(oracles, "solve_2sat", flipped)
+        r = verify_m_reduction("normalize_2sat3", 100)
+        assert r.structural_failures
+        assert {msg for _, msg in r.structural_failures} == {"witness:CnfFormula"}
+
+    def test_bool_output_is_its_own_verdict(self):
+        """The oracle reduction's bool answer is compared with the matching
+        oracle's verdict on its input, with nothing to check."""
+        from redlab.harness import _ap2dm_gadget
+
+        r = verify_m_reduction("ap2dm_to_dstcon_queries", 40, seed=5)
+        spec = GenSpec("dstcon_raw", max_size=5, seed=5)
+        expected = []
+        for t in range(40):
+            a = _ap2dm_gadget(generate(spec, t))
+            yes, _ = reductions.ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
+            if yes != oracles.solve_ap2dm(a)[0]:
+                expected.append(spec.seed + t)
+        assert expected and [seed for seed, _ in r.equiv_failures] == expected
+        assert r.structural_failures == [] and not r.skipped

@@ -476,23 +476,19 @@ class TestXor2Sat:
 
 class TestWitnessSoundness:
     def test_all_yes_witnesses_recheck(self):
-        cases = [
-            ("2sat3", 10, solve_2sat, check_assignment),
-            ("xce", 8, solve_xce, check_exact_cover),
-            ("lin_band", 8, solve_lin, check_vector),
-        ]
-        for prob, size, solver, checker in cases:
-            spec = GenSpec(prob, max_size=size, seed=909)
-            for t in range(150):
+        """Every YES witness of every class with a checker in the decider
+        table passes that checker, over every generator family."""
+        checked = {cls for cls, (_, check, _) in oracles.DECIDERS.items() if check}
+        seen_yes = set()
+        for prob in harness.GENERATORS:
+            spec = GenSpec(prob, max_size=10, seed=909)
+            for t in range(200):
                 inst = generate(spec, t)
-                yes, witness = solver(inst)
-                if yes and witness is not None:
-                    assert checker(inst, witness), (prob, t)
-
-    def test_dstcon_paths_recheck(self):
-        spec = GenSpec("digraph4", max_size=10, seed=910)
-        for t in range(200):
-            g = generate(spec, t)
-            yes, path = solve_dstcon(g)
-            if yes:
-                assert check_path(g, path)
+                if type(inst) not in checked:
+                    continue
+                yes, witness, ok = oracles.decide(inst)
+                _, check, _ = oracles.DECIDERS[type(inst)]
+                if yes:
+                    seen_yes.add(type(inst))
+                    assert ok and check(inst, witness), (prob, t)
+        assert seen_yes == checked == {CnfFormula, Digraph, UGraph, XceInstance, LinSystem}
