@@ -492,3 +492,11 @@ class TestWitnessSoundness:
                     seen_yes.add(type(inst))
                     assert ok and check(inst, witness), (prob, t)
         assert seen_yes == checked == {CnfFormula, Digraph, UGraph, XceInstance, LinSystem}
+
+    def test_dstcon_paths_recheck(self):
+        spec = GenSpec("digraph4", max_size=10, seed=910)
+        for t in range(200):
+            g = generate(spec, t)
+            yes, path = solve_dstcon(g)
+            if yes:
+                assert check_path(g, path)
