@@ -1,9 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 = YES/success, 1 = NO, 2 = usage or I/O error. All subcommands
-are reproducible from their flags; the only environment dependence is the
-optional REDLAB_WORKERS worker count used by `verify` and `fit`, which
-changes no output.
+Exit codes: 0 = YES/success, 1 = NO, 2 = usage or I/O error. Every run
+depends on its flags alone: no subcommand reads the environment.
 
 `reduce` takes the many-one reductions of `reductions.REDUCTIONS`. `verify`
 and `fit` take every name `harness._resolve` knows: those reductions, the

@@ -3,17 +3,14 @@
 Generation is rejection-free and constructive: occurrence/degree/overlap
 budgets are enforced by drawing against per-item credit counters. Every
 generator is deterministic in its seed; trial i of a verification run uses
-seed + i, so concurrent workers cannot change outcomes.
+seed + i, so the trials of one run can be split into seed ranges.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from bisect import bisect_left, insort
 from collections import deque
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -821,37 +818,11 @@ def _run_trial(plan: VerifierPlan, trial: int, decide: bool) -> _Trial:
     return rec
 
 
-def _workers(trials: int | None = None) -> int:
-    """Pool size from REDLAB_WORKERS (default 1), clamped to the CPU count
-    and, when given, to the number of trials."""
-    try:
-        requested = int(os.environ.get("REDLAB_WORKERS", "1"))
-    except ValueError:
-        return 1
-    cap = os.cpu_count() or 1
-    if trials is not None:
-        cap = min(cap, trials)
-    return max(1, min(requested, cap))
-
-
-def _trials(plan: VerifierPlan, trials: int, decide: bool = True) -> Iterator[_Trial]:
-    """The record of every trial, in trial order, streamed from this process
-    or, with REDLAB_WORKERS > 1, from a pool running one chunk of trials
-    per worker; either way the worker count never changes a result."""
-    workers = _workers(trials)
-    if workers > 1 and trials >= 4 * workers:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(partial(_run_trial, plan, decide=decide), range(trials),
-                                chunksize=-(-trials // workers))
-    else:
-        for t in range(trials):
-            yield _run_trial(plan, t, decide)
-
-
 def _verify(name: str, plan: VerifierPlan, trials: int) -> VerifyResult:
     started = time.perf_counter()
     result = VerifyResult(name=name, trials=trials)
-    for rec in _trials(plan, trials):
+    for t in range(trials):
+        rec = _run_trial(plan, t, decide=True)
         if rec.skipped is not None:
             result.skipped.append((rec.seed, rec.skipped))
             continue
@@ -914,7 +885,9 @@ def fit_shortness(name: str, trials: int, seed: int = 1) -> dict:
     those of `verify_m_reduction`, with the oracle stages left out."""
     pairs: list[tuple[int, int]] = []
     declared = None
-    for rec in _trials(_resolve(name, seed, None), trials, decide=False):
+    plan = _resolve(name, seed, None)
+    for t in range(trials):
+        rec = _run_trial(plan, t, decide=False)
         if rec.report is None:
             continue
         declared = (rec.report.k1, rec.report.k2)

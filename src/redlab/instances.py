@@ -1,8 +1,8 @@
 """Problem instance types, size parameters, validation, and text formats.
 
 Literals are signed 1-based integers (+i / -i), matching the text format.
-All instance types are immutable after construction and safe to share
-between workers; parsing, serialization, and validation are pure.
+All instance types are immutable after construction; parsing,
+serialization, and validation are pure.
 """
 
 from __future__ import annotations
@@ -450,11 +450,18 @@ def _int(tok: str, no: int, what: str) -> int:
         raise ParseError(f"expected integer {what}, got {tok!r}", no) from None
 
 
-def parse(text: str, expected: type | None = None):
+def _count(tok: str, no: int, what: str) -> int:
+    """A header count, which must not be negative."""
+    value = _int(tok, no, what)
+    if value < 0:
+        raise ParseError(f"header count {what} must not be negative, got {value}", no)
+    return value
+
+
+def parse(text: str):
     """Parse one instance from text; the header selects the class.
 
-    Raises ParseError (with line number) on malformed input; if `expected`
-    is given, a header of any other class is an error.
+    Raises ParseError (with line number) on malformed input.
     """
     lines = list(_content_lines(text))
     if not lines:
@@ -465,8 +472,6 @@ def parse(text: str, expected: type | None = None):
     cls = _BY_HEADER.get(toks[1])
     if cls is None:
         raise ParseError(f"unknown problem kind {toks[1]!r}", no)
-    if expected is not None and cls is not expected:
-        raise ParseError(f"expected {expected.__name__} but header says {toks[1]!r}", no)
     problem = PROBLEMS[cls]
     # the header has the usage string's tokens; a <a|b> token takes a or b
     shape = problem.usage.split()
@@ -501,7 +506,7 @@ def _write_cnf(f: CnfFormula) -> list[str]:
 
 
 def _read_cnf(toks, no, body) -> CnfFormula:
-    n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
+    n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
     clauses = []
     for lno, t in body:
         lits = [_int(x, lno, "literal") for x in t]
@@ -524,7 +529,7 @@ def _write_digraph(g: Digraph) -> list[str]:
 
 
 def _read_digraph(toks, no, body) -> Digraph:
-    n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
+    n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
     edges, s, t = [], None, None
     seen = set()
     for lno, tks in body:
@@ -555,7 +560,7 @@ def _write_ugraph(g: UGraph | Digraph) -> list[str]:
 
 
 def _read_ugraph(toks, no, body) -> UGraph:
-    n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
+    n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
     edges = []
     seen = set()
     for lno, tks in body:
@@ -580,7 +585,7 @@ def _write_xce(x: XceInstance) -> list[str]:
 
 
 def _read_xce(toks, no, body) -> XceInstance:
-    nx, nc = _int(toks[2], no, "nx"), _int(toks[3], no, "nc")
+    nx, nc = _count(toks[2], no, "nx"), _count(toks[3], no, "nc")
     exempt = _read_exempt(body, nx)
     sets = []
     for lno, tks in body[1:]:
@@ -604,7 +609,7 @@ def _write_ap2dm(a: Ap2dmInstance) -> list[str]:
 
 
 def _read_ap2dm(toks, no, body) -> Ap2dmInstance:
-    nx = _int(toks[2], no, "nx")
+    nx = _count(toks[2], no, "nx")
     exempt = _read_exempt(body, nx)
     pairs = []
     seen = set()
@@ -636,7 +641,7 @@ def _write_lin(s: LinSystem):
 
 def _read_lin(toks, no, body) -> LinSystem:
     mode = toks[2]
-    m, n, k = (_int(toks[i], no, "header field") for i in (3, 4, 5))
+    m, n, k = (_count(tok, no, what) for tok, what in zip(toks[3:], "mnk"))
     entries = []
     seen = set()
     lower: dict[int, int] = {}
@@ -691,7 +696,7 @@ def _write_xor(x: XorSystem):
 
 
 def _read_xor(toks, no, body) -> XorSystem:
-    n, m = _int(toks[2], no, "n"), _int(toks[3], no, "m")
+    n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
     cons = []
     for lno, tks in body:
         if tks[0] == "x" and len(tks) == 4:

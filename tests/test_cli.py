@@ -67,6 +67,12 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(f))
         assert code == 2 and "error" in err
 
+    def test_negative_header_count_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "f.cnf"
+        f.write_text("p cnf2 -3 0\n")
+        code, out, err = run(capsys, "solve", str(f))
+        assert code == 2 and out == "" and "header count n must not be negative" in err
+
     def test_xor_file(self, tmp_path, capsys):
         f = tmp_path / "x.xor"
         f.write_text("p xor 2 2\nx 1 2 1\nu 1 1\n")

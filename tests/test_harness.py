@@ -1,4 +1,4 @@
-import os
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +11,7 @@ from redlab.harness import (
     GenSpec,
     GenerationError,
     SplitMix64,
-    _workers,
+    VerifyResult,
     default_plans,
     fit_shortness,
     generate,
@@ -114,23 +114,21 @@ class TestVerify:
         assert a[0][0] == 1 and b[-1][0] == 41
         assert [f for f in a if f[0] >= 2] == [f for f in b if f[0] <= 40]
 
-    def test_worker_pool_matches_sequential(self):
-        base = verify_m_reduction("le_to_xor2sat", 64)
-        os.environ["REDLAB_WORKERS"] = "3"
-        try:
-            pooled = verify_m_reduction("le_to_xor2sat", 64)
-        finally:
-            del os.environ["REDLAB_WORKERS"]
-        assert base.to_text(include_timing=False) == pooled.to_text(include_timing=False)
-
-    def test_workers_clamped(self, monkeypatch):
-        monkeypatch.setenv("REDLAB_WORKERS", "100000")
-        assert _workers() == (os.cpu_count() or 1)
-        assert _workers(trials=1) == 1
-        monkeypatch.setenv("REDLAB_WORKERS", "0")
-        assert _workers() == 1
-        monkeypatch.setenv("REDLAB_WORKERS", "many")
-        assert _workers() == 1
+    @pytest.mark.parametrize("name,half,seed,max_size,kind", [
+        ("bad_cvc3_to_sat2", 40, 1, None, "equiv_failures"),
+        ("dstcon_to_ap2dm", 10, 3, 14, "skipped"),
+    ])
+    def test_seed_ranges_split_a_run(self, name, half, seed, max_size, kind):
+        # trial t draws seed + t, so 2T trials at seed s are T trials at s and
+        # T at s + T: runs can be split into seed ranges and merged
+        a = verify_m_reduction(name, half, max_size, seed)
+        b = verify_m_reduction(name, half, max_size, seed + half)
+        assert getattr(a, kind) and getattr(b, kind)
+        lists = ("equiv_failures", "shortness_failures", "structural_failures",
+                 "findings", "skipped")
+        merged = VerifyResult(name, 2 * half, max_ratio=max(a.max_ratio, b.max_ratio),
+                              **{f: getattr(a, f) + getattr(b, f) for f in lists})
+        assert replace(verify_m_reduction(name, 2 * half, max_size, seed), wall_time=0.0) == merged
 
     def test_failures_do_not_abort(self):
         r = verify_m_reduction("bad_cvc3_to_sat2", 120)

@@ -159,10 +159,6 @@ class TestFormats:
         with pytest.raises(ParseError):
             parse("p graph 3 1\ne 2 1\n")  # requires u < v
 
-    def test_expected_class_mismatch(self):
-        with pytest.raises(ParseError):
-            parse("p graph 1 0\n", expected=CnfFormula)
-
     def test_lin_band_roundtrip(self):
         s = LinSystem("band", 2, 2, 3, ((1, 1, 2), (1, 2, -3), (2, 1, 1)), (0, 1), (5, 1))
         assert parse(serialize(s)) == s
@@ -193,6 +189,23 @@ class TestFormats:
         with pytest.raises(ParseError) as err:
             parse(header + "\n")
         assert str(err.value) == f"line 1: header must be '{usage}'"
+
+    @pytest.mark.parametrize("text,field", [
+        ("p cnf2 -3 0\n", "n"),
+        ("p digraph 2 -1\ns 1\nt 2\n", "m"),
+        ("p graph -2 0\n", "n"),
+        ("p xce -1 0\nr\n", "nx"),
+        ("p ap2dm -5\nr\n", "nx"),
+        ("p lin geq -1 2 3\n", "m"),
+        ("p lin band 1 -2 3\n", "n"),
+        ("p lin eq 1 2 -3\n", "k"),
+        ("p xor -1 0\n", "n"),
+    ])
+    def test_negative_header_count(self, text, field):
+        with pytest.raises(ParseError) as err:
+            parse("# comment\n" + text)
+        assert err.value.line == 2
+        assert f"header count {field} must not be negative" in str(err.value)
 
     def test_exemption_line_required(self):
         for text in ("p xce 2 0\n", "p ap2dm 2\nm 1 2\n"):

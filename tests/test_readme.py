@@ -1,10 +1,12 @@
 """README "Command line" names what the code registers: the generator
 classes, the reductions `reduce` takes, the corrupted fixtures and the
-oracle budgets."""
+oracle budgets; and its claim that runs are reproducible from flags alone
+holds because no module reads the environment."""
 
 import re
 from pathlib import Path
 
+import redlab
 from redlab import harness, oracles, reductions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,3 +48,10 @@ def test_oracle_budgets():
                       r"the LP family, and (\d+) elements for AP2DM4", section)
     assert tuple(map(int, match.groups())) == (
         oracles.CVC_BUDGET, oracles.XCE_BUDGET, oracles.LIN_BUDGET, oracles.AP2DM_BUDGET)
+
+
+def test_runs_depend_on_flags_alone():
+    assert "Runs are reproducible from flags alone" in _command_line()
+    readers = [path.name for path in sorted(Path(redlab.__file__).parent.glob("*.py"))
+               if re.search(r"\benviron\b|getenv", path.read_text())]
+    assert readers == []

@@ -154,13 +154,3 @@ def test_exploratory_bytes(kwargs, summary, findings):
     r = harness.verify_T_reduction(exploratory=True, **kwargs)
     found = "".join(f"{seed}\n{text}" for seed, text in r.findings)
     assert (_sha(r.to_text(include_timing=False)), _sha(found)) == (summary, findings)
-
-
-def test_oracle_reduction_pool_bytes(tmp_path, monkeypatch, capsys):
-    argv, stdout, files = next(c for c in VERIFY_GOLDEN
-                               if c[0][1] == "ap2dm_to_dstcon_queries")
-    for workers in ("1", "2"):
-        monkeypatch.setenv("REDLAB_WORKERS", workers)
-        run_dir = tmp_path / workers
-        run_dir.mkdir()
-        assert _verify(argv, run_dir, capsys) == (stdout, files), workers
