@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 = YES/success, 1 = NO, 2 = usage or I/O error. Every run
-depends on its flags alone: no subcommand reads the environment.
+Exit codes: 0 = YES/success, 1 = NO, 2 = usage, I/O or invalid-input
+error. Every run depends on its flags alone: no subcommand reads the
+environment.
 
 `reduce` takes the many-one reductions of `reductions.REDUCTIONS`. `verify`
 and `fit` take every name `harness._resolve` knows: those reductions, the
@@ -54,6 +55,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = _read(args.file)
+    reductions._require(instance)  # reject what `reduce` rejects, before deciding
     yes, witness, _ = oracles.decide(instance)
     print("YES" if yes else "NO")
     if witness:

@@ -43,6 +43,11 @@ MIX2 = 0x94D049BB133111EB
 # Lists at least this long are shuffled with all swap targets drawn in one
 # numpy pass; below it the scalar loop is faster (crossover about 24 items).
 BATCH_SHUFFLE_MIN = 24
+# _shuffled_front reads the front of a shuffle of at least this many items
+# from its batched draws; below it the fixed cost of its numpy calls (about
+# 14 us, mostly _next64_batch) exceeds the swaps it saves (crossover about
+# 190 items for a front of 3, 19 us either way, and 130 for a front of 1).
+FRONT_SHUFFLE_MIN = 192
 
 
 class SplitMix64:
@@ -53,7 +58,8 @@ class SplitMix64:
 
     The state is closed-form: from state s, draw k (k = 1, 2, ...) is the
     mix of s + k*GAMMA mod 2**64, so any run of draws can be computed at
-    once without changing the stream; `shuffle` relies on this."""
+    once without changing the stream; `shuffle` and `_shuffled_front` rely
+    on this."""
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
@@ -138,10 +144,39 @@ class GenSpec:
 # ---------------------------------------------------------------------------
 
 
-def _shuffled(items: list, rng: SplitMix64) -> list:
-    """A shuffled copy of items, which stay as they are."""
-    out = items[:]
-    rng.shuffle(out)
+def _shuffled_front(items: list, k: int, rng: SplitMix64) -> list:
+    """The first k items of a shuffled copy of items, which stay as they
+    are. The same items and the same n - 1 draws as `rng.shuffle` on a copy
+    cut to k, but without the swaps.
+
+    Step i (i = n-1 .. 1) of the shuffle swaps positions i and j_i. Undoing
+    the steps from i = 1 upward traces the item that ends at position p < k
+    back to where it started: steps 1 .. k-1 touch only positions below k
+    and are replayed; after them the traced position v lies below every
+    step left, so only a step that targets v moves it, to that step's own
+    position. The earliest such step is first[v], and the chain from p
+    through first ends at the start. A self-swap at step i makes first[i]
+    = i, but no chain reaches i: it enters position i only through step i,
+    whose target then lies below i."""
+    n = len(items)
+    if n < FRONT_SHUFFLE_MIN or k >= n:
+        out = items[:]
+        rng.shuffle(out)
+        return out[:k]
+    j = np.empty(n, dtype=np.int64)  # j[i]: the target of step i; draws run i = n-1 .. 1
+    j[:0:-1] = rng._next64_batch(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+    lo = max(k, 1)
+    first = np.full(n, n, dtype=np.int64)  # n: no step left targets v
+    np.minimum.at(first, j[lo:], np.arange(lo, n))
+    pos = list(range(k))
+    for i in range(k - 1, 0, -1):
+        a = int(j[i])
+        pos[i], pos[a] = pos[a], pos[i]
+    out = []
+    for v in pos:
+        while first[v] < n:
+            v = int(first[v])
+        out.append(items[v])
     return out
 
 
@@ -402,7 +437,7 @@ def _gen_xce(spec: GenSpec, rng: SplitMix64) -> XceInstance:
         if not avail:
             break
         size = min(rng.randint(1, 3), len(avail))
-        chosen = _shuffled(avail, rng)[:size]
+        chosen = _shuffled_front(avail, size, rng)
         for e in chosen:
             credits[e] -= 1
             if credits[e] == 0:
@@ -477,7 +512,7 @@ def _gen_lin(mode: str):
         avail = [c for c in range(1, n + 1) if col_credit[c] > 0]  # ascending
         for r in range(1, m + 1):
             width = rng.choice((0, 1, 1, 2, 2, 2))
-            for c in _shuffled(avail, rng)[:width]:
+            for c in _shuffled_front(avail, width, rng):
                 v = 0
                 while v == 0:
                     v = rng.randint(-3, 3)

@@ -85,50 +85,47 @@ def solve_2sat(f: CnfFormula) -> tuple[bool, dict[int, bool] | None]:
 
 
 def _tarjan_scc(adj: list[list[int]]) -> list[int]:
+    """Component id per vertex, numbered in reverse topological order (an
+    edge u -> v has comp[u] >= comp[v]). Iterative: each DFS frame holds
+    its vertex and an iterator over its successors."""
     n = len(adj)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
+    comp = [-1] * n  # -1 on a visited vertex: still on the stack
     stack: list[int] = []
     counter = 0
     ncomps = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei]
-                ei += 1
+            v, succ = work[-1]
+            for w in succ:
                 if index[w] == -1:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomps
-                    if w == v:
-                        break
-                ncomps += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomps
+                        if w == v:
+                            break
+                    ncomps += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return comp
 
 

@@ -79,6 +79,16 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(f))
         assert code == 0 and out.startswith("YES")
 
+    def test_invalid_input_exit_2(self, tmp_path, capsys):
+        # parses, but column 1 holds 1 nonzero against the declared bound 0;
+        # solve rejects it with the message reduce gives
+        f = tmp_path / "f.lin"
+        f.write_text("p lin band 1 1 0\na 1 1 1\nb 1 0\nB 1 -1\n")
+        code, out, err = run(capsys, "solve", str(f))
+        assert code == 2 and out == "" and err == "error: column 1 has 1 nonzeros, bound 0\n"
+        code, _, err = run(capsys, "reduce", "twolp_to_lp", str(f), str(tmp_path / "out.lin"))
+        assert code == 2 and err == "error: column 1 has 1 nonzeros, bound 0\n"
+
 
 class TestReduce:
     def test_applies_and_reports(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ from redlab import oracles, reductions
 from redlab.harness import (
     BATCH_SHUFFLE_MIN,
     CORRUPTED,
+    FRONT_SHUFFLE_MIN,
     GEN_TAGS,
     GENERATORS,
     GenSpec,
@@ -17,6 +18,7 @@ from redlab.harness import (
     generate,
     verify_m_reduction,
     verify_T_reduction,
+    _shuffled_front,
 )
 from redlab.instances import serialize, validate
 
@@ -48,6 +50,21 @@ class TestSplitMix64:
             assert got == want, n
             # the state advanced by exactly n - 1 draws
             assert [rng.next64() for _ in range(5)] == [ref.next64() for _ in range(5)], n
+
+    @pytest.mark.parametrize("seed", [0, 42, (1 << 64) - 1])
+    def test_shuffled_front_keeps_the_stream(self, seed):
+        # reference: shuffle a copy and cut it; n crosses the front threshold
+        sizes = [0, 1, 2, 3, FRONT_SHUFFLE_MIN - 1, FRONT_SHUFFLE_MIN, FRONT_SHUFFLE_MIN + 1,
+                 1000, 4000]
+        for n in sizes:
+            items = [3 * x + 1 for x in range(n)]
+            for k in (0, 1, 2, 3, n + 1):
+                rng, ref = SplitMix64(seed), SplitMix64(seed)
+                want = items[:]
+                ref.shuffle(want)
+                assert _shuffled_front(items, k, rng) == want[:k], (n, k)
+                assert items == [3 * x + 1 for x in range(n)]
+                assert [rng.next64() for _ in range(5)] == [ref.next64() for _ in range(5)], (n, k)
 
 
 class TestGenerate:

@@ -75,6 +75,42 @@ class Test2Sat:
                 assert check_assignment(f, wa)
 
 
+def _reach(adj: list[list[int]], v: int) -> set[int]:
+    seen, todo = {v}, [v]
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+@st.composite
+def _adjacency(draw):
+    """Successor lists of a digraph on 0..n-1 for n <= 40, loops and
+    repeated edges allowed."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return []
+    return draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4), min_size=n, max_size=n))
+
+
+class TestTarjan:
+    @given(_adjacency())
+    @settings(max_examples=300, deadline=None)
+    def test_components_and_reverse_topological_ids(self, adj):
+        """Two vertices share a component iff each reaches the other, and
+        every edge u -> v has comp[u] >= comp[v]: solve_2sat's witness rule
+        (make the literal with the smaller id true) rests on that order."""
+        comp = oracles._tarjan_scc(adj)
+        reach = [_reach(adj, v) for v in range(len(adj))]
+        for u, v in combinations(range(len(adj)), 2):
+            assert (comp[u] == comp[v]) == (v in reach[u] and u in reach[v]), (u, v)
+        for u, succ in enumerate(adj):
+            assert all(comp[u] >= comp[v] for v in succ), u
+        assert sorted(set(comp)) == list(range(len(set(comp))))
+
+
 @st.composite
 def _digraph_queries(draw):
     """(n, edges, queries): a digraph on 1..n for n <= 8, loops and repeated
