@@ -1,7 +1,6 @@
 """Alternating benchmark pairs of two checkouts, summed up in one file.
 
-    python3 tools/bench_pairs.py BASE CHANGE --label NAME --pairs N \
-        [--workloads scale verify_mix matching] [--seconds 30] [--seed 9001]
+    python3 tools/bench_pairs.py BASE CHANGE --label NAME --pairs N [--seed 9001]
 
 BASE and CHANGE are the roots of two source checkouts, usually a parent
 commit and a change on top of it. Pair i runs
@@ -9,11 +8,12 @@ commit and a change on top of it. Pair i runs
     python3 bench/run.py --workload W --seed SEED+i --seconds S --trace 0
 
 once in each checkout, each with its own bench/run.py, for every workload
-W in turn. The base runs first in even pairs and the change in odd ones, so
-a drift in the machine's speed falls on both sides alike.
+W of BASE's BENCHMARK.json in turn, S being its `run_seconds`. The base
+runs first in even pairs and the change in odd ones, so a drift in the
+machine's speed falls on both sides alike.
 
 BENCH_<label>.json, written to the current directory after every pair, holds
-for each workload and end-to-end metric of BENCHMARK.json (read from BASE):
+for each workload and end-to-end metric of that BENCHMARK.json:
 
 - every run of both sides, in pair order;
 - each side's median and quartiles (q1, q3);
@@ -93,26 +93,26 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path)
     p.add_argument("--label", required=True)
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--workloads", nargs="+", default=["scale", "verify_mix", "matching"])
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=9001)
     args = p.parse_args(argv)
 
-    metrics = json.loads((args.base / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = {w: {"base": [], "change": []} for w in args.workloads}
+    benchmark = json.loads((args.base / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    metrics = benchmark["end_to_end"]
+    runs = {w["name"]: {"base": [], "change": []} for w in benchmark["workloads"]}
     out = Path(f"BENCH_{args.label}.json")
     for i in range(args.pairs):
-        for workload in args.workloads:
+        for workload in runs:
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             for side in order:
-                result = run_bench(getattr(args, side), workload, args.seed + i, args.seconds)
+                result = run_bench(getattr(args, side), workload, args.seed + i, seconds)
                 runs[workload][side].append(result["metrics"])
                 print(f"pair {i} {workload} {side}: "
                       + " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
                       flush=True)
         summary = {
             "label": args.label,
-            "command": f"bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+            "command": f"bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
             "seeds": [args.seed, args.seed + i],
             "host": {"machine": platform.machine(), "python": platform.python_version(),
                      "cpus": len(os.sched_getaffinity(0))},
