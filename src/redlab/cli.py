@@ -37,11 +37,7 @@ def cmd_gen(args) -> int:
         max_size=args.size,
         seed=args.seed,
         clauses=args.clauses,
-        occ_bound=args.occ_bound,
         deg_bound=args.deg_bound,
-        overlap_bound=args.overlap_bound,
-        col_bound=args.col_bound,
-        exemption_density=args.exemption_density,
         sat_bias=args.bias,
     )
     instance = harness.generate(spec)
@@ -154,11 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_positive, required=True, help="primary size knob")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clauses", type=int, default=None)
-    p.add_argument("--occ-bound", type=int, default=3)
     p.add_argument("--deg-bound", type=int, default=3)
-    p.add_argument("--overlap-bound", type=int, default=4)
-    p.add_argument("--col-bound", type=int, default=3)
-    p.add_argument("--exemption-density", type=float, default=0.3)
     p.add_argument("--bias", type=float, default=0.5, help="planted-witness fraction")
     p.add_argument("-o", "--output", default=None)
 

@@ -40,13 +40,20 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+# The fixed bounds of the generated classes, and the chance that an xce or
+# ap2dm element is drawn exempt
+OCC_BOUND = 3
+OVERLAP_BOUND = 4
+COL_BOUND = 3
+EXEMPTION_DENSITY = 0.3
 # Lists at least this long are shuffled with all swap targets drawn in one
-# numpy pass; below it the scalar loop is faster (crossover about 24 items).
+# numpy pass; below it the scalar loop is faster (crossover about 20 items;
+# the two are within 2 us of each other from 18 to 24 items).
 BATCH_SHUFFLE_MIN = 24
 # _shuffled_front reads the front of a shuffle of at least this many items
-# from its batched draws; below it the fixed cost of its numpy calls (about
-# 14 us, mostly _next64_batch) exceeds the swaps it saves (crossover about
-# 190 items for a front of 3, 19 us either way, and 130 for a front of 1).
+# from its batched draws; below it the fixed cost of its other numpy calls
+# (both paths call _next64_batch once) exceeds the swaps it saves (crossover
+# about 190 items for a front of 3, 19 us either way, and 120 for 1).
 FRONT_SHUFFLE_MIN = 192
 
 
@@ -75,13 +82,13 @@ class SplitMix64:
         """The next k outputs as a uint64 array; the state advances by k
         draws, exactly as k calls of next64 would leave it."""
         z = np.arange(1, k + 1, dtype=np.uint64)
-        z *= np.uint64(GAMMA)  # uint64 array arithmetic wraps mod 2**64
-        z += np.uint64(self.state)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(MIX2)
-        z ^= z >> np.uint64(31)
+        z *= GAMMA  # wraps mod 2**64; a Python int that fits keeps z uint64
+        z += self.state
+        z ^= z >> 30
+        z *= MIX1
+        z ^= z >> 27
+        z *= MIX2
+        z ^= z >> 31
         self.state = (self.state + k * GAMMA) & MASK64
         return z
 
@@ -116,7 +123,7 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """What to generate: problem class, size knob, constraint tags, seed.
+    """What to generate: problem class, size knobs, degree bound, seed.
 
     max_size bounds the primary size knob (variables, vertices, elements);
     the per-trial instance size is drawn from [1, max_size]. sat_bias is the
@@ -128,12 +135,8 @@ class GenSpec:
     seed: int = 0
     clauses: int | None = None  # exact clause count for 2sat3, None = draw
     max_clauses: int | None = None  # cap on the drawn clause count
-    occ_bound: int = 3
     deg_bound: int = 3
-    overlap_bound: int = 4
-    col_bound: int = 3
     max_rows: int = 8
-    exemption_density: float = 0.3
     sat_bias: float = 0.5
     # joint cap on n + m_cls for 2sat3 (keeps downstream oracle budgets)
     vc_budget: int | None = None
@@ -234,7 +237,7 @@ def _plant_unsat_core(n: int, cap: int, rng: SplitMix64) -> list[tuple[int, int]
 def _gen_2sat3(spec: GenSpec, rng: SplitMix64) -> CnfFormula:
     # An explicit clause count pins n to the size knob; otherwise n is drawn.
     n = spec.max_size if spec.clauses is not None else rng.randint(1, spec.max_size)
-    cap = (spec.occ_bound * n) // 2
+    cap = (OCC_BOUND * n) // 2
     if spec.vc_budget is not None:
         cap = min(cap, spec.vc_budget - n)
     if spec.max_clauses is not None:
@@ -242,10 +245,10 @@ def _gen_2sat3(spec: GenSpec, rng: SplitMix64) -> CnfFormula:
     if n < 2:
         cap = 0  # a clean 2-literal clause needs two distinct variables
     if spec.clauses is not None:
-        slots = (spec.occ_bound * n) // 2
+        slots = (OCC_BOUND * n) // 2
         if not 0 <= spec.clauses <= slots:
             raise GenerationError(f"clause count {spec.clauses} is outside 0..{slots} "
-                                  f"(floor({spec.occ_bound}*{n}/2) literal slots)")
+                                  f"(floor({OCC_BOUND}*{n}/2) literal slots)")
         m = spec.clauses
         cap = min(cap, m)  # a planted core must fit the exact count
     else:
@@ -256,9 +259,9 @@ def _gen_2sat3(spec: GenSpec, rng: SplitMix64) -> CnfFormula:
     planted = roll < spec.sat_bias
     want_core = not planted and roll < spec.sat_bias + (1.0 - spec.sat_bias) / 2
     sigma = [rng.chance(0.5) for _ in range(n + 1)]
-    credits = [spec.occ_bound] * (n + 1)
+    credits = [OCC_BOUND] * (n + 1)
     clauses: list[tuple[int, int]] = []
-    if want_core and spec.occ_bound >= 3:
+    if want_core:
         core = _plant_unsat_core(n, cap, rng)
         if core is not None:
             clauses.extend(core)
@@ -267,7 +270,7 @@ def _gen_2sat3(spec: GenSpec, rng: SplitMix64) -> CnfFormula:
                     credits[abs(l)] -= 1
             m = max(m, len(core))
     # buckets[c]: the variables with c > 0 credits left, ascending
-    buckets: list[list[int]] = [[] for _ in range(spec.occ_bound + 1)]
+    buckets: list[list[int]] = [[] for _ in range(OCC_BOUND + 1)]
     for v in range(1, n + 1):
         if credits[v] > 0:
             buckets[credits[v]].append(v)
@@ -389,7 +392,8 @@ def _gen_dstcon_raw(spec: GenSpec, rng: SplitMix64) -> Digraph:
 
 
 def _gen_digraph4(spec: GenSpec, rng: SplitMix64) -> Digraph:
-    """Digraphs with total degree <= deg_bound (default 4)."""
+    """Digraphs with total degree <= deg_bound (GenSpec's default 3; the
+    reduce_degree_dstcon plan draws with 4)."""
     n = rng.randint(1, spec.max_size)
     k = spec.deg_bound
     deg = [0] * (n + 1)
@@ -443,13 +447,13 @@ def _gen_xce(spec: GenSpec, rng: SplitMix64) -> XceInstance:
             if credits[e] == 0:
                 _discard(avail, e)
         sets.append(tuple(sorted(chosen)))
-    exempt = tuple(e for e in range(1, nx + 1) if rng.chance(spec.exemption_density))
+    exempt = tuple(e for e in range(1, nx + 1) if rng.chance(EXEMPTION_DENSITY))
     return XceInstance(nx, exempt, tuple(sets))
 
 
 def _gen_ap2dm(spec: GenSpec, rng: SplitMix64) -> Ap2dmInstance:
     nx = rng.randint(1, spec.max_size)
-    k = spec.overlap_bound - 1  # non-trivial budget per side
+    k = OVERLAP_BOUND - 1  # non-trivial budget per side
     out_credit = [k] * (nx + 1)
     in_credit = [k] * (nx + 1)
     present: set[tuple[int, int]] = set()
@@ -468,7 +472,7 @@ def _gen_ap2dm(spec: GenSpec, rng: SplitMix64) -> Ap2dmInstance:
         add(rng.randint(1, nx), rng.randint(1, nx))
     # exemption set, then fix the connectivity promise; elements that cannot
     # be connected are dropped from R rather than rejected
-    exempt = {e for e in range(1, nx + 1) if rng.chance(spec.exemption_density)}
+    exempt = {e for e in range(1, nx + 1) if rng.chance(EXEMPTION_DENSITY)}
     if exempt == set(range(1, nx + 1)) and nx >= 1:
         exempt.discard(rng.randint(1, nx))
     # An exempt element without a non-exempt partner on one side is offered
@@ -505,11 +509,11 @@ def _gen_lin(mode: str):
     def gen(spec: GenSpec, rng: SplitMix64) -> LinSystem:
         n = rng.randint(1, spec.max_size)
         m = rng.randint(0, spec.max_rows)
-        k = spec.col_bound
+        k = COL_BOUND
         col_credit = [k] * (n + 1)
         entries: list[tuple[int, int, int]] = []
         rows: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
-        avail = [c for c in range(1, n + 1) if col_credit[c] > 0]  # ascending
+        avail = list(range(1, n + 1))  # columns with credit left, ascending
         for r in range(1, m + 1):
             width = rng.choice((0, 1, 1, 2, 2, 2))
             for c in _shuffled_front(avail, width, rng):
@@ -584,15 +588,15 @@ GENERATORS = {
 
 # tags each generated class must validate against
 GEN_TAGS = {
-    "2sat3": lambda spec: {"occ_bound": spec.occ_bound},
+    "2sat3": lambda spec: {"occ_bound": OCC_BOUND},
     "ugraph3": lambda spec: {"deg_bound": spec.deg_bound},
     "dstcon_raw": lambda spec: {},
     "digraph4": lambda spec: {"deg_bound": spec.deg_bound},
     "xce": lambda spec: {},
-    "ap2dm": lambda spec: {"overlap_bound": spec.overlap_bound},
-    "lin_geq": lambda spec: {"col_bound": spec.col_bound},
-    "lin_band": lambda spec: {"col_bound": spec.col_bound},
-    "lin_eq": lambda spec: {"col_bound": spec.col_bound},
+    "ap2dm": lambda spec: {"overlap_bound": OVERLAP_BOUND},
+    "lin_geq": lambda spec: {},
+    "lin_band": lambda spec: {},
+    "lin_eq": lambda spec: {},
     "xor": lambda spec: {},
 }
 
@@ -661,10 +665,6 @@ def _post_3xce2(out: XceInstance, src) -> list[str]:
     return bad
 
 
-def _post_twolp(out: LinSystem, src: LinSystem) -> list[str]:
-    return _post_valid(out, src, {"col_bound": src.col_bound + 2})
-
-
 @dataclass(frozen=True)
 class VerifierPlan:
     """How to verify one reduction: generator family, optional preparation
@@ -699,7 +699,7 @@ def default_plans(seed: int = 1) -> dict[str, VerifierPlan]:
             None, reductions.lp_to_2lp, _post_valid),
         "twolp_to_lp": VerifierPlan(
             GenSpec("lin_band", max_size=6, seed=seed, max_rows=6),
-            None, reductions.twolp_to_lp, _post_twolp),
+            None, reductions.twolp_to_lp, _post_valid),
         "le_to_xor2sat": VerifierPlan(
             GenSpec("lin_eq", max_size=12, seed=seed, max_rows=8),
             None, reductions.le_to_xor2sat, _post_valid),

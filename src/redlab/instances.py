@@ -379,10 +379,10 @@ def _validate_lin(s: LinSystem, tags: dict, out: list[Violation]):
     for r in range(1, s.num_rows + 1):
         if row_nnz[r] > 2:
             out.append(Violation("row_nonzeros", (r, row_nnz[r]), f"row {r} has {row_nnz[r]} nonzeros, bound 2"))
-    bound = tags.get("col_bound", s.col_bound)
     for c in range(1, s.num_cols + 1):
-        if col_nnz[c] > bound:
-            out.append(Violation("col_bound", (c, col_nnz[c]), f"column {c} has {col_nnz[c]} nonzeros, bound {bound}"))
+        if col_nnz[c] > s.col_bound:
+            out.append(Violation("col_bound", (c, col_nnz[c]),
+                                 f"column {c} has {col_nnz[c]} nonzeros, bound {s.col_bound}"))
     if len(s.lower) != s.num_rows:
         out.append(Violation("bounds_shape", (len(s.lower),), f"{len(s.lower)} lower bounds for {s.num_rows} rows"))
     if s.mode == "band":

@@ -1,13 +1,14 @@
 """README "Command line" names what the code registers: the generator
-classes, the reductions `reduce` takes, the corrupted fixtures and the
+classes and `gen`'s options and fixed bounds, the reductions `reduce` takes, the corrupted fixtures and the
 oracle budgets; and its claim that runs are reproducible from flags alone
 holds because no module reads the environment."""
 
+import argparse
 import re
 from pathlib import Path
 
 import redlab
-from redlab import harness, oracles, reductions
+from redlab import cli, harness, oracles, reductions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,6 +27,19 @@ def test_generator_classes():
     section = _command_line()
     listed = re.search(r"Generator classes for `gen`/`verify`: (.*?)\. ", section).group(1)
     assert _names(listed) == list(harness.GENERATORS)
+
+
+def test_gen_options_and_fixed_bounds():
+    section = _command_line()
+    match = re.search(r"`gen` takes (.*?); every other bound .*? at most (\d+) times, .*? "
+                      r"`ap2dm` instance is (\d+)-overlapping, .*? declares (\d+) nonzeros per "
+                      r"column, .*? probability ([\d.]+) ", section)
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [a.option_strings[0] for a in sub.choices["gen"]._actions
+               if a.option_strings and a.dest != "help"]
+    assert _names(match.group(1)) == options
+    assert (int(match.group(2)), int(match.group(3)), int(match.group(4)), float(match.group(5))) == (
+        harness.OCC_BOUND, harness.OVERLAP_BOUND, harness.COL_BOUND, harness.EXEMPTION_DENSITY)
 
 
 def test_reduce_takes_every_reduction():

@@ -264,7 +264,7 @@ class TestTwoLpToLp:
         out, rep = twolp_to_lp(s)
         assert out.mode == "geq" and out.num_cols == 4 and out.num_rows == 6
         assert oracles.solve_lin(out) == (True, (1, 0, 1, 0))
-        assert validate(out, {"col_bound": s.col_bound + 2}) == []
+        assert out.col_bound == s.col_bound + 2 and validate(out) == []
         assert rep.k1 == 6 and rep.shortness_ok
 
     def test_empty_band(self):
