@@ -39,12 +39,6 @@ class TestGen:
             deg[v] += 1
         assert max(deg) <= 3
 
-    @pytest.mark.parametrize("flag", ["--occ-bound", "--overlap-bound", "--col-bound",
-                                      "--exemption-density"])
-    def test_fixed_bounds_take_no_flag(self, flag, capsys):
-        code, out, _ = run(capsys, "gen", "2sat3", "--size", "5", flag, "3")
-        assert code == 2 and out == ""
-
     def test_negative_clause_count_exit_2(self, capsys):
         code, out, err = run(capsys, "gen", "2sat3", "--size", "5", "--clauses", "-1")
         assert code == 2 and out == "" and "outside 0..7" in err

@@ -1,7 +1,8 @@
 """README "Command line" names what the code registers: the generator
-classes and `gen`'s options and fixed bounds, the reductions `reduce` takes, the corrupted fixtures and the
-oracle budgets; and its claim that runs are reproducible from flags alone
-holds because no module reads the environment."""
+classes, `gen`'s options and fixed bounds, the reductions `reduce` takes,
+the corrupted fixtures and the oracle budgets; and its claim that runs are
+reproducible from flags alone holds because no module reads the
+environment."""
 
 import argparse
 import re
