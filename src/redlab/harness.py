@@ -40,6 +40,11 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+# The same constants and the shift counts as numpy scalars for
+# SplitMix64._next64_batch: a Python int operand costs NumPy 2 a conversion
+# on every array operation.
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(GAMMA), np.uint64(MIX1), np.uint64(MIX2)
+_SHIFT27, _SHIFT30, _SHIFT31 = np.uint64(27), np.uint64(30), np.uint64(31)
 # The fixed bounds of the generated classes, and the chance that an xce or
 # ap2dm element is drawn exempt
 OCC_BOUND = 3
@@ -82,13 +87,13 @@ class SplitMix64:
         """The next k outputs as a uint64 array; the state advances by k
         draws, exactly as k calls of next64 would leave it."""
         z = np.arange(1, k + 1, dtype=np.uint64)
-        z *= GAMMA  # wraps mod 2**64; a Python int that fits keeps z uint64
-        z += self.state
-        z ^= z >> 30
-        z *= MIX1
-        z ^= z >> 27
-        z *= MIX2
-        z ^= z >> 31
+        z *= _GAMMA_U64  # wraps mod 2**64
+        z += np.uint64(self.state)
+        z ^= z >> _SHIFT30
+        z *= _MIX1_U64
+        z ^= z >> _SHIFT27
+        z *= _MIX2_U64
+        z ^= z >> _SHIFT31
         self.state = (self.state + k * GAMMA) & MASK64
         return z
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from itertools import product
-
-import numpy as np
+from math import inf
 
 from .instances import (
     Ap2dmInstance,
@@ -623,33 +622,118 @@ def solve_ap2dm(a: Ap2dmInstance) -> tuple[bool, tuple[int, int] | None]:
 
 
 def solve_lin(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
-    """Exhaustive search over {0,1}^n with exact integer arithmetic."""
+    """Forced-column search; the same verdict and witness as a scan of
+    {0,1}^n in the order of the integers sum x_c*2^(c-1), in polynomial time.
+
+    Every row holds at most 2 nonzeros, so setting one column settles each
+    row that holds it: the row's other column is forced to the only value
+    that fits, or left free when both fit, and a row that no value fits is a
+    conflict (the limited backtracking of Even, Itai & Shamir 1976 for
+    2-SAT). Rows with 0 or 1 nonzeros are checked or forced before the first
+    choice. The search then sets the free columns from n down to 1, trying 0
+    before 1, and propagates after each choice.
+
+    Why no deeper backtracking is needed, and why the witness is the scan's
+    first hit: propagation derives only values that every solution extending
+    the current assignment shares, so a conflict rules the tried value out.
+    When propagation ends without conflict, every row that touches a set
+    column is satisfied whatever the free columns hold, and the rows left
+    are rows of the original system over free columns only. If the system is
+    satisfiable, a solution restricted to the free columns satisfies them,
+    so the first value whose propagation ends cleanly extends to a solution:
+    it is the value of the smallest solution at that column, the most
+    significant one left. If the system is unsatisfiable, the rows left are
+    unsatisfiable too, so some column eventually conflicts for both values,
+    which proves NO. Each of the at most n choices propagates at most twice,
+    and one propagation visits each row at most twice, so the search takes
+    O(n * (n + rows)) steps.
+
+    LIN_BUDGET still applies. A row with more than 2 nonzeros raises
+    ValueError.
+    """
     n = s.num_cols
     if n > LIN_BUDGET:
         raise BudgetError(f"{n} columns exceed the enumeration budget {LIN_BUDGET}")
-    m = s.num_rows
-    dense = np.zeros((m, n), dtype=np.int64)
-    for r, c, v in s.entries:
-        dense[r - 1, c - 1] = v
-    lower = np.array(s.lower, dtype=np.int64)
-    upper = np.array(s.upper, dtype=np.int64) if s.upper is not None else None
-
-    # Enumerate candidate vectors in chunks to bound memory at large n.
-    chunk = 1 << min(n, 16)
-    cols = np.arange(n, dtype=np.uint64)
-    for base in range(0, 1 << n, chunk):
-        idx = np.arange(base, base + chunk, dtype=np.uint64)
-        vecs = ((idx[:, None] >> cols[None, :]) & 1).astype(np.int64)
-        vals = vecs @ dense.T if m else np.zeros((len(idx), 0), dtype=np.int64)
-        if s.mode == "geq":
-            ok = (vals >= lower).all(axis=1)
-        elif s.mode == "eq":
-            ok = (vals == lower).all(axis=1)
+    upper = s.upper if s.mode == "band" else s.lower if s.mode == "eq" else (inf,) * s.num_rows
+    # column -> (other column, own coefficient, other coefficient, lower, upper)
+    # for each 2-nonzero row that holds it
+    occ: list[list[tuple]] = [[] for _ in range(n + 1)]
+    units = []  # (column, the only value that fits a 1-nonzero row)
+    dead = False  # some row fits no value
+    for r, terms in enumerate(s.rows()[1:]):
+        lo, hi = s.lower[r], upper[r]
+        if len(terms) == 2:
+            (c, a), (u, b) = terms
+            occ[c].append((u, a, b, lo, hi))
+            occ[u].append((c, b, a, lo, hi))
+        elif len(terms) == 1:
+            (c, a), = terms
+            fits = [v for v in (0, 1) if lo <= a * v <= hi]
+            if len(fits) == 1:
+                units.append((c, fits[0]))
+            dead |= not fits
+        elif terms:
+            raise ValueError(f"row {r + 1} has {len(terms)} nonzeros, expected at most 2")
         else:
-            ok = ((vals >= lower) & (vals <= upper)).all(axis=1)
-        hit = np.nonzero(ok)[0]
-        if hit.size:
-            return True, tuple(int(b) for b in vecs[hit[0]])
+            dead |= not lo <= 0 <= hi
+    if dead:
+        return False, None
+    x: list[int | None] = [None] * (n + 1)
+
+    def assign(c: int, v: int, trail: list[int]) -> bool:
+        """Set x_c = v and propagate; False on a conflict. Every column set
+        is appended to trail."""
+        x[c] = v
+        trail.append(c)
+        stack = [c]
+        while stack:
+            c = stack.pop()
+            v = x[c]
+            for u, a, b, lo, hi in occ[c]:
+                t = a * v  # the row's sum so far
+                w = x[u]
+                if w is not None:
+                    if not lo <= t + b * w <= hi:
+                        return False
+                    continue
+                f0 = lo <= t <= hi
+                f1 = lo <= t + b <= hi
+                if f0 and f1:
+                    continue
+                if not (f0 or f1):
+                    return False
+                x[u] = 1 if f1 else 0
+                trail.append(u)
+                stack.append(u)
+        return True
+
+    for c, v in units:
+        if x[c] is None:
+            if not assign(c, v, []):
+                return False, None
+        elif x[c] != v:
+            return False, None
+    for c in range(n, 0, -1):
+        if x[c] is None:
+            trail: list[int] = []
+            if not assign(c, 0, trail):
+                for u in trail:
+                    x[u] = None
+                if not assign(c, 1, []):
+                    return False, None
+    return True, tuple(x[1:])
+
+
+def solve_lin_enum(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
+    """Exhaustive scan of {0,1}^n in the order of the integers
+    sum x_c*2^(c-1); the cross-check route."""
+    n = s.num_cols
+    if n > LIN_BUDGET:
+        raise BudgetError(f"{n} columns exceed the enumeration budget {LIN_BUDGET}")
+    for bits in product((0, 1), repeat=n):
+        x = bits[::-1]  # x_n is the most significant bit
+        if check_vector(s, x):
+            return True, x
     return False, None
 
 
