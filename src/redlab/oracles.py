@@ -2,9 +2,12 @@
 
 Each solver is deliberately implemented by a different method than the
 transformations it is used to verify: implication-graph SCCs for 2-CNF,
-breadth-first search for reachability, simple-cycle enumeration of the pair
-digraph for matching, and exhaustive/backtracking enumeration for the rest.
-The exponential ones run within fixed budgets. All functions are pure.
+breadth-first search for reachability, parity union-find for XOR-2-SAT, a
+forced-column search for the LP family, simple-cycle enumeration of the
+pair digraph for matching, and exhaustive/backtracking enumeration for
+vertex cover and exact cover. The exponential ones, and the LP search, run
+within fixed budgets. The `*_enum` functions are exhaustive cross-check
+routes. All functions are pure.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ XCE_BUDGET = 24  # sets
 # 0.93 s, but one of 33 elements takes 1.4 s, one of 34 3.5 s and one of 37
 # 23 s.
 AP2DM_BUDGET = 32  # elements
+# solve_lin is polynomial and needs no budget; this one keeps verify
+# skipping exactly the LP trials over 24 columns, and bounds solve_lin_enum.
 LIN_BUDGET = 24  # columns
 # A matching search tests its open pairs with _separated once per this many cycles.
 SEPARATION_PERIOD = 512
@@ -648,8 +653,8 @@ def solve_lin(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
     and one propagation visits each row at most twice, so the search takes
     O(n * (n + rows)) steps.
 
-    LIN_BUDGET still applies. A row with more than 2 nonzeros raises
-    ValueError.
+    Over LIN_BUDGET columns it raises BudgetError, and on a row with more
+    than 2 nonzeros ValueError.
     """
     n = s.num_cols
     if n > LIN_BUDGET:

@@ -35,6 +35,7 @@ from redlab.oracles import (
     solve_ap2dm,
     solve_dstcon,
     solve_lin,
+    solve_lin_enum,
     solve_xce,
     solve_xor2sat,
     solve_xor2sat_enum,
@@ -460,6 +461,33 @@ class TestAp2dm:
                         assert linked_by_chain(a, pi, v, w) == linked_by_power(pi, v, w)
 
 
+@st.composite
+def _two_sparse_systems(draw) -> LinSystem:
+    """Valid systems of every mode: at most 9 columns, at most 2 nonzeros a
+    row, coefficients in +-7. Half of them are planted: every row's bounds
+    hold at a drawn vector, so the system is YES and its rows force more."""
+    n = draw(st.integers(0, 9))
+    m = draw(st.integers(0, 8))
+    mode = draw(st.sampled_from(["geq", "eq", "band"]))
+    planted = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n) | st.none())
+    entries, lower, upper = [], [], []
+    for r in range(1, m + 1):
+        cols = draw(st.lists(st.integers(1, n), max_size=2, unique=True)) if n else []
+        row = [(r, c, draw(st.integers(-7, 7).filter(bool))) for c in cols]
+        entries += row
+        if planted is None:
+            lo = draw(st.integers(-14, 14))
+            hi = lo + draw(st.integers(0, 14))
+        else:
+            at = sum(v * planted[c - 1] for _, c, v in row)
+            lo = at - (0 if mode == "eq" else draw(st.integers(0, 3)))
+            hi = at + draw(st.integers(0, 3))
+        lower.append(lo)
+        upper.append(hi)
+    return LinSystem(mode, m, n, m, tuple(entries), tuple(lower),
+                     tuple(upper) if mode == "band" else None)
+
+
 class TestLin:
     def test_geq_yes(self):
         s = LinSystem("geq", 1, 2, 3, ((1, 1, 1), (1, 2, 1)), (1,))
@@ -483,11 +511,56 @@ class TestLin:
         assert yes and check_vector(s, x)
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
-            solve_lin(LinSystem("geq", 0, 25, 3, (), ()))
+        for solve in (solve_lin, solve_lin_enum):
+            with pytest.raises(BudgetError):
+                solve(LinSystem("geq", 0, 25, 3, (), ()))
 
     def test_zero_rows(self):
         assert solve_lin(LinSystem("geq", 0, 2, 3, (), ()))[0] is True
+
+    def test_row_with_three_nonzeros_rejected(self):
+        s = LinSystem("geq", 1, 3, 3, ((1, 1, 1), (1, 2, 1), (1, 3, 1)), (1,))
+        with pytest.raises(ValueError, match="row 1 has 3 nonzeros"):
+            solve_lin(s)
+
+    def test_chain_yes_at_the_last_vector(self):
+        """x_c <= x_(c+1) for c = 1..23 and x_1 + x_24 >= 2: x_1 = 1 lifts
+        every column to 1, so the one solution is the all-ones vector, the
+        last of the 2^24 vectors a scan of {0,1}^24 tries."""
+        entries = [e for c in range(1, 24) for e in ((c, c, -1), (c, c + 1, 1))]
+        entries += [(24, 1, 1), (24, 24, 1)]
+        s = LinSystem("geq", 24, 24, 2, tuple(entries), (0,) * 23 + (2,))
+        assert validate(s) == []
+        assert solve_lin(s) == (True, (1,) * 24)
+
+    def test_chain_no(self):
+        """x_c + x_(c+1) = 1 for c = 1..23 makes x_24 = 1 - x_1, and the
+        last row asks x_24 - x_1 = 0: NO, after a scan of all 2^24 vectors."""
+        entries = [e for c in range(1, 24) for e in ((c, c, 1), (c, c + 1, 1))]
+        entries += [(24, 1, -1), (24, 24, 1)]
+        s = LinSystem("eq", 24, 24, 2, tuple(entries), (1,) * 23 + (0,))
+        assert validate(s) == []
+        assert solve_lin(s) == (False, None)
+
+    @pytest.mark.parametrize("name", ["lp_to_2lp", "twolp_to_lp", "le_to_xor2sat",
+                                      "xce2_to_2lp", "bad_xce2_to_2lp"])
+    def test_matches_enumeration_on_lin_plans(self, name):
+        """Verdict and witness agree with the scan on every LP input and
+        output of 300 default trials."""
+        plan = harness._resolve(name, 1, None)
+        for t in range(300):
+            raw = generate(plan.genspec, t)
+            src = plan.prepare(raw) if plan.prepare else raw
+            out, _ = plan.reduce(src)
+            for s in (src, out):
+                if isinstance(s, LinSystem):
+                    assert solve_lin(s) == solve_lin_enum(s), (t, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_two_sparse_systems())
+    def test_matches_enumeration_on_two_sparse_systems(self, s):
+        assert validate(s) == []
+        assert solve_lin(s) == solve_lin_enum(s)
 
 
 class TestXor2Sat:
