@@ -591,20 +591,6 @@ GENERATORS = {
     "xor": _gen_xor,
 }
 
-# tags each generated class must validate against
-GEN_TAGS = {
-    "2sat3": lambda spec: {"occ_bound": OCC_BOUND},
-    "ugraph3": lambda spec: {"deg_bound": spec.deg_bound},
-    "dstcon_raw": lambda spec: {},
-    "digraph4": lambda spec: {"deg_bound": spec.deg_bound},
-    "xce": lambda spec: {},
-    "ap2dm": lambda spec: {"overlap_bound": OVERLAP_BOUND},
-    "lin_geq": lambda spec: {},
-    "lin_band": lambda spec: {},
-    "lin_eq": lambda spec: {},
-    "xor": lambda spec: {},
-}
-
 
 def generate(spec: GenSpec, trial: int = 0):
     """Deterministic instance for (spec, trial): the rng seed is seed+trial."""

@@ -3,11 +3,11 @@
 Each solver is deliberately implemented by a different method than the
 transformations it is used to verify: implication-graph SCCs for 2-CNF,
 breadth-first search for reachability, parity union-find for XOR-2-SAT, a
-forced-column search for the LP family, simple-cycle enumeration of the
-pair digraph for matching, and exhaustive/backtracking enumeration for
-vertex cover and exact cover. The exponential ones, and the LP search, run
-within fixed budgets. The `*_enum` functions are exhaustive cross-check
-routes. All functions are pure.
+forced-choice search for vertex cover, exact cover and the LP family, whose
+constraints each involve at most two Boolean variables, and simple-cycle
+enumeration of the pair digraph for matching. The matching enumeration runs
+within a fixed budget, and the forced-choice deciders keep theirs. The
+`*_enum` functions are exhaustive cross-check routes. All functions are pure.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from .instances import (
 
 SAT_ENUM_BUDGET = 24  # variables
 XOR_ENUM_BUDGET = 20  # variables
+# solve_2cvc and solve_xce are polynomial and need no budget; these keep
+# verify skipping exactly the 2CVC3 trials over 26 vertices and the 3XCE2
+# trials over 24 sets, and bound solve_2cvc_enum and solve_xce_enum.
 CVC_BUDGET = 26  # vertices
 XCE_BUDGET = 24  # sets
 # The matching budget keeps every in-budget instance within about a second.
@@ -65,21 +68,20 @@ def solve_2sat(f: CnfFormula) -> tuple[bool, dict[int, bool] | None]:
     """Implication-graph SCC decision; returns (yes, assignment or None)."""
     _check_clause_widths(f)
     n = f.num_vars
-
-    def node(lit: int) -> int:
-        return 2 * (abs(lit) - 1) + (0 if lit > 0 else 1)
-
+    # literal v is node 2v-2 and -v is node 2v-1, so negation flips bit 0
     adj: list[list[int]] = [[] for _ in range(2 * n)]
     for clause in f.clauses:
         a = clause[0]
-        b = clause[1] if len(clause) == 2 else clause[0]
-        adj[node(-a)].append(node(b))
-        adj[node(-b)].append(node(a))
+        b = clause[-1]
+        i = 2 * a - 2 if a > 0 else -2 * a - 1
+        j = 2 * b - 2 if b > 0 else -2 * b - 1
+        adj[i ^ 1].append(j)
+        adj[j ^ 1].append(i)
 
     comp = _tarjan_scc(adj)
     assignment: dict[int, bool] = {}
     for var in range(1, n + 1):
-        pos, neg = comp[node(var)], comp[node(-var)]
+        pos, neg = comp[2 * var - 2], comp[2 * var - 1]
         if pos == neg:
             return False, None
         # Tarjan numbers components in reverse topological order, so the
@@ -216,27 +218,105 @@ def check_path(g: Digraph, path: list[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Forced-choice search over constraints on at most two Boolean variables
+# ---------------------------------------------------------------------------
+
+
+def _forced_search(nvars: int, order, first: int, occ: list[list[tuple[int, int]]],
+                   units: list[tuple[int, int]]) -> list[int | None] | None:
+    """The first solution of a system of constraints on at most two of the
+    Boolean variables 1..nvars, or None if there is none.
+
+    Each constraint on two variables is a 4-bit table of the (own, other)
+    value pairs it allows, bit 2*own + other, listed in occ[own] as
+    (other, table) and in occ[other] with own and other swapped; a
+    constraint on one variable v is either a pair (v, table) in occ[v], or a
+    unit (v, the only value it allows). The units are set first; then the
+    variables of `order` are set in turn, each to `first` and, if that
+    conflicts, to the other value. After each value is set, every constraint
+    it settles forces its other variable to the only value that fits, or
+    leaves it free when both fit, and a constraint that no value fits is a
+    conflict (the limited backtracking of Even, Itai & Shamir 1976 for
+    2-SAT). The result lists each variable's value at its index; a variable
+    outside `order` that nothing forced is None.
+
+    Why no deeper backtracking is needed, and why the result is the first
+    solution when the variables of `order` are read as digits, the first
+    most significant and `first` the smaller value: propagation derives only
+    values that every solution extending the current assignment shares, so
+    a conflict rules the tried value out. When propagation ends without
+    conflict, every constraint that touches a set variable holds whatever
+    the free variables are, and the constraints left are constraints of the
+    original system over free variables only. If the system is satisfiable,
+    a solution restricted to the free variables satisfies them, so the first
+    value whose propagation ends cleanly extends to a solution: it is the
+    value of the first solution at that variable. If the system is
+    unsatisfiable, the constraints left are unsatisfiable too, so some
+    variable eventually conflicts for both values, which proves NO. Each of
+    the at most nvars choices propagates at most twice, and one propagation
+    visits each constraint at most twice, so the search takes
+    O(nvars * (nvars + constraints)) steps.
+    """
+    x: list[int | None] = [None] * (nvars + 1)
+
+    def assign(c: int, v: int, trail: list[int]) -> bool:
+        """Set x_c = v and propagate; False on a conflict. Every variable set
+        is appended to trail."""
+        x[c] = v
+        trail.append(c)
+        stack = [c]
+        while stack:
+            c = stack.pop()
+            own = 2 * x[c]
+            for u, table in occ[c]:
+                w = x[u]
+                if w is not None:
+                    if not table >> (own + w) & 1:
+                        return False
+                    continue
+                fits = table >> own & 3  # bit v: u = v fits
+                if fits == 3:
+                    continue
+                if not fits:
+                    return False
+                x[u] = fits >> 1
+                trail.append(u)
+                stack.append(u)
+        return True
+
+    for c, v in units:
+        if x[c] is None:
+            if not assign(c, v, []):
+                return None
+        elif x[c] != v:
+            return None
+    for c in order:
+        if x[c] is None:
+            trail: list[int] = []
+            if not assign(c, first, trail):
+                for u in trail:
+                    x[u] = None
+                if not assign(c, 1 - first, []):
+                    return None
+    return x
+
+
+# ---------------------------------------------------------------------------
 # 2-checkered vertex cover
 # ---------------------------------------------------------------------------
 
 
-def solve_2cvc(g: UGraph) -> tuple[bool, set[int] | None]:
-    """Subset enumeration with early pruning; returns (yes, cover or None)."""
-    n = g.num_vertices
-    if n > CVC_BUDGET:
-        raise BudgetError(f"{n} vertices exceed the enumeration budget {CVC_BUDGET}")
-    deg = g.degrees()
-    grip = {e: g.is_grip(e, deg) for e in g.edges}
-
-    # Decide vertices in BFS order over the adjacency structure so every edge
-    # is checked as soon as its later endpoint is decided.
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
+def _bfs_order(g: UGraph) -> list[int]:
+    """The non-isolated vertices in breadth-first order, each component from
+    its smallest vertex, so every edge is decided as soon as its later
+    endpoint is."""
+    adj: list[list[int]] = [[] for _ in range(g.num_vertices + 1)]
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
     order: list[int] = []
-    seen = [False] * (n + 1)
-    for start in range(1, n + 1):
+    seen = [False] * (g.num_vertices + 1)
+    for start in range(1, g.num_vertices + 1):
         if seen[start] or not adj[start]:
             continue
         seen[start] = True
@@ -247,6 +327,43 @@ def solve_2cvc(g: UGraph) -> tuple[bool, set[int] | None]:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
+    return order
+
+
+def solve_2cvc(g: UGraph) -> tuple[bool, set[int] | None]:
+    """Forced-choice search (`_forced_search`); returns (yes, cover or None).
+
+    Each edge is a constraint on its two endpoints: not both out, and not
+    both in unless the edge is a grip. The vertices are decided in BFS order
+    (`_bfs_order`), out before in, so the cover is the one solve_2cvc_enum
+    finds.
+    """
+    n = g.num_vertices
+    if n > CVC_BUDGET:
+        raise BudgetError(f"{n} vertices exceed the enumeration budget {CVC_BUDGET}")
+    deg = g.degrees()
+    occ: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for u, v in g.edges:
+        # allowed (u, v) pairs: (out, in), (in, out), and (in, in) on a grip
+        table = 0b1110 if g.is_grip((u, v), deg) else 0b0110
+        occ[u].append((v, table))
+        occ[v].append((u, table))
+    order = _bfs_order(g)
+    x = _forced_search(n, order, 0, occ, [])
+    if x is None:
+        return False, None
+    return True, {v for v in order if x[v]}
+
+
+def solve_2cvc_enum(g: UGraph) -> tuple[bool, set[int] | None]:
+    """Backtracking over the vertices in BFS order, out before in, with each
+    edge checked once its later endpoint is decided; the cross-check route."""
+    n = g.num_vertices
+    if n > CVC_BUDGET:
+        raise BudgetError(f"{n} vertices exceed the enumeration budget {CVC_BUDGET}")
+    deg = g.degrees()
+    grip = {e: g.is_grip(e, deg) for e in g.edges}
+    order = _bfs_order(g)
     pos = {v: i for i, v in enumerate(order)}
     # Edge constraints attached to the later-decided endpoint.
     pending: list[list[tuple[int, bool]]] = [[] for _ in range(len(order))]
@@ -296,10 +413,53 @@ def check_cover(g: UGraph, cover: set[int]) -> bool:
 
 
 def solve_xce(x: XceInstance) -> tuple[bool, list[int] | None]:
-    """Backtracking over the collection with per-element use counters.
+    """Forced-choice search (`_forced_search`); returns (yes, selected
+    1-based set indices or None).
 
-    Returns (yes, selected 1-based set indices or None).
+    Each element is a constraint on the sets that hold it: exactly one of
+    them, or at most one if the element is exempt. An element held by one
+    set makes that set a unit when the element is not exempt, and an element
+    held by none makes the instance NO. The sets are decided in index order,
+    included before excluded, so the selection is the one solve_xce_enum
+    finds. An element held by more than 2 sets raises ValueError.
     """
+    m = len(x.sets)
+    if m > XCE_BUDGET:
+        raise BudgetError(f"{m} sets exceed the enumeration budget {XCE_BUDGET}")
+    holders: list[list[int]] = [[] for _ in range(x.universe_size + 1)]
+    for i, s in enumerate(x.sets, 1):
+        for e in s:
+            holders[e].append(i)
+    exempt = set(x.exempt)
+    occ: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
+    units = []  # (set, 1) for a set that alone holds a needed element
+    dead = False  # some needed element is held by no set
+    for e in range(1, x.universe_size + 1):
+        held = holders[e]
+        if len(held) == 2:
+            i, j = held
+            # allowed pairs: exactly one in, and neither too if e is exempt
+            table = 0b0111 if e in exempt else 0b0110
+            occ[i].append((j, table))
+            occ[j].append((i, table))
+        elif len(held) > 2:
+            raise ValueError(f"element {e} is held by {len(held)} sets, expected at most 2")
+        elif e not in exempt:
+            if held:
+                units.append((held[0], 1))
+            else:
+                dead = True
+    if dead:
+        return False, None
+    chosen = _forced_search(m, range(1, m + 1), 1, occ, units)
+    if chosen is None:
+        return False, None
+    return True, [i for i in range(1, m + 1) if chosen[i]]
+
+
+def solve_xce_enum(x: XceInstance) -> tuple[bool, list[int] | None]:
+    """Backtracking over the collection in index order, included before
+    excluded, with per-element use counters; the cross-check route."""
     if len(x.sets) > XCE_BUDGET:
         raise BudgetError(f"{len(x.sets)} sets exceed the enumeration budget {XCE_BUDGET}")
     exempt = set(x.exempt)
@@ -627,31 +787,16 @@ def solve_ap2dm(a: Ap2dmInstance) -> tuple[bool, tuple[int, int] | None]:
 
 
 def solve_lin(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
-    """Forced-column search; the same verdict and witness as a scan of
-    {0,1}^n in the order of the integers sum x_c*2^(c-1), in polynomial time.
+    """Forced-choice search (`_forced_search`); the same verdict and witness
+    as a scan of {0,1}^n in the order of the integers sum x_c*2^(c-1), in
+    polynomial time.
 
-    Every row holds at most 2 nonzeros, so setting one column settles each
-    row that holds it: the row's other column is forced to the only value
-    that fits, or left free when both fit, and a row that no value fits is a
-    conflict (the limited backtracking of Even, Itai & Shamir 1976 for
-    2-SAT). Rows with 0 or 1 nonzeros are checked or forced before the first
-    choice. The search then sets the free columns from n down to 1, trying 0
-    before 1, and propagates after each choice.
-
-    Why no deeper backtracking is needed, and why the witness is the scan's
-    first hit: propagation derives only values that every solution extending
-    the current assignment shares, so a conflict rules the tried value out.
-    When propagation ends without conflict, every row that touches a set
-    column is satisfied whatever the free columns hold, and the rows left
-    are rows of the original system over free columns only. If the system is
-    satisfiable, a solution restricted to the free columns satisfies them,
-    so the first value whose propagation ends cleanly extends to a solution:
-    it is the value of the smallest solution at that column, the most
-    significant one left. If the system is unsatisfiable, the rows left are
-    unsatisfiable too, so some column eventually conflicts for both values,
-    which proves NO. Each of the at most n choices propagates at most twice,
-    and one propagation visits each row at most twice, so the search takes
-    O(n * (n + rows)) steps.
+    Every row holds at most 2 nonzeros, so it is a constraint on at most two
+    columns: a 2-nonzero row's table lists the value pairs whose sum lies in
+    its bounds, a 1-nonzero row that one value fits is a unit, and a row
+    that no value fits makes the system NO. The columns are set from n down
+    to 1, 0 before 1, so the first solution the search finds is the scan's
+    first hit.
 
     Over LIN_BUDGET columns it raises BudgetError, and on a row with more
     than 2 nonzeros ValueError.
@@ -660,72 +805,32 @@ def solve_lin(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
     if n > LIN_BUDGET:
         raise BudgetError(f"{n} columns exceed the enumeration budget {LIN_BUDGET}")
     upper = s.upper if s.mode == "band" else s.lower if s.mode == "eq" else (inf,) * s.num_rows
-    # column -> (other column, own coefficient, other coefficient, lower, upper)
-    # for each 2-nonzero row that holds it
-    occ: list[list[tuple]] = [[] for _ in range(n + 1)]
+    occ: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     units = []  # (column, the only value that fits a 1-nonzero row)
     dead = False  # some row fits no value
-    for r, terms in enumerate(s.rows()[1:]):
-        lo, hi = s.lower[r], upper[r]
-        if len(terms) == 2:
+    for r, (terms, lo, hi) in enumerate(zip(s.rows()[1:], s.lower, upper), 1):
+        k = len(terms)
+        if k == 2:
             (c, a), (u, b) = terms
-            occ[c].append((u, a, b, lo, hi))
-            occ[u].append((c, b, a, lo, hi))
-        elif len(terms) == 1:
+            zero, both = lo <= 0 <= hi, lo <= a + b <= hi
+            only_c, only_u = lo <= a <= hi, lo <= b <= hi
+            occ[c].append((u, zero | only_u << 1 | only_c << 2 | both << 3))
+            occ[u].append((c, zero | only_c << 1 | only_u << 2 | both << 3))
+        elif k == 1:
             (c, a), = terms
-            fits = [v for v in (0, 1) if lo <= a * v <= hi]
-            if len(fits) == 1:
-                units.append((c, fits[0]))
-            dead |= not fits
-        elif terms:
-            raise ValueError(f"row {r + 1} has {len(terms)} nonzeros, expected at most 2")
+            zero, one = lo <= 0 <= hi, lo <= a <= hi
+            if zero != one:
+                units.append((c, int(one)))
+            dead |= not (zero or one)
+        elif k:
+            raise ValueError(f"row {r} has {k} nonzeros, expected at most 2")
         else:
             dead |= not lo <= 0 <= hi
     if dead:
         return False, None
-    x: list[int | None] = [None] * (n + 1)
-
-    def assign(c: int, v: int, trail: list[int]) -> bool:
-        """Set x_c = v and propagate; False on a conflict. Every column set
-        is appended to trail."""
-        x[c] = v
-        trail.append(c)
-        stack = [c]
-        while stack:
-            c = stack.pop()
-            v = x[c]
-            for u, a, b, lo, hi in occ[c]:
-                t = a * v  # the row's sum so far
-                w = x[u]
-                if w is not None:
-                    if not lo <= t + b * w <= hi:
-                        return False
-                    continue
-                f0 = lo <= t <= hi
-                f1 = lo <= t + b <= hi
-                if f0 and f1:
-                    continue
-                if not (f0 or f1):
-                    return False
-                x[u] = 1 if f1 else 0
-                trail.append(u)
-                stack.append(u)
-        return True
-
-    for c, v in units:
-        if x[c] is None:
-            if not assign(c, v, []):
-                return False, None
-        elif x[c] != v:
-            return False, None
-    for c in range(n, 0, -1):
-        if x[c] is None:
-            trail: list[int] = []
-            if not assign(c, 0, trail):
-                for u in trail:
-                    x[u] = None
-                if not assign(c, 1, []):
-                    return False, None
+    x = _forced_search(n, range(n, 0, -1), 0, occ, units)
+    if x is None:
+        return False, None
     return True, tuple(x[1:])
 
 

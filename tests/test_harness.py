@@ -7,8 +7,9 @@ from redlab.harness import (
     BATCH_SHUFFLE_MIN,
     CORRUPTED,
     FRONT_SHUFFLE_MIN,
-    GEN_TAGS,
     GENERATORS,
+    OCC_BOUND,
+    OVERLAP_BOUND,
     GenSpec,
     GenerationError,
     SplitMix64,
@@ -21,6 +22,20 @@ from redlab.harness import (
     _shuffled_front,
 )
 from redlab.instances import serialize, validate
+
+# tags each generated class must validate against
+GEN_TAGS = {
+    "2sat3": lambda spec: {"occ_bound": OCC_BOUND},
+    "ugraph3": lambda spec: {"deg_bound": spec.deg_bound},
+    "dstcon_raw": lambda spec: {},
+    "digraph4": lambda spec: {"deg_bound": spec.deg_bound},
+    "xce": lambda spec: {},
+    "ap2dm": lambda spec: {"overlap_bound": OVERLAP_BOUND},
+    "lin_geq": lambda spec: {},
+    "lin_band": lambda spec: {},
+    "lin_eq": lambda spec: {},
+    "xor": lambda spec: {},
+}
 
 
 class TestSplitMix64:
