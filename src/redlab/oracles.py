@@ -12,7 +12,7 @@ within a fixed budget, and the forced-choice deciders keep theirs. The
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from itertools import product
 from math import inf
 
@@ -222,7 +222,7 @@ def check_path(g: Digraph, path: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _forced_search(nvars: int, order, first: int, occ: list[list[tuple[int, int]]],
+def _forced_search(nvars: int, order: Iterable[int], first: int, occ: list[list[tuple[int, int]]],
                    units: list[tuple[int, int]]) -> list[int | None] | None:
     """The first solution of a system of constraints on at most two of the
     Boolean variables 1..nvars, or None if there is none.

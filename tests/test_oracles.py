@@ -30,6 +30,7 @@ from redlab.oracles import (
     linked_by_power,
     perfect_matchings,
     solve_2cvc,
+    solve_2cvc_enum,
     solve_2sat,
     solve_2sat_enum,
     solve_ap2dm,
@@ -37,6 +38,7 @@ from redlab.oracles import (
     solve_lin,
     solve_lin_enum,
     solve_xce,
+    solve_xce_enum,
     solve_xor2sat,
     solve_xor2sat_enum,
 )
@@ -160,6 +162,34 @@ class TestDstcon:
                     assert ask(v, w) == solve_dstcon(Digraph(n, a.pairs, v, w))[0], (a, v, w)
 
 
+def _plan_instances(name: str, trials: int = 300):
+    """The reduce input and output of each of the plan's first default trials."""
+    plan = harness._resolve(name, 1, None)
+    for t in range(trials):
+        raw = generate(plan.genspec, t)
+        src = plan.prepare(raw) if plan.prepare else raw
+        out, _ = plan.reduce(src)
+        yield t, src, out
+
+
+@st.composite
+def _degree_3_graphs(draw) -> UGraph:
+    """Valid graphs of at most 14 vertices and degree at most 3, edges in
+    drawn order, so grips and non-grips both occur."""
+    n = draw(st.integers(0, 14))
+    vertex = st.integers(1, max(n, 1))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    deg = [0] * (n + 1)
+    edges: list[tuple[int, int]] = []
+    for u, v in pairs:
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and deg[u] < 3 and deg[v] < 3:
+            edges.append(e)
+            deg[u] += 1
+            deg[v] += 1
+    return UGraph(n, tuple(edges))
+
+
 class Test2Cvc:
     def test_fig1_graph_and_caption_cover(self):
         from redlab.figures import fig1
@@ -187,8 +217,40 @@ class Test2Cvc:
         assert solve_2cvc(k4)[0] is False
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
-            solve_2cvc(UGraph(27, ()))
+        for solve in (solve_2cvc, solve_2cvc_enum):
+            with pytest.raises(BudgetError):
+                solve(UGraph(27, ()))
+
+    @pytest.mark.parametrize("edges, expected", [
+        (((1, 1),), (True, {1})),  # a grip self-loop needs its vertex in
+        (((1, 1), (1, 2)), (False, None)),  # degree 3: a non-grip self-loop fits nothing
+        (((1, 2), (1, 2)), (True, {2})),
+        (((1, 2), (1, 2), (2, 3)), (True, {2})),  # degree 3: no edge is a grip
+        (((1, 2), (2, 3), (1, 2), (1, 3)), (False, None)),  # a non-grip triangle
+    ])
+    def test_graphs_validate_rejects(self, edges, expected):
+        """Self-loops and repeated edges, which validate rejects, decide as
+        the backtracking does."""
+        g = UGraph(3, edges)
+        assert validate(g)
+        assert solve_2cvc(g) == solve_2cvc_enum(g) == expected
+
+    @pytest.mark.parametrize("name", ["sat2_to_2cvc3", "cvc3_to_sat2",
+                                      "bad_sat2_to_2cvc3", "bad_cvc3_to_sat2"])
+    def test_matches_enumeration_on_cover_plans(self, name):
+        """Verdict and cover agree with the backtracking on every graph
+        input and output of 300 default trials."""
+        graphs = [g for _, src, out in _plan_instances(name) for g in (src, out)
+                  if isinstance(g, UGraph)]
+        assert len(graphs) == 300
+        for g in graphs:
+            assert solve_2cvc(g) == solve_2cvc_enum(g), g
+
+    @settings(max_examples=300, deadline=None)
+    @given(_degree_3_graphs())
+    def test_matches_enumeration_on_degree_3_graphs(self, g):
+        assert validate(g, {"deg_bound": 3}) == []
+        assert solve_2cvc(g) == solve_2cvc_enum(g)
 
     def test_witnesses_recheck(self):
         spec = GenSpec("ugraph3", max_size=12, seed=55)
@@ -197,6 +259,31 @@ class Test2Cvc:
             yes, cover = solve_2cvc(g)
             if yes:
                 assert check_cover(g, cover)
+
+
+@st.composite
+def _3xce2_instances(draw) -> XceInstance:
+    """Valid instances of at most 15 elements and 24 sets. Half of them are
+    planted: some sets partition the universe, so the instance is YES."""
+    u = draw(st.integers(0, 15))
+    cost = [0] * (u + 1)  # sets holding each element
+    sets: list[tuple[int, ...]] = []
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(1, u + 1)))
+        i = 0
+        while i < u:
+            k = draw(st.integers(1, 3))
+            sets.append(tuple(perm[i:i + k]))
+            i += k
+        cost = [0] + [1] * u
+    for _ in range(draw(st.integers(0, min(u + 2, 24 - len(sets))))):
+        free = [e for e in range(1, u + 1) if cost[e] < 2]
+        s = draw(st.lists(st.sampled_from(free), max_size=3, unique=True)) if free else []
+        for e in s:
+            cost[e] += 1
+        sets.append(tuple(s))
+    exempt = draw(st.sets(st.integers(1, u), max_size=u)) if u else set()
+    return XceInstance(u, tuple(exempt), tuple(draw(st.permutations(sets))))
 
 
 class TestXce:
@@ -217,8 +304,40 @@ class TestXce:
         assert solve_xce(XceInstance(1, (), ()))[0] is False
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
-            solve_xce(XceInstance(1, (), tuple((1,) for _ in range(25))))
+        for solve in (solve_xce, solve_xce_enum):
+            with pytest.raises(BudgetError):
+                solve(XceInstance(1, (), tuple((1,) for _ in range(25))))
+
+    @pytest.mark.parametrize("x, expected", [
+        (XceInstance(2, (1, 2), ()), (True, [])),
+        (XceInstance(2, (1, 2), ((1,), (1, 2))), (True, [1])),  # exempt: at most one
+        (XceInstance(3, (2,), ((1, 2), (2, 3))), (False, None)),  # 1 and 3 need both sets
+        (XceInstance(3, (2,), ((1,), (2,), (3,))), (True, [1, 2, 3])),  # exempt, held once
+    ])
+    def test_exempt_elements(self, x, expected):
+        assert validate(x) == []
+        assert solve_xce(x) == solve_xce_enum(x) == expected
+
+    def test_element_in_three_sets_rejected(self):
+        x = XceInstance(3, (), ((1,), (1, 2), (1, 3)))
+        with pytest.raises(ValueError, match="element 1 is held by 3 sets"):
+            solve_xce(x)
+
+    @pytest.mark.parametrize("name", ["sat2_to_3xce2", "xce2_to_2lp", "bad_xce2_to_2lp"])
+    def test_matches_enumeration_on_xce_plans(self, name):
+        """Verdict and selection agree with the backtracking on every 3XCE2
+        input and output of 300 default trials."""
+        instances = [x for _, src, out in _plan_instances(name) for x in (src, out)
+                     if isinstance(x, XceInstance)]
+        assert len(instances) == 300
+        for x in instances:
+            assert solve_xce(x) == solve_xce_enum(x), x
+
+    @settings(max_examples=300, deadline=None)
+    @given(_3xce2_instances())
+    def test_matches_enumeration_on_3xce2_instances(self, x):
+        assert validate(x) == []
+        assert solve_xce(x) == solve_xce_enum(x)
 
     def test_matches_subset_enumeration(self):
         spec = GenSpec("xce", max_size=7, seed=31)
@@ -547,11 +666,7 @@ class TestLin:
     def test_matches_enumeration_on_lin_plans(self, name):
         """Verdict and witness agree with the scan on every LP input and
         output of 300 default trials."""
-        plan = harness._resolve(name, 1, None)
-        for t in range(300):
-            raw = generate(plan.genspec, t)
-            src = plan.prepare(raw) if plan.prepare else raw
-            out, _ = plan.reduce(src)
+        for t, src, out in _plan_instances(name):
             for s in (src, out):
                 if isinstance(s, LinSystem):
                     assert solve_lin(s) == solve_lin_enum(s), (t, s)
