@@ -12,9 +12,7 @@ import time
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import partial
-
-import numpy as np
+from functools import cache, partial
 
 from . import oracles, reductions
 from .instances import (
@@ -40,11 +38,6 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
-# The same constants and the shift counts as numpy scalars for
-# SplitMix64._next64_batch: a Python int operand costs NumPy 2 a conversion
-# on every array operation.
-_GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(GAMMA), np.uint64(MIX1), np.uint64(MIX2)
-_SHIFT27, _SHIFT30, _SHIFT31 = np.uint64(27), np.uint64(30), np.uint64(31)
 # The fixed bounds of the generated classes, and the chance that an xce or
 # ap2dm element is drawn exempt
 OCC_BOUND = 3
@@ -53,13 +46,29 @@ COL_BOUND = 3
 EXEMPTION_DENSITY = 0.3
 # Lists at least this long are shuffled with all swap targets drawn in one
 # numpy pass; below it the scalar loop is faster (crossover about 20 items;
-# the two are within 2 us of each other from 18 to 24 items).
+# the two are within 2 us of each other from 18 to 24 items). No default-size
+# family shuffles this many, so a default `verify`, `gen` or `fit` run never
+# imports numpy; the first batched draw does (see _numpy).
 BATCH_SHUFFLE_MIN = 24
 # _shuffled_front reads the front of a shuffle of at least this many items
 # from its batched draws; below it the fixed cost of its other numpy calls
 # (both paths call _next64_batch once) exceeds the swaps it saves (crossover
-# about 190 items for a front of 3, 19 us either way, and 120 for 1).
+# about 190 items for a front of 3, 19 us either way, and 120 for 1). Below
+# it the front comes from `shuffle`, which imports numpy only from
+# BATCH_SHUFFLE_MIN items.
 FRONT_SHUFFLE_MIN = 192
+
+
+@cache
+def _numpy():
+    """numpy, then GAMMA, MIX1, MIX2 and the shift counts 30, 27, 31 as
+    numpy uint64 scalars, for the batched draws. Imported on the first
+    batched draw, so a run that draws none starts without numpy; the
+    scalars are built once, as a Python int operand would cost NumPy 2 a
+    conversion on every array operation."""
+    import numpy as np
+
+    return np, *map(np.uint64, (GAMMA, MIX1, MIX2, 30, 27, 31))
 
 
 class SplitMix64:
@@ -83,17 +92,21 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * MIX2) & MASK64
         return z ^ (z >> 31)
 
-    def _next64_batch(self, k: int) -> np.ndarray:
-        """The next k outputs as a uint64 array; the state advances by k
-        draws, exactly as k calls of next64 would leave it."""
+    def _next64_batch(self, k: int):
+        """The next k outputs as a numpy uint64 array; the state advances
+        by k draws, exactly as k calls of next64 would leave it. `shuffle`
+        and `_shuffled_front` draw through it from BATCH_SHUFFLE_MIN and
+        FRONT_SHUFFLE_MIN items; these batched draws are redlab's only use
+        of numpy, which the first of them imports (`_numpy`)."""
+        np, gamma, mix1, mix2, s30, s27, s31 = _numpy()
         z = np.arange(1, k + 1, dtype=np.uint64)
-        z *= _GAMMA_U64  # wraps mod 2**64
+        z *= gamma  # wraps mod 2**64
         z += np.uint64(self.state)
-        z ^= z >> _SHIFT30
-        z *= _MIX1_U64
-        z ^= z >> _SHIFT27
-        z *= _MIX2_U64
-        z ^= z >> _SHIFT31
+        z ^= z >> s30
+        z *= mix1
+        z ^= z >> s27
+        z *= mix2
+        z ^= z >> s31
         self.state = (self.state + k * GAMMA) & MASK64
         return z
 
@@ -121,6 +134,7 @@ class SplitMix64:
                 j = self.randrange(i + 1)
                 seq[i], seq[j] = seq[j], seq[i]
             return
+        np = _numpy()[0]
         targets = self._next64_batch(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
         for i, j in zip(range(n - 1, 0, -1), targets.tolist()):
             seq[i], seq[j] = seq[j], seq[i]
@@ -171,6 +185,7 @@ def _shuffled_front(items: list, k: int, rng: SplitMix64) -> list:
         out = items[:]
         rng.shuffle(out)
         return out[:k]
+    np = _numpy()[0]
     j = np.empty(n, dtype=np.int64)  # j[i]: the target of step i; draws run i = n-1 .. 1
     j[:0:-1] = rng._next64_batch(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
     lo = max(k, 1)
@@ -820,11 +835,30 @@ class _Trial:
     skipped: str | None = None
 
 
+def _decide_output(out) -> tuple[bool | None, bool]:
+    """(yes, whether the checker accepts a YES witness) for a reduction's
+    output; yes is None when its decider raises ValueError or IndexError on
+    an output that `validate` rejects too. On a valid output that error is
+    the decider's fault and propagates; a BudgetError always does."""
+    if isinstance(out, bool):
+        return out, True
+    try:
+        yes, _, ok = oracles.decide(out)
+    except oracles.BudgetError:
+        raise
+    except (ValueError, IndexError):
+        if validate(out):
+            return None, True
+        raise
+    return yes, ok
+
+
 def _run_trial(plan: VerifierPlan, trial: int, decide: bool) -> _Trial:
     """generate -> prepare -> reduce, then with `decide` both oracles, the
     checks of their YES witnesses and the postcheck. A trial over an oracle
     budget or outside a reduction's precondition is skipped rather than
-    ending the run."""
+    ending the run. A malformed output that its decider cannot decide is an
+    `undecidable:<class>` structural failure, with equivalence undecided."""
     seed = plan.genspec.seed + trial
     raw = generate(plan.genspec, trial)
     try:
@@ -833,10 +867,12 @@ def _run_trial(plan: VerifierPlan, trial: int, decide: bool) -> _Trial:
         rec = _Trial(seed, raw, report)
         if decide:
             yes_in, _, ok_in = oracles.decide(src)
-            yes_out, _, ok_out = (out, None, True) if isinstance(out, bool) else oracles.decide(out)
-            rec.equiv = yes_in == yes_out
+            yes_out, ok_out = _decide_output(out)
+            rec.equiv = yes_out is None or yes_in == yes_out
             rec.struct = [f"witness:{type(x).__name__}"
                           for x, ok in ((src, ok_in), (out, ok_out)) if not ok]
+            if yes_out is None:
+                rec.struct.append(f"undecidable:{type(out).__name__}")
             if plan.postcheck:
                 rec.struct += plan.postcheck(out, src)
     except (oracles.BudgetError, reductions.PreconditionError) as exc:

@@ -106,10 +106,14 @@ class XceInstance:
         object.__setattr__(self, "sets", tuple(tuple(sorted(s)) for s in self.sets))
 
     def overlap_costs(self) -> list[int]:
-        cost = [0] * (self.universe_size + 1)
+        """cost[e]: how many sets hold element e (cost[0] unused). An element
+        outside 1..universe_size is not counted; `validate` reports it."""
+        n = self.universe_size
+        cost = [0] * (n + 1)
         for s in self.sets:
             for e in s:
-                cost[e] += 1
+                if 1 <= e <= n:
+                    cost[e] += 1
         return cost
 
 

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import redlab
 from redlab import oracles, reductions
 from redlab.harness import (
     BATCH_SHUFFLE_MIN,
@@ -19,9 +25,11 @@ from redlab.harness import (
     generate,
     verify_m_reduction,
     verify_T_reduction,
+    _run_trial,
     _shuffled_front,
+    _verify,
 )
-from redlab.instances import serialize, validate
+from redlab.instances import CnfFormula, XceInstance, serialize, validate
 
 # tags each generated class must validate against
 GEN_TAGS = {
@@ -36,6 +44,14 @@ GEN_TAGS = {
     "lin_eq": lambda spec: {},
     "xor": lambda spec: {},
 }
+
+
+def run_python(code: str):
+    """Runs code in a fresh interpreter that imports this redlab."""
+    src = str(Path(redlab.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestSplitMix64:
@@ -80,6 +96,43 @@ class TestSplitMix64:
                 assert _shuffled_front(items, k, rng) == want[:k], (n, k)
                 assert items == [3 * x + 1 for x in range(n)]
                 assert [rng.next64() for _ in range(5)] == [ref.next64() for _ in range(5)], (n, k)
+
+    @pytest.mark.parametrize("n,call", [(30, "rng.shuffle(got)"),
+                                        (FRONT_SHUFFLE_MIN, "got = _shuffled_front(items, 3, rng)")])
+    def test_first_batched_draw_keeps_the_stream(self, n, call):
+        # the first batched draw of a fresh interpreter imports numpy and
+        # builds its constants; it must give the literal scalar Fisher-Yates
+        run_python(f"""
+            import sys
+            from redlab.harness import SplitMix64, _shuffled_front
+            items = list(range({n}))
+            rng, ref = SplitMix64(7), SplitMix64(7)
+            got, want = items[:], items[:]
+            assert "numpy" not in sys.modules
+            {call}
+            assert "numpy" in sys.modules
+            for i in range({n} - 1, 0, -1):
+                j = ref.next64() % (i + 1)
+                want[i], want[j] = want[j], want[i]
+            assert got == want[:len(got)], (got, want)
+            assert rng.next64() == ref.next64()
+        """)
+
+
+def test_default_runs_start_without_numpy(tmp_path):
+    """numpy serves only the batched draws of large shuffles, so importing
+    redlab and running default-size verify, gen and fit leave it unloaded.
+    In a fresh interpreter, because this one may hold numpy already."""
+    run_python(f"""
+        import sys
+        import redlab, redlab.cli
+        run = str({str(tmp_path)!r})
+        for name in ("sat2_to_2cvc3", "xce2_to_2lp", "lp_to_2lp", "dstcon_to_ap2dm"):
+            assert redlab.cli.main(["verify", name, "--run-dir", run, "--no-timing"]) == 0
+        assert redlab.cli.main(["gen", "xce", "--size", "9", "-o", run + "/x.txt"]) == 0
+        assert redlab.cli.main(["fit", "xce2_to_2lp"]) == 0
+        assert "numpy" not in sys.modules, "numpy loaded"
+    """)
 
 
 class TestGenerate:
@@ -273,3 +326,57 @@ class TestWitnessCheck:
                 expected.append(spec.seed + t)
         assert expected and [seed for seed, _ in r.equiv_failures] == expected
         assert r.structural_failures == [] and not r.skipped
+
+
+def _with_sets_1_1(f):
+    """sat2_to_3xce2 with two more sets {1}: element 1 lies outside an empty
+    universe, or is held by 4 sets."""
+    x, rep = reductions.sat2_to_3xce2(f)
+    return XceInstance(x.universe_size, x.exempt, x.sets + ((1,), (1,))), rep
+
+
+def _with_literal_out_of_range(g):
+    f, rep = reductions.cvc3_to_sat2(g)
+    return CnfFormula(f.num_vars, f.clauses + ((f.num_vars + 1,),)), rep
+
+
+class TestMalformedOutput:
+    """An output its decider cannot decide and `validate` rejects is a
+    structural failure; equivalence stays undecided and the run goes on."""
+
+    @pytest.mark.parametrize("trial,elements,struct", [
+        (0, 0, ["undecidable:XceInstance",
+                "element_range:element 1 out of range in set 1",
+                "element_range:element 1 out of range in set 2"]),
+        (13, 2, ["undecidable:XceInstance",
+                 "overlap:element 1 has overlapping cost 4, bound 2",
+                 "element 1 covered by 4 sets, expected exactly 2"]),
+    ])
+    def test_xce_output_counted_and_postchecked(self, trial, elements, struct):
+        plan = replace(default_plans()["sat2_to_3xce2"], reduce=_with_sets_1_1)
+        assert reductions.normalize_2sat3(generate(plan.genspec, trial)).num_vars == elements
+        rec = _run_trial(plan, trial, decide=True)
+        assert rec.skipped is None and rec.equiv and rec.struct == struct
+
+    def test_verify_finishes(self):
+        plan = replace(default_plans()["cvc3_to_sat2"], reduce=_with_literal_out_of_range)
+        r = _verify("cvc3_to_sat2_oob", plan, 30)
+        assert r.equiv_failures == [] and not r.skipped
+        assert r.structural_failures == [(1 + t, "undecidable:CnfFormula") for t in range(30)]
+
+    @pytest.mark.parametrize("error", [ValueError, IndexError])
+    def test_decider_error_on_valid_output_propagates(self, monkeypatch, error):
+        def broken(x):
+            raise error("decider bug")
+
+        monkeypatch.setattr(oracles, "solve_xce", broken)
+        with pytest.raises(error, match="decider bug"):
+            verify_m_reduction("sat2_to_3xce2", 5)
+
+    def test_decider_error_on_source_propagates(self, monkeypatch):
+        def broken(f):
+            raise IndexError("decider bug")
+
+        monkeypatch.setattr(oracles, "solve_2sat", broken)
+        with pytest.raises(IndexError, match="decider bug"):
+            verify_m_reduction("sat2_to_3xce2", 5)
