@@ -157,7 +157,7 @@ class GenSpec:
     deg_bound: int = 3
     max_rows: int = 8
     sat_bias: float = 0.5
-    # joint cap on n + m_cls for 2sat3 (keeps downstream oracle budgets)
+    # joint cap on n + m_cls for 2sat3 (shapes sat2_to_2cvc3's default draws)
     vc_budget: int | None = None
 
 
@@ -685,7 +685,8 @@ class VerifierPlan:
 
 
 def default_plans(seed: int = 1) -> dict[str, VerifierPlan]:
-    """Default verification families, sized to keep every oracle in budget."""
+    """Default verification families. Their sizes and clause caps fix the
+    default-size draws that the verify and benchmark goldens pin."""
     return {
         "sat2_to_2cvc3": VerifierPlan(
             GenSpec("2sat3", max_size=10, seed=seed, vc_budget=13),
@@ -809,7 +810,8 @@ def _resolve(name: str, seed: int, max_size: int | None) -> VerifierPlan:
     """The plan a `verify` or `fit` name means: a default plan, the strict
     oracle-reduction plan for `ap2dm_to_dstcon_queries`, or for a corrupted
     fixture the base plan with the fixture as its reduce. max_size, when
-    given, replaces the family's size knob."""
+    given, replaces the family's size knob and drops its clause caps
+    (vc_budget, max_clauses), so every plan scales with it alike."""
     base, bad = CORRUPTED.get(name, (name, None))
     plan = (_oracle_plan(seed) if base == "ap2dm_to_dstcon_queries"
             else default_plans(seed).get(base))
@@ -818,7 +820,8 @@ def _resolve(name: str, seed: int, max_size: int | None) -> VerifierPlan:
     if bad is not None:
         plan = replace(plan, reduce=bad)
     if max_size is not None:
-        plan = replace(plan, genspec=replace(plan.genspec, max_size=max_size))
+        plan = replace(plan, genspec=replace(plan.genspec, max_size=max_size,
+                                             vc_budget=None, max_clauses=None))
     return plan
 
 

@@ -5,9 +5,10 @@ transformations it is used to verify: implication-graph SCCs for 2-CNF,
 breadth-first search for reachability, parity union-find for XOR-2-SAT, a
 forced-choice search for vertex cover, exact cover and the LP family, whose
 constraints each involve at most two Boolean variables, and simple-cycle
-enumeration of the pair digraph for matching. The matching enumeration runs
-within a fixed budget, and the forced-choice deciders keep theirs. The
-`*_enum` functions are exhaustive cross-check routes. All functions are pure.
+enumeration of the pair digraph for matching. Only the matching enumeration
+runs within a fixed budget; the polynomial deciders have none. The `*_enum`
+functions are exhaustive cross-check routes, each within its own budget. All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from .instances import (
 
 SAT_ENUM_BUDGET = 24  # variables
 XOR_ENUM_BUDGET = 20  # variables
-# solve_2cvc and solve_xce are polynomial and need no budget; these keep
-# verify skipping exactly the 2CVC3 trials over 26 vertices and the 3XCE2
-# trials over 24 sets, and bound solve_2cvc_enum and solve_xce_enum.
-CVC_BUDGET = 26  # vertices
-XCE_BUDGET = 24  # sets
+CVC_ENUM_BUDGET = 26  # vertices
+XCE_ENUM_BUDGET = 24  # sets
+LIN_ENUM_BUDGET = 24  # columns
 # The matching budget keeps every in-budget instance within about a second.
 # Over 300 seeded instances per size knob of each family, at seeds 1 and
 # 1001 (2-CPU x86 host): matching gadgets of up to 50 elements settle in at
@@ -42,9 +41,6 @@ XCE_BUDGET = 24  # sets
 # 0.93 s, but one of 33 elements takes 1.4 s, one of 34 3.5 s and one of 37
 # 23 s.
 AP2DM_BUDGET = 32  # elements
-# solve_lin is polynomial and needs no budget; this one keeps verify
-# skipping exactly the LP trials over 24 columns, and bounds solve_lin_enum.
-LIN_BUDGET = 24  # columns
 # A matching search tests its open pairs with _separated once per this many cycles.
 SEPARATION_PERIOD = 512
 
@@ -339,8 +335,6 @@ def solve_2cvc(g: UGraph) -> tuple[bool, set[int] | None]:
     finds.
     """
     n = g.num_vertices
-    if n > CVC_BUDGET:
-        raise BudgetError(f"{n} vertices exceed the enumeration budget {CVC_BUDGET}")
     deg = g.degrees()
     occ: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for u, v in g.edges:
@@ -359,8 +353,8 @@ def solve_2cvc_enum(g: UGraph) -> tuple[bool, set[int] | None]:
     """Backtracking over the vertices in BFS order, out before in, with each
     edge checked once its later endpoint is decided; the cross-check route."""
     n = g.num_vertices
-    if n > CVC_BUDGET:
-        raise BudgetError(f"{n} vertices exceed the enumeration budget {CVC_BUDGET}")
+    if n > CVC_ENUM_BUDGET:
+        raise BudgetError(f"{n} vertices exceed the enumeration budget {CVC_ENUM_BUDGET}")
     deg = g.degrees()
     grip = {e: g.is_grip(e, deg) for e in g.edges}
     order = _bfs_order(g)
@@ -424,8 +418,6 @@ def solve_xce(x: XceInstance) -> tuple[bool, list[int] | None]:
     finds. An element held by more than 2 sets raises ValueError.
     """
     m = len(x.sets)
-    if m > XCE_BUDGET:
-        raise BudgetError(f"{m} sets exceed the enumeration budget {XCE_BUDGET}")
     holders: list[list[int]] = [[] for _ in range(x.universe_size + 1)]
     for i, s in enumerate(x.sets, 1):
         for e in s:
@@ -460,8 +452,8 @@ def solve_xce(x: XceInstance) -> tuple[bool, list[int] | None]:
 def solve_xce_enum(x: XceInstance) -> tuple[bool, list[int] | None]:
     """Backtracking over the collection in index order, included before
     excluded, with per-element use counters; the cross-check route."""
-    if len(x.sets) > XCE_BUDGET:
-        raise BudgetError(f"{len(x.sets)} sets exceed the enumeration budget {XCE_BUDGET}")
+    if len(x.sets) > XCE_ENUM_BUDGET:
+        raise BudgetError(f"{len(x.sets)} sets exceed the enumeration budget {XCE_ENUM_BUDGET}")
     exempt = set(x.exempt)
     need = [e for e in range(1, x.universe_size + 1) if e not in exempt]
     remaining = [0] * (x.universe_size + 1)  # undecided sets still covering e
@@ -796,14 +788,9 @@ def solve_lin(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
     its bounds, a 1-nonzero row that one value fits is a unit, and a row
     that no value fits makes the system NO. The columns are set from n down
     to 1, 0 before 1, so the first solution the search finds is the scan's
-    first hit.
-
-    Over LIN_BUDGET columns it raises BudgetError, and on a row with more
-    than 2 nonzeros ValueError.
+    first hit. A row with more than 2 nonzeros raises ValueError.
     """
     n = s.num_cols
-    if n > LIN_BUDGET:
-        raise BudgetError(f"{n} columns exceed the enumeration budget {LIN_BUDGET}")
     upper = s.upper if s.mode == "band" else s.lower if s.mode == "eq" else (inf,) * s.num_rows
     occ: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     units = []  # (column, the only value that fits a 1-nonzero row)
@@ -838,8 +825,8 @@ def solve_lin_enum(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
     """Exhaustive scan of {0,1}^n in the order of the integers
     sum x_c*2^(c-1); the cross-check route."""
     n = s.num_cols
-    if n > LIN_BUDGET:
-        raise BudgetError(f"{n} columns exceed the enumeration budget {LIN_BUDGET}")
+    if n > LIN_ENUM_BUDGET:
+        raise BudgetError(f"{n} columns exceed the enumeration budget {LIN_ENUM_BUDGET}")
     for bits in product((0, 1), repeat=n):
         x = bits[::-1]  # x_n is the most significant bit
         if check_vector(s, x):

@@ -163,6 +163,19 @@ class TestVerify:
                            "--max-size", "6", "--run-dir", str(tmp_path), "--no-timing")
         assert code == 0 and "TRIALS\t20" in out
 
+    @pytest.mark.parametrize("name", ["xce2_to_2lp", "lp_to_2lp", "twolp_to_lp", "le_to_xor2sat",
+                                      "sat2_to_3xce2", "sat2_to_2cvc3", "cvc3_to_sat2"])
+    def test_polynomial_deciders_skip_nothing_at_scale(self, name, tmp_path, capsys):
+        code, out, _ = run(capsys, "verify", name, "--trials", "20", "--max-size", "1000",
+                           "--run-dir", str(tmp_path), "--no-timing")
+        assert code == 0 and "TRIALS\t20" in out and "SKIPPED" not in out
+
+    def test_fixture_caught_at_scale(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "verify", "bad_cvc3_to_sat2", "--trials", "20",
+                           "--max-size", "1000", "--run-dir", str(tmp_path), "--no-timing")
+        failures = int(out.split("EQUIV_FAILURES\t")[1].split()[0])
+        assert code == 0 and failures >= 1 and "SKIPPED" not in out
+
     def test_over_budget_trials_skipped(self, tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "dstcon_to_ap2dm", "--trials", "20",
                            "--max-size", "14", "--run-dir", str(tmp_path), "--no-timing")

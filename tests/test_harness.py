@@ -25,6 +25,7 @@ from redlab.harness import (
     generate,
     verify_m_reduction,
     verify_T_reduction,
+    _resolve,
     _run_trial,
     _shuffled_front,
     _verify,
@@ -214,6 +215,15 @@ class TestVerify:
         merged = VerifyResult(name, 2 * half, max_ratio=max(a.max_ratio, b.max_ratio),
                               **{f: getattr(a, f) + getattr(b, f) for f in lists})
         assert replace(verify_m_reduction(name, 2 * half, max_size, seed), wall_time=0.0) == merged
+
+    @pytest.mark.parametrize("name, over", [
+        ("sat2_to_2cvc3", lambda f: f.num_vars + len(f.clauses) > 13),  # vc_budget=13
+        ("sat2_to_3xce2", lambda f: len(f.clauses) > 6),  # max_clauses=6
+    ])
+    def test_max_size_drops_the_clause_caps(self, name, over):
+        plan = _resolve(name, 1, 50)
+        formulas = [plan.prepare(generate(plan.genspec, t)) for t in range(20)]
+        assert any(f.clauses and over(f) for f in formulas)
 
     def test_failures_do_not_abort(self):
         r = verify_m_reduction("bad_cvc3_to_sat2", 120)

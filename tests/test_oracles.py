@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, permutations, product
 
 import pytest
@@ -19,6 +20,9 @@ from redlab.instances import (
 )
 from redlab.oracles import (
     AP2DM_BUDGET,
+    CVC_ENUM_BUDGET,
+    LIN_ENUM_BUDGET,
+    XCE_ENUM_BUDGET,
     BudgetError,
     check_assignment,
     check_cover,
@@ -172,6 +176,17 @@ def _plan_instances(name: str, trials: int = 300):
         yield t, src, out
 
 
+def _decide_large(problem: str, sat_bias: float, **extra):
+    """Trial 3 of a seed-1 family at size knob 4000: about 4000 vertices,
+    sets or columns, planted YES at sat_bias 1 and NO at sat_bias 0. Returns
+    the instance and decide()'s result, which must take under a second."""
+    x = generate(GenSpec(problem, max_size=4000, seed=1, sat_bias=sat_bias, **extra), 3)
+    started = time.perf_counter()
+    result = oracles.decide(x)
+    assert time.perf_counter() - started < 1.0
+    return x, result
+
+
 @st.composite
 def _degree_3_graphs(draw) -> UGraph:
     """Valid graphs of at most 14 vertices and degree at most 3, edges in
@@ -217,9 +232,19 @@ class Test2Cvc:
         assert solve_2cvc(k4)[0] is False
 
     def test_budget(self):
-        for solve in (solve_2cvc, solve_2cvc_enum):
-            with pytest.raises(BudgetError):
-                solve(UGraph(27, ()))
+        with pytest.raises(BudgetError):
+            solve_2cvc_enum(UGraph(CVC_ENUM_BUDGET + 1, ()))
+
+    @pytest.mark.parametrize("sat_bias, expected", [(0.0, False), (1.0, True)])
+    def test_decides_far_over_the_enum_budget(self, sat_bias, expected):
+        """A 3979-vertex graph, cross-checked by Tarjan SCCs on the 2-CNF
+        that cvc3_to_sat2 makes of it."""
+        g, (yes, cover, _) = _decide_large("ugraph3", sat_bias)
+        assert g.num_vertices == 3979 and validate(g, {"deg_bound": 3}) == []
+        assert yes is expected
+        assert yes == solve_2sat(reductions.cvc3_to_sat2(g)[0])[0]
+        if yes:
+            assert check_cover(g, cover)
 
     @pytest.mark.parametrize("edges, expected", [
         (((1, 1),), (True, {1})),  # a grip self-loop needs its vertex in
@@ -304,9 +329,17 @@ class TestXce:
         assert solve_xce(XceInstance(1, (), ()))[0] is False
 
     def test_budget(self):
-        for solve in (solve_xce, solve_xce_enum):
-            with pytest.raises(BudgetError):
-                solve(XceInstance(1, (), tuple((1,) for _ in range(25))))
+        with pytest.raises(BudgetError):
+            solve_xce_enum(XceInstance(1, (), tuple((1,) for _ in range(XCE_ENUM_BUDGET + 1))))
+
+    @pytest.mark.parametrize("sat_bias, expected, sets", [(0.0, False, 3687),
+                                                          (1.0, True, 3984)])
+    def test_decides_far_over_the_enum_budget(self, sat_bias, expected, sets):
+        x, (yes, selected, _) = _decide_large("xce", sat_bias)
+        assert len(x.sets) == sets and validate(x) == []
+        assert yes is expected
+        if yes:
+            assert check_exact_cover(x, selected)
 
     @pytest.mark.parametrize("x, expected", [
         (XceInstance(2, (1, 2), ()), (True, [])),
@@ -630,9 +663,19 @@ class TestLin:
         assert yes and check_vector(s, x)
 
     def test_budget(self):
-        for solve in (solve_lin, solve_lin_enum):
-            with pytest.raises(BudgetError):
-                solve(LinSystem("geq", 0, 25, 3, (), ()))
+        with pytest.raises(BudgetError):
+            solve_lin_enum(LinSystem("geq", 0, LIN_ENUM_BUDGET + 1, 3, (), ()))
+
+    @pytest.mark.parametrize("sat_bias, expected", [(0.0, False), (1.0, True)])
+    def test_decides_far_over_the_enum_budget(self, sat_bias, expected):
+        """A 3979-column system, cross-checked by parity union-find on the
+        XOR-2-SAT system that le_to_xor2sat makes of it."""
+        s, (yes, x, _) = _decide_large("lin_eq", sat_bias, max_rows=4000)
+        assert s.num_cols == 3979 and validate(s) == []
+        assert yes is expected
+        assert yes == solve_xor2sat(reductions.le_to_xor2sat(s)[0])
+        if yes:
+            assert check_vector(s, x)
 
     def test_zero_rows(self):
         assert solve_lin(LinSystem("geq", 0, 2, 3, (), ()))[0] is True
