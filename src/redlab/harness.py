@@ -4,6 +4,13 @@ Generation is rejection-free and constructive: occurrence/degree/overlap
 budgets are enforced by drawing against per-item credit counters. Every
 generator is deterministic in its seed; trial i of a verification run uses
 seed + i, so the trials of one run can be split into seed ranges.
+
+A `verify` or `fit` run generates the instance of every trial but decides
+each distinct instance once: prepare, reduce and (for `verify`) both
+deciders, the witness checks and the postcheck run for the first trial
+that draws it, and later trials of the run that draw an equal instance
+reuse that outcome under their own seeds (`_trials`). The results are
+those of deciding every trial.
 """
 
 from __future__ import annotations
@@ -11,8 +18,9 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 from . import oracles, reductions
 from .instances import (
@@ -80,7 +88,12 @@ class SplitMix64:
     The state is closed-form: from state s, draw k (k = 1, 2, ...) is the
     mix of s + k*GAMMA mod 2**64, so any run of draws can be computed at
     once without changing the stream; `shuffle` and `_shuffled_front` rely
-    on this."""
+    on this.
+
+    `next64` is the reference definition of a draw. `randrange` and
+    `chance` compute its mix inline, which saves a method call on nearly
+    every scalar draw: `randint`, `choice` and the scalar shuffle loop draw
+    through `randrange`."""
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
@@ -111,16 +124,24 @@ class SplitMix64:
         return z
 
     def randrange(self, n: int) -> int:
-        """Uniform-ish integer in [0, n) via modulo (documented, portable)."""
+        """Uniform-ish integer in [0, n) via modulo (documented, portable):
+        next64() % n."""
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
-        return self.next64() % n
+        z = self.state = (self.state + GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX2) & MASK64
+        return (z ^ (z >> 31)) % n
 
     def randint(self, a: int, b: int) -> int:
         return a + self.randrange(b - a + 1)
 
     def chance(self, p: float) -> bool:
-        return (self.next64() >> 11) / float(1 << 53) < p
+        """(next64() >> 11) / 2**53 < p."""
+        z = self.state = (self.state + GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX2) & MASK64
+        return ((z ^ (z >> 31)) >> 11) / float(1 << 53) < p
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
@@ -825,16 +846,28 @@ def _resolve(name: str, seed: int, max_size: int | None) -> VerifierPlan:
     return plan
 
 
-@dataclass
-class _Trial:
-    """What one trial leaves for the folds. A skipped trial carries only
-    its seed and the reason."""
+# The memo of one `verify` or `fit` run (see _trials) keeps the records of at
+# most this many distinct raw instances, the least recently drawn out first.
+# 64 holds every distinct instance of 1000 default `dstcon_raw` draws at
+# seed 1 (49). Each entry keeps its raw instance alive, about 42 KB for an
+# `xce` instance at --max-size 1000, so 64 entries add 2.7 MB (9%) to the
+# 30.3 MB peak RSS of `verify xce2_to_2lp --trials 1000 --max-size 1000`,
+# where 256 would add 10 MB. Over the 13000 trials of the 13 `verify_mix`
+# names at seed 1, 16.5% are memo hits (21.8% at 256 entries).
+MEMO_ENTRIES = 64
 
-    seed: int
-    raw: object = None  # the generated instance
+
+@dataclass(frozen=True)
+class _Trial:
+    """What the stages after generation leave for the folds, for one raw
+    instance. A run's memo hands the same record to every trial that draws
+    an equal instance, so nothing mutates it: the record is frozen, `struct`
+    is a tuple, and the folds and their callers only read `report`. A
+    skipped trial carries only the reason."""
+
     report: object = None  # ReductionReport, or None
     equiv: bool = True  # both oracles agree (True when not decided)
-    struct: list[str] = field(default_factory=list)
+    struct: tuple[str, ...] = ()
     skipped: str | None = None
 
 
@@ -856,51 +889,64 @@ def _decide_output(out) -> tuple[bool | None, bool]:
     return yes, ok
 
 
-def _run_trial(plan: VerifierPlan, trial: int, decide: bool) -> _Trial:
-    """generate -> prepare -> reduce, then with `decide` both oracles, the
-    checks of their YES witnesses and the postcheck. A trial over an oracle
-    budget or outside a reduction's precondition is skipped rather than
-    ending the run. A malformed output that its decider cannot decide is an
-    `undecidable:<class>` structural failure, with equivalence undecided."""
-    seed = plan.genspec.seed + trial
-    raw = generate(plan.genspec, trial)
+def _settle(plan: VerifierPlan, decide: bool, raw) -> _Trial:
+    """prepare -> reduce on a generated instance, then with `decide` both
+    oracles, the checks of their YES witnesses and the postcheck. An
+    instance over an oracle budget or outside a reduction's precondition is
+    skipped rather than ending the run. A malformed output that its decider
+    cannot decide is an `undecidable:<class>` structural failure, with
+    equivalence undecided."""
     try:
         src = plan.prepare(raw) if plan.prepare else raw
         out, report = plan.reduce(src)
-        rec = _Trial(seed, raw, report)
-        if decide:
-            yes_in, _, ok_in = oracles.decide(src)
-            yes_out, ok_out = _decide_output(out)
-            rec.equiv = yes_out is None or yes_in == yes_out
-            rec.struct = [f"witness:{type(x).__name__}"
-                          for x, ok in ((src, ok_in), (out, ok_out)) if not ok]
-            if yes_out is None:
-                rec.struct.append(f"undecidable:{type(out).__name__}")
-            if plan.postcheck:
-                rec.struct += plan.postcheck(out, src)
+        if not decide:
+            return _Trial(report)
+        yes_in, _, ok_in = oracles.decide(src)
+        yes_out, ok_out = _decide_output(out)
+        struct = [f"witness:{type(x).__name__}"
+                  for x, ok in ((src, ok_in), (out, ok_out)) if not ok]
+        if yes_out is None:
+            struct.append(f"undecidable:{type(out).__name__}")
+        if plan.postcheck:
+            struct += plan.postcheck(out, src)
     except (oracles.BudgetError, reductions.PreconditionError) as exc:
-        return _Trial(seed, skipped=str(exc))
-    return rec
+        return _Trial(skipped=str(exc))
+    return _Trial(report, yes_out is None or yes_in == yes_out, tuple(struct))
+
+
+def _trials(plan: VerifierPlan, trials: int,
+            decide: bool) -> Iterator[tuple[int, object, _Trial]]:
+    """(seed, generated instance, record) for each trial of one run, in
+    trial order. Every trial runs `generate`, since each draws its own
+    stream; the rest depends only on the plan and the instance (instances
+    are immutable, reductions and oracles pure), so `_settle` runs once per
+    distinct instance and trials that draw an equal one share its record.
+    The memo belongs to this call, so two equal runs each do the work, and
+    holds MEMO_ENTRIES instances at most. An error other than a skip is not
+    stored and propagates at the first trial that meets it."""
+    settle = lru_cache(maxsize=MEMO_ENTRIES)(partial(_settle, plan, decide))
+    for t in range(trials):
+        raw = generate(plan.genspec, t)
+        yield plan.genspec.seed + t, raw, settle(raw)
 
 
 def _verify(name: str, plan: VerifierPlan, trials: int) -> VerifyResult:
     started = time.perf_counter()
     result = VerifyResult(name=name, trials=trials)
-    for t in range(trials):
-        rec = _run_trial(plan, t, decide=True)
+    for seed, raw, rec in _trials(plan, trials, decide=True):
         if rec.skipped is not None:
-            result.skipped.append((rec.seed, rec.skipped))
+            result.skipped.append((seed, rec.skipped))
             continue
         if not rec.equiv:
-            result.equiv_failures.append((rec.seed, serialize(rec.raw)))
+            result.equiv_failures.append((seed, serialize(raw)))
         report = rec.report
         if report is not None:
             if not report.shortness_ok:
-                result.shortness_failures.append((rec.seed, serialize(rec.raw)))
+                result.shortness_failures.append((seed, serialize(raw)))
             # the input parameter is clamped into N+ and every k1 is >= 1
             result.max_ratio = max(result.max_ratio, (report.output_param.value - report.k2)
                                    / (report.k1 * report.input_param.value))
-        result.structural_failures.extend((rec.seed, msg) for msg in rec.struct)
+        result.structural_failures.extend((seed, msg) for msg in rec.struct)
     result.wall_time = time.perf_counter() - started
     return result
 
@@ -951,8 +997,7 @@ def fit_shortness(name: str, trials: int, seed: int = 1) -> dict:
     pairs: list[tuple[int, int]] = []
     declared = None
     plan = _resolve(name, seed, None)
-    for t in range(trials):
-        rec = _run_trial(plan, t, decide=False)
+    for _, _, rec in _trials(plan, trials, decide=False):
         if rec.report is None:
             continue
         declared = (rec.report.k1, rec.report.k2)

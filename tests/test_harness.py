@@ -6,9 +6,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import redlab
-from redlab import oracles, reductions
+from redlab import harness, oracles, reductions
 from redlab.harness import (
     BATCH_SHUFFLE_MIN,
     CORRUPTED,
@@ -26,7 +27,7 @@ from redlab.harness import (
     verify_m_reduction,
     verify_T_reduction,
     _resolve,
-    _run_trial,
+    _settle,
     _shuffled_front,
     _verify,
 )
@@ -67,6 +68,19 @@ class TestSplitMix64:
         rng = SplitMix64(42)
         assert all(0 <= rng.randrange(7) < 7 for _ in range(200))
         assert all(3 <= rng.randint(3, 5) <= 5 for _ in range(200))
+
+    @given(seed=st.integers(0, (1 << 64) - 1), n=st.integers(1, 1 << 70),
+           a=st.integers(-100, 100), span=st.integers(0, 1000), p=st.floats(0.0, 1.0))
+    @settings(max_examples=300)
+    def test_scalar_draws_keep_the_stream(self, seed, n, a, span, p):
+        # randrange and chance mix inline; reference: the formulas over next64
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        assert rng.randrange(n) == ref.next64() % n
+        assert rng.state == ref.state
+        assert rng.randint(a, a + span) == a + ref.next64() % (span + 1)
+        assert rng.state == ref.state
+        assert rng.chance(p) == ((ref.next64() >> 11) / float(1 << 53) < p)
+        assert rng.state == ref.state
 
     @pytest.mark.parametrize("seed", [0, 42, (1 << 64) - 1])
     def test_batched_shuffle_keeps_the_stream(self, seed):
@@ -239,15 +253,89 @@ class TestVerify:
 
     def test_invalid_reduce_input_skipped(self):
         """An input `validate` rejects skips the trial with its first detail."""
-        from dataclasses import replace
-
-        from redlab.harness import _run_trial
         from redlab.instances import LinSystem
 
         bad = LinSystem("geq", 2, 1, 1, ((1, 1, 1), (2, 1, 1)), (0, 0))
         plan = replace(default_plans()["lp_to_2lp"], prepare=lambda s: bad)
-        rec = _run_trial(plan, 0, decide=True)
+        rec = _settle(plan, True, generate(plan.genspec, 0))
         assert rec.skipped == "column 1 has 2 nonzeros, bound 1" and rec.report is None
+
+
+VERIFY_NAMES = [*default_plans(), *CORRUPTED, "ap2dm_to_dstcon_queries"]
+
+
+def _counted(monkeypatch, module, name: str) -> list:
+    """Puts a wrapper on module.name that records each argument it gets."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(x, *args, **kwargs):
+        calls.append(x)
+        return fn(x, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestMemo:
+    """A run settles each distinct generated instance once, in a memo of
+    its own, and reports exactly what it would report without one."""
+
+    def test_verify_decides_each_distinct_gadget_once(self, monkeypatch):
+        # `decide` finds the matching oracle in `oracles` when called
+        spec = _resolve("dstcon_to_ap2dm", 1, None).genspec
+        distinct = len({generate(spec, t) for t in range(1000)})
+        assert distinct == 49
+        calls = _counted(monkeypatch, oracles, "solve_ap2dm")
+        first = verify_m_reduction("dstcon_to_ap2dm", 1000, seed=1)
+        assert len(calls) == distinct
+        # the memo ends with its run: an equal run does the work again
+        second = verify_m_reduction("dstcon_to_ap2dm", 1000, seed=1)
+        assert len(calls) == 2 * distinct
+        assert replace(first, wall_time=0.0) == replace(second, wall_time=0.0)
+        # with no room in the memo every trial decides its own gadget
+        monkeypatch.setattr(harness, "MEMO_ENTRIES", 0)
+        verify_m_reduction("dstcon_to_ap2dm", 1000, seed=1)
+        assert len(calls) == 2 * distinct + 1000
+
+    def test_fit_reduces_each_distinct_instance_once(self, monkeypatch):
+        # plans bind the reduction when `_resolve` builds them, after the patch
+        spec = _resolve("dstcon_to_ap2dm", 1, None).genspec
+        distinct = len({generate(spec, t) for t in range(1000)})
+        calls = _counted(monkeypatch, reductions, "dstcon_to_ap2dm")
+        first = fit_shortness("dstcon_to_ap2dm", 1000, seed=1)
+        assert len(calls) == distinct  # the memo is keyed by the generated instance
+        assert fit_shortness("dstcon_to_ap2dm", 1000, seed=1) == first
+        assert len(calls) == 2 * distinct
+
+    def test_skip_repeats_at_every_seed(self):
+        plan = default_plans()["cvc3_to_sat2"]
+        target = generate(plan.genspec, 22)
+        seeds = [1 + t for t in range(200) if generate(plan.genspec, t) == target]
+        assert len(seeds) > 1
+        refusals = []
+
+        def refuse(g):
+            if g == target:
+                refusals.append(g)
+                raise reductions.PreconditionError("refused")
+            return reductions.cvc3_to_sat2(g)
+
+        r = _verify("cvc3_to_sat2", replace(plan, reduce=refuse), 200)
+        assert r.skipped == [(seed, "refused") for seed in seeds]
+        assert len(refusals) == 1
+
+    @pytest.mark.parametrize("cap", [0, 2])
+    def test_cap_changes_no_result(self, monkeypatch, cap):
+        def results():
+            runs = [verify_m_reduction(name, 200, seed=seed)
+                    for name in VERIFY_NAMES for seed in (1, 7920)]
+            runs.append(verify_m_reduction("sat2_to_2cvc3", 100, max_size=50))
+            return [replace(r, wall_time=0.0) for r in runs]
+
+        want = results()
+        assert any(r.equiv_failures for r in want) and any(r.structural_failures for r in want)
+        monkeypatch.setattr(harness, "MEMO_ENTRIES", cap)
+        assert results() == want
 
 
 class TestTuringVerify:
@@ -365,8 +453,8 @@ class TestMalformedOutput:
     def test_xce_output_counted_and_postchecked(self, trial, elements, struct):
         plan = replace(default_plans()["sat2_to_3xce2"], reduce=_with_sets_1_1)
         assert reductions.normalize_2sat3(generate(plan.genspec, trial)).num_vars == elements
-        rec = _run_trial(plan, trial, decide=True)
-        assert rec.skipped is None and rec.equiv and rec.struct == struct
+        rec = _settle(plan, True, generate(plan.genspec, trial))
+        assert rec.skipped is None and rec.equiv and rec.struct == tuple(struct)
 
     def test_verify_finishes(self):
         plan = replace(default_plans()["cvc3_to_sat2"], reduce=_with_literal_out_of_range)
