@@ -24,11 +24,20 @@ def _read(path: str):
     return parse(Path(path).read_text())
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
+def _checked(convert, accept, wanted: str):
+    """An argparse type: convert the text, and reject a value accept refuses."""
+    def check(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {wanted}")
+        return value
+    check.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return check
+
+
+_positive = _checked(int, lambda v: v > 0, "a positive integer")
+_non_negative = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_probability = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")  # nan fails too
 
 
 def cmd_gen(args) -> int:
@@ -54,7 +63,7 @@ def cmd_solve(args) -> int:
     reductions._require(instance)  # reject what `reduce` rejects, before deciding
     yes, witness, _ = oracles.decide(instance)
     print("YES" if yes else "NO")
-    if witness:
+    if witness is not None:
         print(oracles.DECIDERS[type(instance)][2](witness))
     return 0 if yes else 1
 
@@ -150,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_positive, required=True, help="primary size knob")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clauses", type=int, default=None)
-    p.add_argument("--deg-bound", type=int, default=3)
-    p.add_argument("--bias", type=float, default=0.5, help="planted-witness fraction")
+    p.add_argument("--deg-bound", type=_non_negative, default=3)
+    p.add_argument("--bias", type=_probability, default=0.5, help="planted-witness fraction")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("solve", help="decide an instance file, exit 0=YES 1=NO")

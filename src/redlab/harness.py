@@ -52,28 +52,23 @@ OCC_BOUND = 3
 OVERLAP_BOUND = 4
 COL_BOUND = 3
 EXEMPTION_DENSITY = 0.3
-# Lists at least this long are shuffled with all swap targets drawn in one
-# numpy pass; below it the scalar loop is faster (crossover about 20 items;
-# the two are within 2 us of each other from 18 to 24 items). No default-size
-# family shuffles this many, so a default `verify`, `gen` or `fit` run never
-# imports numpy; the first batched draw does (see _numpy).
-BATCH_SHUFFLE_MIN = 24
 # _shuffled_front reads the front of a shuffle of at least this many items
-# from its batched draws; below it the fixed cost of its other numpy calls
-# (both paths call _next64_batch once) exceeds the swaps it saves (crossover
-# about 190 items for a front of 3, 19 us either way, and 120 for 1). Below
-# it the front comes from `shuffle`, which imports numpy only from
-# BATCH_SHUFFLE_MIN items.
-FRONT_SHUFFLE_MIN = 192
+# from one numpy batch of draws; below it copying the list and running the
+# scalar `shuffle` is faster (crossover about 26 items for a front of 1 to 3,
+# 16 us either way, and 32 for a front of 8; 2-CPU x86 host). It stays above
+# 12, the longest list a default-size family draws a front from, so a default
+# `verify`, `gen` or `fit` run never imports numpy (see _numpy).
+FRONT_SHUFFLE_MIN = 28
 
 
 @cache
 def _numpy():
     """numpy, then GAMMA, MIX1, MIX2 and the shift counts 30, 27, 31 as
-    numpy uint64 scalars, for the batched draws. Imported on the first
-    batched draw, so a run that draws none starts without numpy; the
-    scalars are built once, as a Python int operand would cost NumPy 2 a
-    conversion on every array operation."""
+    numpy uint64 scalars, for `_next64_batch`. Imported on the first
+    `_shuffled_front` of FRONT_SHUFFLE_MIN or more items, so a run that
+    takes none starts without numpy; the scalars are built once, as a
+    Python int operand would cost NumPy 2 a conversion on every array
+    operation."""
     import numpy as np
 
     return np, *map(np.uint64, (GAMMA, MIX1, MIX2, 30, 27, 31))
@@ -87,13 +82,12 @@ class SplitMix64:
 
     The state is closed-form: from state s, draw k (k = 1, 2, ...) is the
     mix of s + k*GAMMA mod 2**64, so any run of draws can be computed at
-    once without changing the stream; `shuffle` and `_shuffled_front` rely
-    on this.
+    once without changing the stream; `_shuffled_front` relies on this.
 
     `next64` is the reference definition of a draw. `randrange` and
     `chance` compute its mix inline, which saves a method call on nearly
-    every scalar draw: `randint`, `choice` and the scalar shuffle loop draw
-    through `randrange`."""
+    every draw: `randint`, `choice` and `shuffle` draw through
+    `randrange`."""
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
@@ -107,10 +101,10 @@ class SplitMix64:
 
     def _next64_batch(self, k: int):
         """The next k outputs as a numpy uint64 array; the state advances
-        by k draws, exactly as k calls of next64 would leave it. `shuffle`
-        and `_shuffled_front` draw through it from BATCH_SHUFFLE_MIN and
-        FRONT_SHUFFLE_MIN items; these batched draws are redlab's only use
-        of numpy, which the first of them imports (`_numpy`)."""
+        by k draws, exactly as k calls of next64 would leave it.
+        `_shuffled_front` draws through it from FRONT_SHUFFLE_MIN items;
+        this is redlab's only use of numpy, which the first such draw
+        imports (`_numpy`)."""
         np, gamma, mix1, mix2, s30, s27, s31 = _numpy()
         z = np.arange(1, k + 1, dtype=np.uint64)
         z *= gamma  # wraps mod 2**64
@@ -149,15 +143,8 @@ class SplitMix64:
     def shuffle(self, seq: list):
         """Fisher-Yates from the end: swap i with randrange(i + 1) for
         i = len-1 .. 1, one draw each."""
-        n = len(seq)
-        if n < BATCH_SHUFFLE_MIN:
-            for i in range(n - 1, 0, -1):
-                j = self.randrange(i + 1)
-                seq[i], seq[j] = seq[j], seq[i]
-            return
-        np = _numpy()[0]
-        targets = self._next64_batch(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
-        for i, j in zip(range(n - 1, 0, -1), targets.tolist()):
+        for i in range(len(seq) - 1, 0, -1):
+            j = self.randrange(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 
 
@@ -253,12 +240,11 @@ def _plant_unsat_core(n: int, cap: int, rng: SplitMix64) -> list[tuple[int, int]
     budget_vars -= a - 1
     budget_cls -= a - 1
     b = 1 + rng.randrange(1 + min(2, budget_vars, budget_cls))
-    ids = list(range(1, n + 1))
-    rng.shuffle(ids)
+    ids = _shuffled_front(list(range(1, n + 1)), 2 + a + b, rng)
     x, c = ids[0], ids[1]
     ps = ids[2:2 + a]
     qs = ids[2 + a:2 + a + b]
-    sign = {v: (1 if rng.chance(0.5) else -1) for v in ids[:2 + a + b]}
+    sign = {v: (1 if rng.chance(0.5) else -1) for v in ids}
 
     def lit(v: int, positive: bool) -> int:
         return sign[v] * v if positive else -sign[v] * v

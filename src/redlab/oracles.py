@@ -923,12 +923,12 @@ def solve_xor2sat_enum(x: XorSystem) -> bool:
 # when it is called, so a wrapper put on the module attribute runs too.
 DECIDERS = {
     CnfFormula: ("solve_2sat", check_assignment,
-                 lambda w: "v " + " ".join(str(v if w[v] else -v) for v in sorted(w))),
-    Digraph: ("solve_dstcon", check_path, lambda w: "path " + " ".join(map(str, w))),
-    UGraph: ("solve_2cvc", check_cover, lambda w: "cover " + " ".join(map(str, sorted(w)))),
-    XceInstance: ("solve_xce", check_exact_cover, lambda w: "sets " + " ".join(map(str, w))),
+                 lambda w: " ".join(["v", *(str(v if w[v] else -v) for v in sorted(w))])),
+    Digraph: ("solve_dstcon", check_path, lambda w: " ".join(["path", *map(str, w)])),
+    UGraph: ("solve_2cvc", check_cover, lambda w: " ".join(["cover", *map(str, sorted(w))])),
+    XceInstance: ("solve_xce", check_exact_cover, lambda w: " ".join(["sets", *map(str, w)])),
     Ap2dmInstance: ("solve_ap2dm", None, lambda w: f"pair {w[0]} {w[1]}"),  # NO only
-    LinSystem: ("solve_lin", check_vector, lambda w: "x " + " ".join(map(str, w))),
+    LinSystem: ("solve_lin", check_vector, lambda w: " ".join(["x", *map(str, w)])),
     XorSystem: ("solve_xor2sat", None, None),  # a bare verdict
 }
 

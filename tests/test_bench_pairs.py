@@ -1,7 +1,11 @@
-"""The decision rule of tools/bench_pairs.py: wins, quartiles and bounds."""
+"""tools/bench_pairs.py: its decision rule (wins, quartiles and bounds) and
+how it names the two sides it compares."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -32,3 +36,59 @@ def test_direction_and_bound_for_lower_is_better():
     worse = bench_pairs.compare(base, [45.0] * 5, "lower", 0.1)
     assert (worse["wins"], worse["within_bound"]) == (0, False)
     assert bench_pairs.compare(base, [30.0] * 5, "lower", 0.1)["gain"] is True
+
+
+def _git(root: Path, *args: str) -> str:
+    done = subprocess.run(["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+                           "-c", "commit.gpgsign=false", *args],
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def _tree(root: Path, text: str = "x = 1\n") -> Path:
+    (root / "src" / "redlab").mkdir(parents=True)
+    (root / "src" / "redlab" / "a.py").write_text(text)
+    (root / "src" / "redlab" / "b.py").write_text("y = 2\n")
+    return root
+
+
+def test_sources_digest_names_the_sources_alone(tmp_path):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    (b / "README.md").write_text("other files do not count\n")
+    (b / "src" / "redlab" / "notes.txt").write_text("nor do non-Python files\n")
+    assert bench_pairs.sources_digest(a) == bench_pairs.sources_digest(b)
+    (b / "src" / "redlab" / "a.py").write_text("x = 2\n")
+    assert bench_pairs.sources_digest(a) != bench_pairs.sources_digest(b)
+    # moving bytes from one file to the next changes the digest
+    c = _tree(tmp_path / "c", "x = 1\ny = 2\n")
+    (c / "src" / "redlab" / "b.py").write_text("")
+    assert bench_pairs.sources_digest(a) != bench_pairs.sources_digest(c)
+
+
+def test_git_head_only_for_a_clean_checkout_top(tmp_path):
+    root = _tree(tmp_path / "repo")
+    assert bench_pairs.git_head(root) is None  # not a checkout
+    _git(root, "init", "-q")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "one")
+    head = _git(root, "rev-parse", "HEAD")
+    assert bench_pairs.git_head(root) == head
+    # a directory inside the checkout holds other sources than its HEAD names
+    assert bench_pairs.git_head(root / "src") is None
+    # an edit outside src leaves the sources as committed
+    (root / "README.md").write_text("notes\n")
+    assert bench_pairs.git_head(root) == head
+    # a copy with an uncommitted edit under src, new file or changed file
+    (root / "src" / "redlab" / "c.py").write_text("z = 3\n")
+    assert bench_pairs.git_head(root) is None
+    (root / "src" / "redlab" / "c.py").unlink()
+    (root / "src" / "redlab" / "a.py").write_text("x = 5\n")
+    assert bench_pairs.git_head(root) is None
+
+
+def test_pairs_must_be_positive(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--label", "x", "--pairs", "0"])
+    assert exc.value.code == 2 and "0 is not a positive integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

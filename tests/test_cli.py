@@ -43,6 +43,22 @@ class TestGen:
         code, out, err = run(capsys, "gen", "2sat3", "--size", "5", "--clauses", "-1")
         assert code == 2 and out == "" and "outside 0..7" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("2sat3", "--bias", "7"), "7 is not a number in [0, 1]"),
+        (("2sat3", "--bias", "-0.5"), "-0.5 is not a number in [0, 1]"),
+        (("2sat3", "--bias", "nan"), "nan is not a number in [0, 1]"),
+        (("ugraph3", "--deg-bound", "-2"), "-2 is not a non-negative integer"),
+    ], ids=["bias_7", "bias_negative", "bias_nan", "deg_bound_negative"])
+    def test_out_of_range_flag_exit_2(self, argv, message, capsys):
+        code, out, err = run(capsys, "gen", *argv, "--size", "5")
+        assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("argv", [("2sat3", "--bias", "0"), ("2sat3", "--bias", "1"),
+                                      ("ugraph3", "--deg-bound", "0")])
+    def test_range_ends_accepted(self, argv, capsys):
+        code, out, _ = run(capsys, "gen", *argv, "--size", "5")
+        assert code == 0 and out.startswith("p ")
+
 
 class TestSolve:
     def test_yes_exit_0(self, tmp_path, capsys):
@@ -72,6 +88,18 @@ class TestSolve:
         f.write_text("p cnf2 -3 0\n")
         code, out, err = run(capsys, "solve", str(f))
         assert code == 2 and out == "" and "header count n must not be negative" in err
+
+    @pytest.mark.parametrize("text,line", [
+        ("p graph 3 0\n", "cover"),  # edgeless: the empty cover
+        ("p xce 2 0\nr 1 2\n", "sets"),  # every element exempt: no set
+        ("p cnf2 0 0\n", "v"),
+        ("p lin geq 0 0 3\n", "x"),
+    ], ids=["edgeless_graph", "all_exempt_xce", "empty_cnf", "empty_lin"])
+    def test_empty_witness_printed(self, tmp_path, capsys, text, line):
+        f = tmp_path / "f.txt"
+        f.write_text(text)
+        code, out, _ = run(capsys, "solve", str(f))
+        assert code == 0 and out == f"YES\n{line}\n"
 
     def test_xor_file(self, tmp_path, capsys):
         f = tmp_path / "x.xor"

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import redlab
 from redlab import harness, oracles, reductions
 from redlab.harness import (
-    BATCH_SHUFFLE_MIN,
     CORRUPTED,
     FRONT_SHUFFLE_MIN,
     GENERATORS,
@@ -83,9 +82,8 @@ class TestSplitMix64:
         assert rng.state == ref.state
 
     @pytest.mark.parametrize("seed", [0, 42, (1 << 64) - 1])
-    def test_batched_shuffle_keeps_the_stream(self, seed):
-        # reference: the literal scalar Fisher-Yates; n crosses the batch threshold
-        assert BATCH_SHUFFLE_MIN < 130
+    def test_shuffle_keeps_the_stream(self, seed):
+        # reference: the literal Fisher-Yates over next64
         for n in range(131):
             rng, ref = SplitMix64(seed), SplitMix64(seed)
             got, want = list(range(n)), list(range(n))
@@ -99,12 +97,14 @@ class TestSplitMix64:
 
     @pytest.mark.parametrize("seed", [0, 42, (1 << 64) - 1])
     def test_shuffled_front_keeps_the_stream(self, seed):
-        # reference: shuffle a copy and cut it; n crosses the front threshold
-        sizes = [0, 1, 2, 3, FRONT_SHUFFLE_MIN - 1, FRONT_SHUFFLE_MIN, FRONT_SHUFFLE_MIN + 1,
-                 1000, 4000]
+        # reference: shuffle a copy and cut it; n crosses the front threshold,
+        # and k reaches 8, the longest front _plant_unsat_core takes
+        assert 12 < FRONT_SHUFFLE_MIN < 200
+        sizes = [0, 1, 2, 3, 12, FRONT_SHUFFLE_MIN - 1, FRONT_SHUFFLE_MIN, FRONT_SHUFFLE_MIN + 1,
+                 200, 1000, 4000]
         for n in sizes:
             items = [3 * x + 1 for x in range(n)]
-            for k in (0, 1, 2, 3, n + 1):
+            for k in sorted({0, 1, 2, 3, 8, max(n - 1, 0), n, n + 1}):
                 rng, ref = SplitMix64(seed), SplitMix64(seed)
                 want = items[:]
                 ref.shuffle(want)
@@ -112,30 +112,44 @@ class TestSplitMix64:
                 assert items == [3 * x + 1 for x in range(n)]
                 assert [rng.next64() for _ in range(5)] == [ref.next64() for _ in range(5)], (n, k)
 
-    @pytest.mark.parametrize("n,call", [(30, "rng.shuffle(got)"),
-                                        (FRONT_SHUFFLE_MIN, "got = _shuffled_front(items, 3, rng)")])
-    def test_first_batched_draw_keeps_the_stream(self, n, call):
+    def test_first_batched_draw_keeps_the_stream(self):
         # the first batched draw of a fresh interpreter imports numpy and
         # builds its constants; it must give the literal scalar Fisher-Yates
         run_python(f"""
             import sys
             from redlab.harness import SplitMix64, _shuffled_front
-            items = list(range({n}))
+            items = list(range({FRONT_SHUFFLE_MIN}))
             rng, ref = SplitMix64(7), SplitMix64(7)
-            got, want = items[:], items[:]
+            want = items[:]
             assert "numpy" not in sys.modules
-            {call}
+            got = _shuffled_front(items, 3, rng)
             assert "numpy" in sys.modules
-            for i in range({n} - 1, 0, -1):
+            for i in range(len(want) - 1, 0, -1):
                 j = ref.next64() % (i + 1)
                 want[i], want[j] = want[j], want[i]
-            assert got == want[:len(got)], (got, want)
+            assert got == want[:3], (got, want)
+            assert rng.next64() == ref.next64()
+        """)
+
+    def test_long_shuffle_needs_no_numpy(self):
+        # in a fresh interpreter, since this one may hold numpy already
+        run_python("""
+            import sys
+            from redlab.harness import SplitMix64
+            rng, ref = SplitMix64(7), SplitMix64(7)
+            got, want = list(range(1000)), list(range(1000))
+            rng.shuffle(got)
+            assert "numpy" not in sys.modules
+            for i in range(999, 0, -1):
+                j = ref.next64() % (i + 1)
+                want[i], want[j] = want[j], want[i]
+            assert got == want
             assert rng.next64() == ref.next64()
         """)
 
 
 def test_default_runs_start_without_numpy(tmp_path):
-    """numpy serves only the batched draws of large shuffles, so importing
+    """numpy serves only `_shuffled_front` on long lists, so importing
     redlab and running default-size verify, gen and fit leave it unloaded.
     In a fresh interpreter, because this one may hold numpy already."""
     run_python(f"""

@@ -310,8 +310,8 @@ LAYERS = {
 
 # _gen_xce and _gen_lin are left out: their fixed draw stream spends n - 1
 # draws on every extra set or row, so their draw count stays Theta(n*m).
-# _shuffled_front runs those draws in numpy and does no swaps, which shrinks
-# only the constant.
+# From FRONT_SHUFFLE_MIN items, _shuffled_front runs those draws in numpy
+# and does no swaps, which shrinks only the constant.
 @pytest.mark.parametrize("layer", list(LAYERS))
 def test_growth_below_slope_1_5(layer):
     """Best of 3 runs at sizes n and 4n, interleaved: the time ratio stays

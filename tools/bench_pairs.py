@@ -12,7 +12,10 @@ W of BASE's BENCHMARK.json in turn, S being its `run_seconds`. The base
 runs first in even pairs and the change in odd ones, so a drift in the
 machine's speed falls on both sides alike.
 
-BENCH_<label>.json, written to the current directory after every pair, holds
+BENCH_<label>.json, written to the current directory after every pair, names
+each side by `sources`, a sha256 over the sorted relative paths and bytes of
+its src/redlab/*.py, and by `heads`, its git commit, or null unless the side
+is the top of a git checkout with no uncommitted change under src. It holds
 for each workload and end-to-end metric of that BENCHMARK.json:
 
 - every run of both sides, in pair order;
@@ -31,6 +34,7 @@ the tool with its stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -81,10 +85,30 @@ def compare(base: list[float], change: list[float], better: str, bound: float) -
     }
 
 
+def sources_digest(root: Path) -> str:
+    """sha256 over the sorted relative paths and bytes of root's src/redlab/*.py."""
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "redlab").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def git_head(root: Path) -> str | None:
-    done = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
-    return done.stdout.strip() or None
+    """root's HEAD commit if root is the top of a git checkout whose src has
+    no uncommitted change, else None: a repository that merely encloses root,
+    or an edited src, would name other sources."""
+    def git(*args: str) -> str | None:
+        done = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != root.resolve():
+        return None
+    if git("status", "--porcelain", "--", "src") != "":
+        return None
+    return git("rev-parse", "HEAD") or None
 
 
 def main(argv=None) -> int:
@@ -95,12 +119,16 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=9001)
     args = p.parse_args(argv)
+    if args.pairs <= 0:
+        p.error(f"--pairs {args.pairs} is not a positive integer")
 
     benchmark = json.loads((args.base / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     metrics = benchmark["end_to_end"]
     runs = {w["name"]: {"base": [], "change": []} for w in benchmark["workloads"]}
     out = Path(f"BENCH_{args.label}.json")
+    sources = {side: sources_digest(getattr(args, side)) for side in ("base", "change")}
+    heads = {side: git_head(getattr(args, side)) for side in ("base", "change")}
     for i in range(args.pairs):
         for workload in runs:
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
@@ -116,7 +144,8 @@ def main(argv=None) -> int:
             "seeds": [args.seed, args.seed + i],
             "host": {"machine": platform.machine(), "python": platform.python_version(),
                      "cpus": len(os.sched_getaffinity(0))},
-            "heads": {"base": git_head(args.base), "change": git_head(args.change)},
+            "sources": sources,
+            "heads": heads,
             "workloads": {
                 w: {m["name"]: compare([r[m["name"]]["value"] for r in sides["base"]],
                                        [r[m["name"]]["value"] for r in sides["change"]],
