@@ -54,7 +54,8 @@ class TestGen:
         assert code == 2 and out == "" and message in err
 
     @pytest.mark.parametrize("argv", [("2sat3", "--bias", "0"), ("2sat3", "--bias", "1"),
-                                      ("ugraph3", "--deg-bound", "0")])
+                                      ("ugraph3", "--deg-bound", "0")],
+                             ids=["bias_0", "bias_1", "deg_bound_0"])
     def test_range_ends_accepted(self, argv, capsys):
         code, out, _ = run(capsys, "gen", *argv, "--size", "5")
         assert code == 0 and out.startswith("p ")
