@@ -40,16 +40,22 @@ _non_negative = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _probability = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")  # nan fails too
 
 
+# gen's optional knobs: the option, its GenSpec field (the option's dest)
+# and the classes whose generator reads that field; any other class rejects it
+_GEN_KNOBS = (("--clauses", "clauses", {"2sat3"}),
+              ("--deg-bound", "deg_bound", {"ugraph3", "digraph4"}),
+              ("--bias", "sat_bias", set(harness.GENERATORS) - {"ap2dm"}))
+
+
 def cmd_gen(args) -> int:
-    spec = harness.GenSpec(
-        problem=args.problem,
-        max_size=args.size,
-        seed=args.seed,
-        clauses=args.clauses,
-        deg_bound=args.deg_bound,
-        sat_bias=args.bias,
-    )
-    instance = harness.generate(spec)
+    knobs = {}
+    for option, field, readers in _GEN_KNOBS:
+        value = getattr(args, field)
+        if value is not None:
+            if args.problem not in readers:
+                raise ValueError(f"the {args.problem} generator does not read {option}")
+            knobs[field] = value
+    instance = harness.generate(harness.GenSpec(args.problem, args.size, args.seed, **knobs))
     text = serialize(instance)
     if args.output:
         Path(args.output).write_text(text)
@@ -60,7 +66,6 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = _read(args.file)
-    reductions._require(instance)  # reject what `reduce` rejects, before deciding
     yes, witness, _ = oracles.decide(instance)
     print("YES" if yes else "NO")
     if witness is not None:
@@ -159,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_positive, required=True, help="primary size knob")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clauses", type=int, default=None)
-    p.add_argument("--deg-bound", type=_non_negative, default=3)
-    p.add_argument("--bias", type=_probability, default=0.5, help="planted-witness fraction")
+    p.add_argument("--deg-bound", type=_non_negative, default=None, help="default 3")
+    p.add_argument("--bias", type=_probability, default=None, dest="sat_bias",
+                   help="planted-witness fraction, default 0.5")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("solve", help="decide an instance file, exit 0=YES 1=NO")

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-# LinSystem coefficients must fit a 63-bit signed budget so that a row sum of
-# two entries stays inside int64.
+# A wire-format limit on LinSystem coefficients (redlab computes with Python
+# ints): a reader in another language can hold an entry, a two-entry row sum
+# and `twolp_to_lp`'s negation of either in int64.
 MAX_LIN_ENTRY = 2 ** 62 - 1
 
 
@@ -38,6 +39,7 @@ class Violation(NamedTuple):
     rule: str
     witness: tuple
     detail: str
+    line: int | None = None  # the named record's line, set only by `parse`
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +88,10 @@ class UGraph:
             deg[v] += 1
         return deg
 
-    def is_grip(self, edge: tuple[int, int], deg: list[int] | None = None) -> bool:
-        """An edge both of whose endpoints have degree at most 2."""
-        d = deg if deg is not None else self.degrees()
+    def is_grip(self, edge: tuple[int, int], deg: list[int]) -> bool:
+        """An edge both of whose endpoints have degree at most 2 in `degrees()`."""
         u, v = edge
-        return d[u] <= 2 and d[v] <= 2
+        return deg[u] <= 2 and deg[v] <= 2
 
 
 @dataclass(frozen=True)
@@ -214,17 +215,21 @@ def size_param_names(instance) -> tuple[str, ...]:
 # Validation
 # ---------------------------------------------------------------------------
 
+# A violation that names a record, the i-th of a kind, carries its line
+# `at(kind, i)` when `parse` validates; `validate` leaves it None.
 
-def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
+
+def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation], at):
     bound = tags.get("occ_bound")
     counts: dict[int, int] = {}  # filled only when occ_bound asks for it
     for j, clause in enumerate(f.clauses, 1):
         if not 1 <= len(clause) <= 2:
-            out.append(Violation("clause_width", (j,), f"clause {j} has {len(clause)} literals"))
+            out.append(Violation("clause_width", (j,), f"clause {j} has {len(clause)} literals", at("clause", j)))
         for lit in clause:
             var = abs(lit)
             if lit == 0 or var > f.num_vars:
-                out.append(Violation("literal_range", (j, lit), f"literal {lit} out of range in clause {j}"))
+                out.append(Violation("literal_range", (j, lit), f"literal {lit} out of range in clause {j}",
+                                     at("clause", j)))
             elif bound is not None:
                 counts[var] = counts.get(var, 0) + 1
     for var in sorted(counts):
@@ -238,46 +243,49 @@ def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation]):
 # graph with an edge has m_edg >= m_ver - 1, and each edge either adds 2 to
 # the degree sum or is reported as vertex_range or self_loop, so a graph with
 # 2*m_edg > k*m_ver already has a violation.
-def _validate_digraph(g: Digraph, tags: dict, out: list[Violation]):
+def _validate_digraph(g: Digraph, tags: dict, out: list[Violation], at):
     k = tags.get("deg_bound")
     seen = set()
     deg = [0] * (g.num_vertices + 1)  # in + out degree, counted only under deg_bound
-    for u, v in g.edges:
+    for i, e in enumerate(g.edges, 1):
+        u, v = e
         if not (1 <= u <= g.num_vertices and 1 <= v <= g.num_vertices):
-            out.append(Violation("vertex_range", (u, v), f"edge ({u},{v}) out of range"))
+            out.append(Violation("vertex_range", (u, v), f"edge ({u},{v}) out of range", at("edge", i)))
             continue
         if u == v:
-            out.append(Violation("self_loop", (u,), f"self-loop at {u}"))
-        if (u, v) in seen:
-            out.append(Violation("duplicate_edge", (u, v), f"duplicate edge ({u},{v})"))
-        seen.add((u, v))
+            out.append(Violation("self_loop", (u,), f"self-loop at {u}", at("edge", i)))
+        if e in seen:
+            out.append(Violation("duplicate_edge", (u, v), f"duplicate edge ({u},{v})", at("edge", i)))
+        seen.add(e)
         if k is not None:
             deg[u] += 1
             deg[v] += 1
     for name, w in (("s", g.s), ("t", g.t)):
         if not 1 <= w <= g.num_vertices:
-            out.append(Violation("endpoint_range", (name, w), f"{name}={w} out of range"))
+            out.append(Violation("endpoint_range", (name, w), f"{name}={w} out of range", at(name, 1)))
     if k is not None:
         for v in range(1, g.num_vertices + 1):
             if deg[v] > k:
                 out.append(Violation("deg_bound", (v, deg[v]), f"vertex {v} has degree {deg[v]}, bound {k}"))
 
 
-def _validate_ugraph(g: UGraph, tags: dict, out: list[Violation]):
+def _validate_ugraph(g: UGraph, tags: dict, out: list[Violation], at):
     k = tags.get("deg_bound")
     seen = set()
     deg = [0] * (g.num_vertices + 1)  # counted only under deg_bound
-    for u, v in g.edges:
+    for i, e in enumerate(g.edges, 1):
+        u, v = e
         if not (1 <= u <= g.num_vertices and 1 <= v <= g.num_vertices):
-            out.append(Violation("vertex_range", (u, v), f"edge {{{u},{v}}} out of range"))
+            out.append(Violation("vertex_range", (u, v), f"edge {{{u},{v}}} out of range", at("edge", i)))
             continue
         if u == v:
-            out.append(Violation("self_loop", (u,), f"self-loop at {u}"))
+            out.append(Violation("self_loop", (u,), f"self-loop at {u}", at("edge", i)))
             continue
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            out.append(Violation("duplicate_edge", key, f"duplicate edge {{{u},{v}}}"))
-        seen.add(key)
+        if u > v:
+            out.append(Violation("edge_order", (u, v), f"edge ({u},{v}) must satisfy u < v", at("edge", i)))
+        if e in seen:
+            out.append(Violation("duplicate_edge", (u, v), f"duplicate edge {{{u},{v}}}", at("edge", i)))
+        seen.add(e)
         if k is not None:
             deg[u] += 1
             deg[v] += 1
@@ -287,19 +295,20 @@ def _validate_ugraph(g: UGraph, tags: dict, out: list[Violation]):
                 out.append(Violation("deg_bound", (v, deg[v]), f"vertex {v} has degree {deg[v]}, bound {k}"))
 
 
-def _validate_xce(x: XceInstance, tags: dict, out: list[Violation]):
+def _validate_xce(x: XceInstance, tags: dict, out: list[Violation], at):
     for e in x.exempt:
         if not 1 <= e <= x.universe_size:
-            out.append(Violation("exempt_range", (e,), f"exempt element {e} out of range"))
+            out.append(Violation("exempt_range", (e,), f"exempt element {e} out of range", at("exempt", 1)))
     cost = [0] * (x.universe_size + 1)
     for i, s in enumerate(x.sets, 1):
         if len(s) > 3:
-            out.append(Violation("set_size", (i, len(s)), f"set {i} has {len(s)} elements, bound 3"))
+            out.append(Violation("set_size", (i, len(s)), f"set {i} has {len(s)} elements, bound 3", at("set", i)))
         if len(set(s)) != len(s):
-            out.append(Violation("set_repeat", (i,), f"set {i} repeats an element"))
+            out.append(Violation("set_repeat", (i,), f"set {i} repeats an element", at("set", i)))
         for e in s:
             if not 1 <= e <= x.universe_size:
-                out.append(Violation("element_range", (i, e), f"element {e} out of range in set {i}"))
+                out.append(Violation("element_range", (i, e), f"element {e} out of range in set {i}",
+                                     at("set", i)))
             else:
                 cost[e] += 1
     for e in range(1, x.universe_size + 1):
@@ -307,24 +316,26 @@ def _validate_xce(x: XceInstance, tags: dict, out: list[Violation]):
             out.append(Violation("overlap", (e, cost[e]), f"element {e} has overlapping cost {cost[e]}, bound 2"))
 
 
-def _validate_ap2dm(a: Ap2dmInstance, tags: dict, out: list[Violation]):
+def _validate_ap2dm(a: Ap2dmInstance, tags: dict, out: list[Violation], at):
     exempt = set(a.exempt)
     for e in a.exempt:
         if not 1 <= e <= a.universe_size:
-            out.append(Violation("exempt_range", (e,), f"exempt element {e} out of range"))
+            out.append(Violation("exempt_range", (e,), f"exempt element {e} out of range", at("exempt", 1)))
     n_out = [0] * (a.universe_size + 1)
     n_in = [0] * (a.universe_size + 1)
     seen = set()
-    for u, v in a.pairs:
+    for i, e in enumerate(a.pairs, 1):
+        u, v = e
         if not (1 <= u <= a.universe_size and 1 <= v <= a.universe_size):
-            out.append(Violation("pair_range", (u, v), f"pair ({u},{v}) out of range"))
+            out.append(Violation("pair_range", (u, v), f"pair ({u},{v}) out of range", at("pair", i)))
             continue
         if u == v:
-            out.append(Violation("trivial_pair_stored", (u,), f"trivial pair ({u},{u}) must stay implicit"))
+            out.append(Violation("trivial_pair_stored", (u,), f"trivial pair ({u},{u}) must stay implicit",
+                                 at("pair", i)))
             continue
-        if (u, v) in seen:
-            out.append(Violation("duplicate_pair", (u, v), f"duplicate pair ({u},{v})"))
-        seen.add((u, v))
+        if e in seen:
+            out.append(Violation("duplicate_pair", (u, v), f"duplicate pair ({u},{v})", at("pair", i)))
+        seen.add(e)
         n_out[u] += 1
         n_in[v] += 1
     k = tags.get("overlap_bound")
@@ -361,28 +372,32 @@ def _validate_ap2dm(a: Ap2dmInstance, tags: dict, out: list[Violation]):
                                  f"exempt element {v} has out={outs}, in={ins}, expected exactly one each"))
 
 
-def _validate_lin(s: LinSystem, tags: dict, out: list[Violation]):
+def _validate_lin(s: LinSystem, tags: dict, out: list[Violation], at):
     if s.mode not in ("geq", "band", "eq"):
         out.append(Violation("mode", (s.mode,), f"unknown mode {s.mode!r}"))
     row_nnz = [0] * (s.num_rows + 1)
     col_nnz = [0] * (s.num_cols + 1)
     seen = set()
-    for r, c, v in s.entries:
+    third = {}  # row -> index of its third entry, which breaks the row bound
+    for i, (r, c, v) in enumerate(s.entries, 1):
         if not (1 <= r <= s.num_rows and 1 <= c <= s.num_cols):
-            out.append(Violation("entry_range", (r, c), f"entry ({r},{c}) out of range"))
+            out.append(Violation("entry_range", (r, c), f"entry ({r},{c}) out of range", at("entry", i)))
             continue
         if v == 0:
-            out.append(Violation("zero_entry", (r, c), f"explicit zero entry at ({r},{c})"))
+            out.append(Violation("zero_entry", (r, c), f"explicit zero entry at ({r},{c})", at("entry", i)))
         if abs(v) > MAX_LIN_ENTRY:
-            out.append(Violation("entry_width", (r, c, v), f"entry at ({r},{c}) exceeds 63-bit budget"))
+            out.append(Violation("entry_width", (r, c, v), f"entry at ({r},{c}) exceeds 63-bit budget",
+                                 at("entry", i)))
         if (r, c) in seen:
-            out.append(Violation("duplicate_entry", (r, c), f"duplicate entry at ({r},{c})"))
+            out.append(Violation("duplicate_entry", (r, c), f"duplicate entry at ({r},{c})", at("entry", i)))
         seen.add((r, c))
         row_nnz[r] += 1
+        if row_nnz[r] == 3:
+            third[r] = i
         col_nnz[c] += 1
-    for r in range(1, s.num_rows + 1):
-        if row_nnz[r] > 2:
-            out.append(Violation("row_nonzeros", (r, row_nnz[r]), f"row {r} has {row_nnz[r]} nonzeros, bound 2"))
+    for r, i in sorted(third.items()):
+        out.append(Violation("row_nonzeros", (r, row_nnz[r]), f"row {r} has {row_nnz[r]} nonzeros, bound 2",
+                             at("entry", i)))
     for c in range(1, s.num_cols + 1):
         if col_nnz[c] > s.col_bound:
             out.append(Violation("col_bound", (c, col_nnz[c]),
@@ -396,19 +411,25 @@ def _validate_lin(s: LinSystem, tags: dict, out: list[Violation]):
         out.append(Violation("bounds_shape", ("upper",), f"mode {s.mode!r} must not carry upper bounds"))
 
 
-def _validate_xor(x: XorSystem, tags: dict, out: list[Violation]):
+def _validate_xor(x: XorSystem, tags: dict, out: list[Violation], at):
     for i, con in enumerate(x.constraints, 1):
         if isinstance(con, Parity):
-            ok = 1 <= con.u <= x.num_vars and 1 <= con.v <= x.num_vars and con.u != con.v
+            if con.u == con.v:
+                out.append(Violation("parity_repeat", (i, con.u),
+                                     f"parity constraint {i} needs two distinct variables", at("constraint", i)))
+            ok = 1 <= con.u <= x.num_vars and 1 <= con.v <= x.num_vars
         elif isinstance(con, Unit):
             ok = 1 <= con.u <= x.num_vars
         else:
-            out.append(Violation("constraint_type", (i,), f"constraint {i} is not Parity or Unit"))
+            out.append(Violation("constraint_type", (i,), f"constraint {i} is not Parity or Unit",
+                                 at("constraint", i)))
             continue
         if not ok:
-            out.append(Violation("variable_range", (i,), f"constraint {i} references an out-of-range variable"))
+            out.append(Violation("variable_range", (i,), f"constraint {i} references an out-of-range variable",
+                                 at("constraint", i)))
         if con.c not in (0, 1):
-            out.append(Violation("constant_range", (i, con.c), f"constraint {i} constant must be 0 or 1"))
+            out.append(Violation("constant_range", (i, con.c), f"constraint {i} constant must be 0 or 1",
+                                 at("constraint", i)))
 
 
 def validate(instance, tags: dict | None = None) -> list[Violation]:
@@ -418,7 +439,7 @@ def validate(instance, tags: dict | None = None) -> list[Violation]:
     means the instance is valid. Violations are data, never exceptions.
     """
     out: list[Violation] = []
-    PROBLEMS[type(instance)].validate(instance, tags or {}, out)
+    PROBLEMS[type(instance)].validate(instance, tags or {}, out, lambda kind, i: None)
     return out
 
 
@@ -429,7 +450,9 @@ def validate(instance, tags: dict | None = None) -> list[Violation]:
 # Each class has a writer and a reader. A writer gives the header's fields
 # after "p <word>", then the body lines. A reader gets the header tokens,
 # which `parse` has already checked against the usage string, and the
-# numbered body lines.
+# numbered body lines. It checks only what the format decides (each line's
+# letter, token count and integers, the record count, the fixed lines) and
+# returns the instance and its record lines by kind; the validator judges.
 
 
 def serialize(instance) -> str:
@@ -465,7 +488,8 @@ def _count(tok: str, no: int, what: str) -> int:
 def parse(text: str):
     """Parse one instance from text; the header selects the class.
 
-    Raises ParseError (with line number) on malformed input.
+    Accepts exactly what `validate` accepts. A ParseError gives the detail of
+    the malformed line or first violation, and the line of the record it names.
     """
     lines = list(_content_lines(text))
     if not lines:
@@ -482,26 +506,20 @@ def parse(text: str):
     if len(toks) != len(shape) or any(
             "|" in want and tok not in want[1:-1].split("|") for tok, want in zip(toks, shape)):
         raise ParseError(f"header must be '{problem.usage}'", no)
-    return problem.read(toks, no, lines[1:])
+    instance, where = problem.read(toks, no, lines[1:])
+    bad: list[Violation] = []
+    problem.validate(instance, {}, bad, lambda kind, i: where[kind][i - 1][0])
+    if bad:
+        raise ParseError(bad[0].detail, bad[0].line)
+    return instance
 
 
-def _check_vertex_pair(u: int, v: int, n: int, lno: int):
-    if not (1 <= u <= n and 1 <= v <= n):
-        raise ParseError(f"vertex index out of range in ({u},{v})", lno)
-    if u == v:
-        raise ParseError(f"self-loop at {u}", lno)
-
-
-def _read_exempt(body: list, nx: int) -> list[int]:
+def _read_exempt(body: list) -> list[int]:
     """The ids of the exemption line 'r ...' that must open the body."""
     if not body or body[0][1][0] != "r":
         raise ParseError("first body line must be the exemption line 'r ...'")
     rno, rtoks = body[0]
-    exempt = [_int(x, rno, "exempt id") for x in rtoks[1:]]
-    for e in exempt:
-        if not 1 <= e <= nx:
-            raise ParseError(f"exempt element {e} out of range", rno)
-    return exempt
+    return [_int(x, rno, "exempt id") for x in rtoks[1:]]
 
 
 def _write_cnf(f: CnfFormula) -> list[str]:
@@ -509,78 +527,59 @@ def _write_cnf(f: CnfFormula) -> list[str]:
             *(" ".join(str(l) for l in clause) + " 0" for clause in f.clauses)]
 
 
-def _read_cnf(toks, no, body) -> CnfFormula:
+def _read_cnf(toks, no, body) -> tuple[CnfFormula, dict]:
     n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
     clauses = []
     for lno, t in body:
         lits = [_int(x, lno, "literal") for x in t]
-        if not lits or lits[-1] != 0:
+        if lits[-1] != 0:
             raise ParseError("clause line must end with 0", lno)
-        lits = lits[:-1]
-        if not 1 <= len(lits) <= 2:
-            raise ParseError(f"clause must have 1 or 2 literals, got {len(lits)}", lno)
-        for l in lits:
-            if l == 0 or abs(l) > n:
-                raise ParseError(f"literal {l} out of range", lno)
-        clauses.append(tuple(lits))
+        if not 2 <= len(lits) <= 3:
+            raise ParseError(f"clause must have 1 or 2 literals, got {len(lits) - 1}", lno)
+        clauses.append(tuple(lits[:-1]))
     if len(clauses) != m:
         raise ParseError(f"header declares {m} clauses, found {len(clauses)}")
-    return CnfFormula(n, tuple(clauses))
+    return CnfFormula(n, tuple(clauses)), {"clause": body}
 
 
 def _write_digraph(g: Digraph) -> list[str]:
     return [*_write_ugraph(g), f"s {g.s}", f"t {g.t}"]
 
 
-def _read_digraph(toks, no, body) -> Digraph:
+def _read_digraph(toks, no, body) -> tuple[Digraph, dict]:
     n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
-    edges, s, t = [], None, None
-    seen = set()
-    for lno, tks in body:
+    edges, ends, where = [], {}, {"edge": []}
+    for line in body:
+        lno, tks = line
         if tks[0] == "e" and len(tks) == 3:
-            u, v = _int(tks[1], lno, "u"), _int(tks[2], lno, "v")
-            _check_vertex_pair(u, v, n, lno)
-            if (u, v) in seen:
-                raise ParseError(f"duplicate edge ({u},{v})", lno)
-            seen.add((u, v))
-            edges.append((u, v))
-        elif tks[0] == "s" and len(tks) == 2:
-            s = _int(tks[1], lno, "s")
-        elif tks[0] == "t" and len(tks) == 2:
-            t = _int(tks[1], lno, "t")
+            edges.append((_int(tks[1], lno, "u"), _int(tks[2], lno, "v")))
+            where["edge"].append(line)
+        elif tks[0] in ("s", "t") and len(tks) == 2:
+            ends[tks[0]] = _int(tks[1], lno, tks[0])
+            where[tks[0]] = [line]
         else:
             raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
-    if s is None or t is None:
+    if len(ends) != 2:
         raise ParseError("missing s or t line")
-    if not (1 <= s <= n and 1 <= t <= n):
-        raise ParseError(f"s={s} or t={t} out of range")
-    return Digraph(n, tuple(edges), s, t)
+    return Digraph(n, tuple(edges), ends["s"], ends["t"]), where
 
 
 def _write_ugraph(g: UGraph | Digraph) -> list[str]:
     return [f"{g.num_vertices} {len(g.edges)}", *(f"e {u} {v}" for u, v in g.edges)]
 
 
-def _read_ugraph(toks, no, body) -> UGraph:
+def _read_ugraph(toks, no, body) -> tuple[UGraph, dict]:
     n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
     edges = []
-    seen = set()
     for lno, tks in body:
         if tks[0] != "e" or len(tks) != 3:
             raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
-        u, v = _int(tks[1], lno, "u"), _int(tks[2], lno, "v")
-        _check_vertex_pair(u, v, n, lno)
-        if u >= v:
-            raise ParseError(f"edge must satisfy u < v, got ({u},{v})", lno)
-        if (u, v) in seen:
-            raise ParseError(f"duplicate edge ({u},{v})", lno)
-        seen.add((u, v))
-        edges.append((u, v))
+        edges.append((_int(tks[1], lno, "u"), _int(tks[2], lno, "v")))
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
-    return UGraph(n, tuple(edges))
+    return UGraph(n, tuple(edges)), {"edge": body}
 
 
 def _write_xce(x: XceInstance) -> list[str]:
@@ -588,23 +587,18 @@ def _write_xce(x: XceInstance) -> list[str]:
             *("c " + " ".join(str(e) for e in s) for s in x.sets)]
 
 
-def _read_xce(toks, no, body) -> XceInstance:
+def _read_xce(toks, no, body) -> tuple[XceInstance, dict]:
     nx, nc = _count(toks[2], no, "nx"), _count(toks[3], no, "nc")
-    exempt = _read_exempt(body, nx)
+    exempt = _read_exempt(body)
     sets = []
     for lno, tks in body[1:]:
-        if tks[0] != "c" or not 2 <= len(tks) <= 4:
-            raise ParseError(f"set line must be 'c <id> [<id> [<id>]]', got {' '.join(tks)!r}", lno)
-        elems = [_int(x, lno, "element") for x in tks[1:]]
-        if len(set(elems)) != len(elems):
-            raise ParseError("set repeats an element", lno)
-        for e in elems:
-            if not 1 <= e <= nx:
-                raise ParseError(f"element {e} out of range", lno)
-        sets.append(tuple(sorted(elems)))
+        if tks[0] != "c" or len(tks) > 4:
+            raise ParseError(f"set line must be 'c [<id> [<id> [<id>]]]', got {' '.join(tks)!r}", lno)
+        sets.append(tuple(_int(x, lno, "element") for x in tks[1:]))
     if len(sets) != nc:
         raise ParseError(f"header declares {nc} sets, found {len(sets)}")
-    return XceInstance(nx, tuple(exempt), tuple(sets))
+    return (XceInstance(nx, tuple(exempt), tuple(sets)),
+            {"exempt": body, "set": body[1:]})
 
 
 def _write_ap2dm(a: Ap2dmInstance) -> list[str]:
@@ -612,24 +606,16 @@ def _write_ap2dm(a: Ap2dmInstance) -> list[str]:
             *(f"m {u} {v}" for u, v in a.pairs)]
 
 
-def _read_ap2dm(toks, no, body) -> Ap2dmInstance:
+def _read_ap2dm(toks, no, body) -> tuple[Ap2dmInstance, dict]:
     nx = _count(toks[2], no, "nx")
-    exempt = _read_exempt(body, nx)
+    exempt = _read_exempt(body)
     pairs = []
-    seen = set()
     for lno, tks in body[1:]:
         if tks[0] != "m" or len(tks) != 3:
             raise ParseError(f"pair line must be 'm <u> <v>', got {' '.join(tks)!r}", lno)
-        u, v = _int(tks[1], lno, "u"), _int(tks[2], lno, "v")
-        if u == v:
-            raise ParseError(f"trivial pair ({u},{u}) must stay implicit", lno)
-        if not (1 <= u <= nx and 1 <= v <= nx):
-            raise ParseError(f"pair ({u},{v}) out of range", lno)
-        if (u, v) in seen:
-            raise ParseError(f"duplicate pair ({u},{v})", lno)
-        seen.add((u, v))
-        pairs.append((u, v))
-    return Ap2dmInstance(nx, tuple(exempt), tuple(pairs))
+        pairs.append((_int(tks[1], lno, "u"), _int(tks[2], lno, "v")))
+    return (Ap2dmInstance(nx, tuple(exempt), tuple(pairs)),
+            {"exempt": body, "pair": body[1:]})
 
 
 def _write_lin(s: LinSystem):
@@ -643,51 +629,33 @@ def _write_lin(s: LinSystem):
             yield f"B {r} {v}"
 
 
-def _read_lin(toks, no, body) -> LinSystem:
+def _read_lin(toks, no, body) -> tuple[LinSystem, dict]:
     mode = toks[2]
     m, n, k = (_count(tok, no, what) for tok, what in zip(toks[3:], "mnk"))
-    entries = []
-    seen = set()
-    lower: dict[int, int] = {}
-    upper: dict[int, int] = {}
-    row_nnz = [0] * (m + 1)
-    for lno, tks in body:
+    entries, lines, lower, upper = [], [], {}, {}
+    for line in body:
+        lno, tks = line
         if tks[0] == "a" and len(tks) == 4:
-            r, c, v = (_int(x, lno, "entry") for x in tks[1:])
-            if not (1 <= r <= m and 1 <= c <= n):
-                raise ParseError(f"entry ({r},{c}) out of range", lno)
-            if v == 0:
-                raise ParseError("explicit zero entry", lno)
-            if abs(v) > MAX_LIN_ENTRY:
-                raise ParseError("entry exceeds the 63-bit width budget", lno)
-            if (r, c) in seen:
-                raise ParseError(f"duplicate entry at ({r},{c})", lno)
-            seen.add((r, c))
-            row_nnz[r] += 1
-            if row_nnz[r] > 2:
-                raise ParseError(f"row {r} has more than 2 nonzero entries", lno)
-            entries.append((r, c, v))
-        elif tks[0] == "b" and len(tks) == 3:
-            r, v = _int(tks[1], lno, "row"), _int(tks[2], lno, "bound")
-            if not 1 <= r <= m or r in lower:
-                raise ParseError(f"bad or repeated lower bound for row {r}", lno)
-            lower[r] = v
-        elif tks[0] == "B" and len(tks) == 3:
-            if mode != "band":
+            entries.append(tuple(_int(x, lno, "entry") for x in tks[1:]))
+            lines.append(line)
+        elif tks[0] in ("b", "B") and len(tks) == 3:
+            if tks[0] == "B" and mode != "band":
                 raise ParseError("upper bounds only allowed in band mode", lno)
+            which, bounds = ("lower", lower) if tks[0] == "b" else ("upper", upper)
             r, v = _int(tks[1], lno, "row"), _int(tks[2], lno, "bound")
-            if not 1 <= r <= m or r in upper:
-                raise ParseError(f"bad or repeated upper bound for row {r}", lno)
-            upper[r] = v
+            if not 1 <= r <= m or r in bounds:
+                raise ParseError(f"bad or repeated {which} bound for row {r}", lno)
+            bounds[r] = v
         else:
             raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
-    if sorted(lower) != list(range(1, m + 1)):
+    # each bound names a distinct row in 1..m, so m of them cover every row
+    if len(lower) != m:
         raise ParseError("each row needs exactly one lower bound")
-    if mode == "band" and sorted(upper) != list(range(1, m + 1)):
+    if mode == "band" and len(upper) != m:
         raise ParseError("band mode needs exactly one upper bound per row")
-    return LinSystem(mode, m, n, k, tuple(entries),
-                     tuple(lower[r] for r in range(1, m + 1)),
-                     tuple(upper[r] for r in range(1, m + 1)) if mode == "band" else None)
+    s = LinSystem(mode, m, n, k, tuple(entries), tuple(lower[r] for r in range(1, m + 1)),
+                  tuple(upper[r] for r in range(1, m + 1)) if mode == "band" else None)
+    return s, {"entry": lines}
 
 
 def _write_xor(x: XorSystem):
@@ -699,27 +667,19 @@ def _write_xor(x: XorSystem):
             yield f"u {con.u} {con.c}"
 
 
-def _read_xor(toks, no, body) -> XorSystem:
+def _read_xor(toks, no, body) -> tuple[XorSystem, dict]:
     n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
     cons = []
     for lno, tks in body:
         if tks[0] == "x" and len(tks) == 4:
-            u, v, c = (_int(x, lno, "field") for x in tks[1:])
-            if u == v:
-                raise ParseError("parity constraint needs two distinct variables", lno)
-            if not (1 <= u <= n and 1 <= v <= n) or c not in (0, 1):
-                raise ParseError("parity constraint out of range", lno)
-            cons.append(Parity(u, v, c))
+            cons.append(Parity(*(_int(x, lno, "field") for x in tks[1:])))
         elif tks[0] == "u" and len(tks) == 3:
-            u, c = _int(tks[1], lno, "var"), _int(tks[2], lno, "const")
-            if not 1 <= u <= n or c not in (0, 1):
-                raise ParseError("unit constraint out of range", lno)
-            cons.append(Unit(u, c))
+            cons.append(Unit(_int(tks[1], lno, "var"), _int(tks[2], lno, "const")))
         else:
             raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
     if len(cons) != m:
         raise ParseError(f"header declares {m} constraints, found {len(cons)}")
-    return XorSystem(n, tuple(cons))
+    return XorSystem(n, tuple(cons)), {"constraint": body}
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +693,9 @@ class Problem(NamedTuple):
     header: str  # the word after "p"
     usage: str  # the header line's shape, which `parse` checks
     size_params: dict  # name -> getter
-    validate: Callable  # (instance, tags, out) -> None, appends Violations
+    validate: Callable  # (instance, tags, out, at) -> None, appends Violations
     write: Callable  # instance -> header fields, then body lines
-    read: Callable  # (header tokens, header line number, body) -> instance
+    read: Callable  # (header tokens, header line number, body) -> (instance, record lines)
 
 
 PROBLEMS = {

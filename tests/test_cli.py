@@ -4,7 +4,7 @@ import pytest
 
 from redlab import cli
 from redlab.cli import main
-from redlab.instances import CnfFormula, parse, serialize
+from redlab.instances import CnfFormula, ParseError, parse, serialize
 
 
 def run(capsys, *argv):
@@ -48,7 +48,13 @@ class TestGen:
         (("2sat3", "--bias", "-0.5"), "-0.5 is not a number in [0, 1]"),
         (("2sat3", "--bias", "nan"), "nan is not a number in [0, 1]"),
         (("ugraph3", "--deg-bound", "-2"), "-2 is not a non-negative integer"),
-    ], ids=["bias_7", "bias_negative", "bias_nan", "deg_bound_negative"])
+        # an option the class's generator does not read
+        (("xce", "--clauses", "3"), "error: the xce generator does not read --clauses\n"),
+        (("2sat3", "--deg-bound", "3"), "error: the 2sat3 generator does not read --deg-bound\n"),
+        (("lin_geq", "--deg-bound", "0"), "error: the lin_geq generator does not read --deg-bound\n"),
+        (("ap2dm", "--bias", "0.5"), "error: the ap2dm generator does not read --bias\n"),
+    ], ids=["bias_7", "bias_negative", "bias_nan", "deg_bound_negative",
+            "clauses_xce", "deg_bound_2sat3", "deg_bound_lin", "bias_ap2dm"])
     def test_out_of_range_flag_exit_2(self, argv, message, capsys):
         code, out, err = run(capsys, "gen", *argv, "--size", "5")
         assert code == 2 and out == "" and message in err
@@ -59,6 +65,14 @@ class TestGen:
     def test_range_ends_accepted(self, argv, capsys):
         code, out, _ = run(capsys, "gen", *argv, "--size", "5")
         assert code == 0 and out.startswith("p ")
+
+    @pytest.mark.parametrize("argv", [("2sat3", "--bias", "0.5"), ("ugraph3", "--deg-bound", "3"),
+                                      ("digraph4", "--deg-bound", "3", "--bias", "0.5")],
+                             ids=["bias_2sat3", "deg_bound_ugraph3", "both_digraph4"])
+    def test_explicit_default_prints_default_bytes(self, argv, capsys):
+        _, plain, _ = run(capsys, "gen", argv[0], "--size", "7", "--seed", "5")
+        code, out, _ = run(capsys, "gen", *argv, "--size", "7", "--seed", "5")
+        assert code == 0 and out == plain
 
 
 class TestSolve:
@@ -117,6 +131,23 @@ class TestSolve:
         assert code == 2 and out == "" and err == "error: column 1 has 1 nonzeros, bound 0\n"
         code, _, err = run(capsys, "reduce", "twolp_to_lp", str(f), str(tmp_path / "out.lin"))
         assert code == 2 and err == "error: column 1 has 1 nonzeros, bound 0\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("p xce 1 3\nr\nc 1\nc 1\nc 1\n", "element 1 has overlapping cost 3, bound 2"),
+        ("p ap2dm 3\nr 1\nm 1 2\n", "exempt element 1 lacks a non-exempt partner (out=1, in=0)"),
+        ("p lin geq 1 2 0\na 1 2 5\nb 1 0\n", "column 2 has 1 nonzeros, bound 0"),
+    ], ids=["xce_overlap", "ap2dm_exempt_partner", "lin_col_bound"])
+    def test_parse_rejects_what_validate_rejects(self, tmp_path, capsys, text, message):
+        """A violation that names no record has no line; solve and dot print
+        validate's detail."""
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message and err.value.line is None
+        f = tmp_path / "f.txt"
+        f.write_text(text)
+        for argv in (("solve", str(f)), ("dot", str(f), "-o", str(tmp_path / "f.dot"))):
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "f.dot").exists()
 
 
 class TestReduce:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redlab.instances import (
+    MAX_LIN_ENTRY,
     Ap2dmInstance,
     CnfFormula,
     Digraph,
@@ -130,6 +131,10 @@ class TestValidate:
         x = XceInstance(2, (), ((1,), (1, 2), (1,)))
         assert any(v.rule == "overlap" for v in validate(x))
 
+    def test_ugraph_edge_order(self):
+        assert validate(UGraph(2, ((2, 1),))) == [
+            Violation("edge_order", (2, 1), "edge (2,1) must satisfy u < v")]
+
 
 class TestFormats:
     def test_cnf_example(self):
@@ -207,6 +212,24 @@ class TestFormats:
         assert err.value.line == 2
         assert f"header count {field} must not be negative" in str(err.value)
 
+    @pytest.mark.parametrize("text,message", [
+        ("p cnf2 2 2\n1 2 0\n# two\n1 -5 0\n", "line 4: literal -5 out of range in clause 2"),
+        ("p digraph 3 1\ne 1 2\ns 1\nt 4\n", "line 4: t=4 out of range"),
+        ("p graph 3 2\ne 1 2\ne 3 2\n", "line 3: edge (3,2) must satisfy u < v"),
+        ("p xce 3 2\nr\nc 1 2\nc 3 3\n", "line 4: set 2 repeats an element"),
+        ("p ap2dm 3\nr\nm 1 2\nm 2 2\n", "line 4: trivial pair (2,2) must stay implicit"),
+        # the row's third entry carries the line
+        ("p lin geq 2 3 3\na 1 1 1\na 2 1 1\na 1 2 1\nb 1 0\na 1 3 1\nb 2 0\n",
+         "line 6: row 1 has 3 nonzeros, bound 2"),
+        (f"p lin geq 1 1 3\na 1 1 {-MAX_LIN_ENTRY - 1}\nb 1 0\n",
+         "line 2: entry at (1,1) exceeds 63-bit budget"),
+        ("p xor 2 2\nu 1 0\nx 1 1 0\n", "line 3: parity constraint 2 needs two distinct variables"),
+    ], ids=["cnf", "digraph", "graph", "xce", "ap2dm", "lin_row", "lin_width", "xor"])
+    def test_record_violation_carries_its_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_exemption_line_required(self):
         for text in ("p xce 2 0\n", "p ap2dm 2\nm 1 2\n"):
             with pytest.raises(ParseError) as err:
@@ -264,10 +287,11 @@ class TestRoundTrip:
     def test_generator_instances_roundtrip(self):
         from redlab.harness import GENERATORS, GenSpec, generate
 
-        for prob in GENERATORS:
-            for t in range(50):
-                inst = generate(GenSpec(prob, max_size=7, seed=11), t)
-                assert parse(serialize(inst)) == inst
+        generated = (generate(GenSpec(prob, max_size=7, seed=11), t) for prob in GENERATORS for t in range(50))
+        boundary = (XceInstance(1, (), ((), (1,))),  # an empty set
+                    LinSystem("band", 1, 2, 3, ((1, 1, MAX_LIN_ENTRY), (1, 2, -MAX_LIN_ENTRY)), (0,), (0,)))
+        for inst in (*generated, *boundary):
+            assert parse(serialize(inst)) == inst
 
 
 def test_instances_are_immutable():

@@ -2,14 +2,14 @@
 classes, `gen`'s options and fixed bounds, the reductions `reduce` takes,
 the corrupted fixtures and the oracle budgets; and its claim that runs are
 reproducible from flags alone holds because no module reads the
-environment."""
+environment. README "File formats" gives the header shapes `parse` checks."""
 
 import argparse
 import re
 from pathlib import Path
 
 import redlab
-from redlab import cli, harness, oracles, reductions
+from redlab import cli, harness, instances, oracles, reductions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -69,3 +69,11 @@ def test_runs_depend_on_flags_alone():
     readers = [path.name for path in sorted(Path(redlab.__file__).parent.glob("*.py"))
                if re.search(r"\benviron\b|getenv", path.read_text())]
     assert readers == []
+
+
+def test_file_format_headers():
+    text = README.read_text()
+    start = text.index("```", text.index("## File formats")) + 3
+    block = text[start:text.index("```", start)]
+    shapes = [re.split(r"\s{2,}", line)[0] for line in block.strip().splitlines()]
+    assert shapes == [problem.usage for problem in instances.PROBLEMS.values()]
