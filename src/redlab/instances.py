@@ -451,8 +451,9 @@ def validate(instance, tags: dict | None = None) -> list[Violation]:
 # after "p <word>", then the body lines. A reader gets the header tokens,
 # which `parse` has already checked against the usage string, and the
 # numbered body lines. It checks only what the format decides (each line's
-# letter, token count and integers, the record count, the fixed lines) and
-# returns the instance and its record lines by kind; the validator judges.
+# letter, token count and integers, the record count, the fixed lines, each
+# given once, and exempt ids that the instance's set would otherwise merge)
+# and returns the instance and its record lines by kind; the validator judges.
 
 
 def serialize(instance) -> str:
@@ -515,11 +516,15 @@ def parse(text: str):
 
 
 def _read_exempt(body: list) -> list[int]:
-    """The ids of the exemption line 'r ...' that must open the body."""
+    """The ids of the exemption line 'r ...' that must open the body, each
+    given once."""
     if not body or body[0][1][0] != "r":
         raise ParseError("first body line must be the exemption line 'r ...'")
     rno, rtoks = body[0]
-    return [_int(x, rno, "exempt id") for x in rtoks[1:]]
+    exempt = [_int(x, rno, "exempt id") for x in rtoks[1:]]
+    if len(set(exempt)) != len(exempt):
+        raise ParseError("exemption line repeats an id", rno)
+    return exempt
 
 
 def _write_cnf(f: CnfFormula) -> list[str]:
@@ -555,6 +560,8 @@ def _read_digraph(toks, no, body) -> tuple[Digraph, dict]:
             edges.append((_int(tks[1], lno, "u"), _int(tks[2], lno, "v")))
             where["edge"].append(line)
         elif tks[0] in ("s", "t") and len(tks) == 2:
+            if tks[0] in ends:
+                raise ParseError(f"repeated {tks[0]} line", lno)
             ends[tks[0]] = _int(tks[1], lno, tks[0])
             where[tks[0]] = [line]
         else:

@@ -8,12 +8,15 @@ constraints each involve at most two Boolean variables, and simple-cycle
 enumeration of the pair digraph for matching. Only the matching enumeration
 runs within a fixed budget; the polynomial deciders have none. The `*_enum`
 functions are exhaustive cross-check routes, each within its own budget. All
-functions are pure.
+functions are pure. One BFS, `_bfs`, answers reachability and orders the
+cover deciders' vertices; the matching oracle, judged against `solve_dstcon`
+by `dstcon_to_ap2dm`, and the witness checkers keep walks of their own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from functools import cache, partial
 from itertools import product
 from math import inf
 
@@ -41,7 +44,9 @@ LIN_ENUM_BUDGET = 24  # columns
 # 0.93 s, but one of 33 elements takes 1.4 s, one of 34 3.5 s and one of 37
 # 23 s.
 AP2DM_BUDGET = 32  # elements
-# A matching search tests its open pairs with _separated once per this many cycles.
+# Without the periodic _separated pass, solving the ap2dm instances of at most 32
+# elements in 300 trials per knob 4-44 at seeds 1 and 1001 took 12.8 s, not 6.7 s, and
+# GenSpec("ap2dm", max_size=34, seed=1001) trial 130 took 4.2 s, not 0.13 s.
 SEPARATION_PERIOD = 512
 
 
@@ -157,53 +162,44 @@ def check_assignment(f: CnfFormula, assignment: dict[int, bool]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def solve_dstcon(g: Digraph) -> tuple[bool, list[int] | None]:
-    """BFS reachability; returns (yes, vertex path s..t or None)."""
-    if g.s == g.t:
-        return True, [g.s]
-    succ: list[list[int]] = [[] for _ in range(g.num_vertices + 1)]
-    for u, v in g.edges:
+def _successors(num_vertices: int, edges) -> list[list[int]]:
+    """Successor lists of a digraph on 1..num_vertices, in edge order."""
+    succ: list[list[int]] = [[] for _ in range(num_vertices + 1)]
+    for u, v in edges:
         succ[u].append(v)
-    parent = {g.s: 0}
-    queue = [g.s]
+    return succ
+
+
+def _bfs(succ: list[list[int]], s: int) -> dict[int, int]:
+    """The parent of every vertex that s reaches over succ, in breadth-first
+    order, with s as its own parent."""
+    parent = {s: s}
+    queue = [s]
     for v in queue:
         for w in succ[v]:
             if w not in parent:
                 parent[w] = v
-                if w == g.t:
-                    path = [w]
-                    while path[-1] != g.s:
-                        path.append(parent[path[-1]])
-                    return True, path[::-1]
                 queue.append(w)
-    return False, None
+    return parent
+
+
+def solve_dstcon(g: Digraph) -> tuple[bool, list[int] | None]:
+    """BFS reachability; returns (yes, vertex path s..t or None)."""
+    parent = _bfs(_successors(g.num_vertices, g.edges), g.s)
+    if g.t not in parent:
+        return False, None
+    path = [g.t]
+    while path[-1] != g.s:
+        path.append(parent[path[-1]])
+    return True, path[::-1]
 
 
 def dstcon_oracle(num_vertices: int, edges) -> Callable[[int, int], bool]:
     """Reachability over one fixed digraph on 1..num_vertices: returns
     ask(s, t), which is True iff t is reachable from s (s == t included).
-
-    The successor lists are built once. A source's reached set is computed
-    by BFS on its first query and reused by every later query from it.
-    """
-    succ: list[list[int]] = [[] for _ in range(num_vertices + 1)]
-    for u, v in edges:
-        succ[u].append(v)
-    reached: dict[int, set[int]] = {}
-
-    def ask(s: int, t: int) -> bool:
-        seen = reached.get(s)
-        if seen is None:
-            seen = reached[s] = {s}
-            queue = [s]
-            for v in queue:
-                for w in succ[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-        return t in seen
-
-    return ask
+    A source's BFS parent map is computed on its first query and kept."""
+    reached = cache(partial(_bfs, _successors(num_vertices, edges)))
+    return lambda s, t: t in reached(s)
 
 
 def check_path(g: Digraph, path: list[int]) -> bool:
@@ -306,24 +302,16 @@ def _bfs_order(g: UGraph) -> list[int]:
     """The non-isolated vertices in breadth-first order, each component from
     its smallest vertex, so every edge is decided as soon as its later
     endpoint is."""
+    # both directions per edge in turn: the neighbour order sets solve_2cvc's cover
     adj: list[list[int]] = [[] for _ in range(g.num_vertices + 1)]
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    order: list[int] = []
-    seen = [False] * (g.num_vertices + 1)
+    order: dict[int, int] = {}
     for start in range(1, g.num_vertices + 1):
-        if seen[start] or not adj[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        for v in queue:
-            order.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return order
+        if start not in order and adj[start]:
+            order.update(_bfs(adj, start))
+    return list(order)
 
 
 def solve_2cvc(g: UGraph) -> tuple[bool, set[int] | None]:

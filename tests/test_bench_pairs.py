@@ -38,6 +38,19 @@ def test_direction_and_bound_for_lower_is_better():
     assert bench_pairs.compare(base, [30.0] * 5, "lower", 0.1)["gain"] is True
 
 
+def test_resolved_unless_the_base_spread_exceeds_the_bound():
+    base = [10.0, 11.0, 12.0, 10.5, 11.5]  # quartile distance 1.0, median 11.0
+    assert bench_pairs.compare(base, base, "higher", 0.1)["resolved"] is True
+    # a spread over 5% of the median hides a 5% move
+    unresolved = bench_pairs.compare(base, [b - 0.2 for b in base], "higher", 0.05)
+    assert (unresolved["within_bound"], unresolved["resolved"]) == (True, False)
+    # unless every change run beats every base run
+    dominant = bench_pairs.compare(base, [12.5, 13.0, 12.1, 13.5, 12.8], "higher", 0.05)
+    assert dominant["resolved"] is True
+    assert bench_pairs.compare(base, [9.9, 9.0, 9.5, 9.2, 9.8], "lower", 0.05)["resolved"] is True
+    assert bench_pairs.compare(base, [9.9, 9.0, 10.0, 9.2, 9.8], "lower", 0.05)["resolved"] is False
+
+
 def _git(root: Path, *args: str) -> str:
     done = subprocess.run(["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
                            "-c", "commit.gpgsign=false", *args],

@@ -104,6 +104,11 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(f))
         assert code == 2 and out == "" and "header count n must not be negative" in err
 
+    def test_repeated_s_line_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "f.dig"
+        f.write_text("p digraph 2 0\ns 1\ns 2\nt 1\n")
+        assert run(capsys, "solve", str(f)) == (2, "", "error: line 3: repeated s line\n")
+
     @pytest.mark.parametrize("text,line", [
         ("p graph 3 0\n", "cover"),  # edgeless: the empty cover
         ("p xce 2 0\nr 1 2\n", "sets"),  # every element exempt: no set

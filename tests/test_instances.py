@@ -230,6 +230,18 @@ class TestFormats:
             parse(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text,message", [
+        ("p digraph 2 0\ns 1\ns 2\nt 1\n", "line 3: repeated s line"),
+        ("p digraph 2 0\nt 1\ns 1\n# again\nt 2\n", "line 5: repeated t line"),
+        ("p xce 2 0\nr 1 1 2 2\n", "line 2: exemption line repeats an id"),
+        ("p ap2dm 3\n# exempt\nr 3 1 3\nm 1 2\n", "line 3: exemption line repeats an id"),
+    ], ids=["digraph_s", "digraph_t", "xce", "ap2dm"])
+    def test_repeated_line_or_exempt_id_rejected(self, text, message):
+        """Neither keeps the last s/t line nor merges repeated exempt ids."""
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_exemption_line_required(self):
         for text in ("p xce 2 0\n", "p ap2dm 2\nm 1 2\n"):
             with pytest.raises(ParseError) as err:

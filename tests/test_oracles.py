@@ -144,10 +144,13 @@ class TestDstcon:
     @example((4, [(1, 4), (2, 4), (4, 4)], [(3, 3), (1, 4), (2, 4), (4, 1), (3, 4), (4, 4)]))
     @settings(max_examples=300, deadline=None)
     def test_query_oracle_matches_bfs(self, case):
+        """Both share oracles._bfs, so each answer is checked by _reach's DFS too."""
         n, edges, queries = case
         ask = dstcon_oracle(n, edges)
+        adj = [[v for u, v in edges if u == s] for s in range(n + 1)]
         for s, t in queries:
-            assert ask(s, t) == solve_dstcon(Digraph(n, edges, s, t))[0], (s, t)
+            assert (ask(s, t) == solve_dstcon(Digraph(n, edges, s, t))[0]
+                    == (t in _reach(adj, s))), (s, t)
 
     def test_query_oracle_on_reduction_graphs(self):
         """Every qualifying pair of 200 strict oracle-reduction gadgets, 200
@@ -161,9 +164,11 @@ class TestDstcon:
         for a in corpus:
             n, exempt = a.universe_size, set(a.exempt)
             ask = dstcon_oracle(n, a.pairs)
+            adj = [[w for v, w in a.pairs if v == u] for u in range(n + 1)]
             for v, w in permutations(range(1, n + 1), 2):
                 if not (v in exempt and w in exempt):
-                    assert ask(v, w) == solve_dstcon(Digraph(n, a.pairs, v, w))[0], (a, v, w)
+                    assert (ask(v, w) == solve_dstcon(Digraph(n, a.pairs, v, w))[0]
+                            == (w in _reach(adj, v))), (a, v, w)
 
 
 def _plan_instances(name: str, trials: int = 300):
@@ -234,6 +239,13 @@ class Test2Cvc:
     def test_budget(self):
         with pytest.raises(BudgetError):
             solve_2cvc_enum(UGraph(CVC_ENUM_BUDGET + 1, ()))
+
+    def test_bfs_order(self):
+        """Components from their smallest vertex (2, not its first edge's 5),
+        neighbours in edge order with both ends of an edge added in turn
+        (5 meets 9, 3, 2, 7), and the isolated vertex 8 left out."""
+        g = UGraph(9, ((5, 9), (1, 4), (3, 5), (2, 5), (4, 6), (5, 7)))
+        assert oracles._bfs_order(g) == [1, 4, 6, 2, 5, 9, 3, 7]
 
     @pytest.mark.parametrize("sat_bias, expected", [(0.0, False), (1.0, True)])
     def test_decides_far_over_the_enum_budget(self, sat_bias, expected):

@@ -25,7 +25,11 @@ for each workload and end-to-end metric of that BENCHMARK.json:
 - `gain`: the change won at least 9 of every 10 pairs and the medians differ
   by more than the base's quartile distance;
 - `within_bound`: the change's median is no worse than the base's by more
-  than the metric's bound.
+  than the metric's bound;
+- `resolved`: false when the base's quartile distance exceeds the bound
+  times the base's median, unless every change run is better than every
+  base run. An unresolved metric's spread hides a move of its bound's size,
+  so it reads as unresolved, not as unchanged.
 
 A run that exits non-zero, prints no JSON or reports a wrong output stops
 the tool with its stderr.
@@ -82,6 +86,8 @@ def compare(base: list[float], change: list[float], better: str, bound: float) -
         "pairs": len(base),
         "gain": 10 * wins >= 9 * len(base) and sign * (c["median"] - b["median"]) > b["q3"] - b["q1"],
         "within_bound": sign * (c["median"] - b["median"]) >= -bound * b["median"],
+        "resolved": (b["q3"] - b["q1"] <= bound * b["median"]
+                     or min(sign * x for x in change) > max(sign * x for x in base)),
     }
 
 
