@@ -452,8 +452,8 @@ def validate(instance, tags: dict | None = None) -> list[Violation]:
 # which `parse` has already checked against the usage string, and the
 # numbered body lines. It checks only what the format decides (each line's
 # letter, token count and integers, the record count, the fixed lines, each
-# given once, and exempt ids that the instance's set would otherwise merge)
-# and returns the instance and its record lines by kind; the validator judges.
+# once, and no exempt id twice) and returns the instance and its record
+# lines by kind; the validator judges.
 
 
 def serialize(instance) -> str:
