@@ -7,6 +7,7 @@ serialization, and validation are pure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -317,15 +318,22 @@ def _validate_xce(x: XceInstance, tags: dict, out: list[Violation], at):
 
 
 def _validate_ap2dm(a: Ap2dmInstance, tags: dict, out: list[Violation], at):
-    exempt = set(a.exempt)
     for e in a.exempt:
         if not 1 <= e <= a.universe_size:
             out.append(Violation("exempt_range", (e,), f"exempt element {e} out of range", at("exempt", 1)))
     n_out = [0] * (a.universe_size + 1)
     n_in = [0] * (a.universe_size + 1)
+    # each exempt element's non-exempt partners over all stored pairs, malformed ones too
+    n_outs = dict.fromkeys(a.exempt, 0)
+    n_ins = dict.fromkeys(a.exempt, 0)
     seen = set()
     for i, e in enumerate(a.pairs, 1):
         u, v = e
+        if u in n_outs:
+            if v not in n_outs:
+                n_outs[u] += 1
+        elif v in n_ins:
+            n_ins[v] += 1
         if not (1 <= u <= a.universe_size and 1 <= v <= a.universe_size):
             out.append(Violation("pair_range", (u, v), f"pair ({u},{v}) out of range", at("pair", i)))
             continue
@@ -351,18 +359,8 @@ def _validate_ap2dm(a: Ap2dmInstance, tags: dict, out: list[Violation], at):
     # Connectivity promise for exempt elements. Default mode requires at least
     # one partner on each side outside the exemption set; "exactly_one" is the
     # strict reading.
-    # Partners are counted in one pass over every stored pair, malformed
-    # ones included.
     strict = tags.get("uniquely_connected") == "exactly_one"
-    n_outs = dict.fromkeys(exempt, 0)
-    n_ins = dict.fromkeys(exempt, 0)
-    for u, w in a.pairs:
-        if u in exempt:
-            if w not in exempt:
-                n_outs[u] += 1
-        elif w in exempt:
-            n_ins[w] += 1
-    for v in sorted(exempt):
+    for v in a.exempt:
         outs, ins = n_outs[v], n_ins[v]
         if outs == 0 or ins == 0:
             out.append(Violation("uniquely_connected", (v, outs, ins),
@@ -449,11 +447,10 @@ def validate(instance, tags: dict | None = None) -> list[Violation]:
 
 # Each class has a writer and a reader. A writer gives the header's fields
 # after "p <word>", then the body lines. A reader gets the header tokens,
-# which `parse` has already checked against the usage string, and the
-# numbered body lines. It checks only what the format decides (each line's
-# letter, token count and integers, the record count, the fixed lines, each
-# once, and no exempt id twice) and returns the instance and its record
-# lines by kind; the validator judges.
+# which `parse` has checked against the usage string, and the numbered body
+# lines. It checks only the format (each line's letter, token count and
+# integers, the record count, the writer's order of lines and of ids) and
+# returns the instance and its record lines by kind; the validator judges.
 
 
 def serialize(instance) -> str:
@@ -487,11 +484,9 @@ def _count(tok: str, no: int, what: str) -> int:
 
 
 def parse(text: str):
-    """Parse one instance from text; the header selects the class.
-
-    Accepts exactly what `validate` accepts. A ParseError gives the detail of
-    the malformed line or first violation, and the line of the record it names.
-    """
+    """Parse the instance that `serialize` writes as `text`, up to comments,
+    blank lines and spacing, if `validate` accepts it. A ParseError gives the
+    detail of the malformed line or first violation, and its record's line."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty input")
@@ -512,18 +507,24 @@ def parse(text: str):
     problem.validate(instance, {}, bad, lambda kind, i: where[kind][i - 1][0])
     if bad:
         raise ParseError(bad[0].detail, bad[0].line)
+    # `int` also reads `+3`, `1_0`, `03`, `-0` and `٣`, which `str(int)` never
+    # writes, so a text holding one of these is compared line by line. The
+    # pattern starts at its 0, which `re` finds by a fast scan.
+    if not text.isascii() or "+" in text or "_" in text or "-0" in text or re.search(r"0(?<=\s0)\d", text):
+        for (lno, toks), want in zip(lines, serialize(instance).splitlines()):
+            if toks != want.split():
+                raise ParseError(f"expected {want!r}, got {' '.join(toks)!r}", lno)
     return instance
 
 
 def _read_exempt(body: list) -> list[int]:
-    """The ids of the exemption line 'r ...' that must open the body, each
-    given once."""
+    """The strictly ascending ids of the exemption line 'r ...' that opens the body."""
     if not body or body[0][1][0] != "r":
-        raise ParseError("first body line must be the exemption line 'r ...'")
+        raise ParseError("first body line must be the exemption line 'r ...'", body[0][0] if body else None)
     rno, rtoks = body[0]
     exempt = [_int(x, rno, "exempt id") for x in rtoks[1:]]
-    if len(set(exempt)) != len(exempt):
-        raise ParseError("exemption line repeats an id", rno)
+    if any(a >= b for a, b in zip(exempt, exempt[1:])):
+        raise ParseError(f"exempt ids must be strictly ascending, got {' '.join(rtoks)!r}", rno)
     return exempt
 
 
@@ -552,25 +553,14 @@ def _write_digraph(g: Digraph) -> list[str]:
 
 
 def _read_digraph(toks, no, body) -> tuple[Digraph, dict]:
-    n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
-    edges, ends, where = [], {}, {"edge": []}
-    for line in body:
-        lno, tks = line
-        if tks[0] == "e" and len(tks) == 3:
-            edges.append((_int(tks[1], lno, "u"), _int(tks[2], lno, "v")))
-            where["edge"].append(line)
-        elif tks[0] in ("s", "t") and len(tks) == 2:
-            if tks[0] in ends:
-                raise ParseError(f"repeated {tks[0]} line", lno)
-            ends[tks[0]] = _int(tks[1], lno, tks[0])
-            where[tks[0]] = [line]
-        else:
-            raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges, found {len(edges)}")
-    if len(ends) != 2:
-        raise ParseError("missing s or t line")
-    return Digraph(n, tuple(edges), ends["s"], ends["t"]), where
+    """The header's m edge lines, then one s line and one t line."""
+    m = _count(toks[3], no, "m")
+    g, where = _read_ugraph(toks, no, body[:m])
+    ends = body[m:]
+    if [tks[0] for _, tks in ends] != ["s", "t"] or any(len(tks) != 2 for _, tks in ends):
+        raise ParseError("expected the edge lines, then one s and one t line", ends[0][0] if ends else None)
+    s, t = (_int(tks[1], lno, tks[0]) for lno, tks in ends)
+    return Digraph(g.num_vertices, g.edges, s, t), {**where, "s": ends[:1], "t": ends[1:]}
 
 
 def _write_ugraph(g: UGraph | Digraph) -> list[str]:
@@ -604,8 +594,11 @@ def _read_xce(toks, no, body) -> tuple[XceInstance, dict]:
         sets.append(tuple(_int(x, lno, "element") for x in tks[1:]))
     if len(sets) != nc:
         raise ParseError(f"header declares {nc} sets, found {len(sets)}")
-    return (XceInstance(nx, tuple(exempt), tuple(sets)),
-            {"exempt": body, "set": body[1:]})
+    x = XceInstance(nx, tuple(exempt), tuple(sets))
+    for (lno, tks), read, kept in zip(body[1:], sets, x.sets):
+        if read != kept:  # the instance keeps each set sorted
+            raise ParseError(f"set ids must be ascending, got {' '.join(tks)!r}", lno)
+    return x, {"exempt": body, "set": body[1:]}
 
 
 def _write_ap2dm(a: Ap2dmInstance) -> list[str]:
@@ -637,32 +630,23 @@ def _write_lin(s: LinSystem):
 
 
 def _read_lin(toks, no, body) -> tuple[LinSystem, dict]:
+    """The entry lines, then b 1 .. b m, then in band mode B 1 .. B m."""
     mode = toks[2]
     m, n, k = (_count(tok, no, what) for tok, what in zip(toks[3:], "mnk"))
-    entries, lines, lower, upper = [], [], {}, {}
-    for line in body:
-        lno, tks = line
-        if tks[0] == "a" and len(tks) == 4:
-            entries.append(tuple(_int(x, lno, "entry") for x in tks[1:]))
-            lines.append(line)
-        elif tks[0] in ("b", "B") and len(tks) == 3:
-            if tks[0] == "B" and mode != "band":
-                raise ParseError("upper bounds only allowed in band mode", lno)
-            which, bounds = ("lower", lower) if tks[0] == "b" else ("upper", upper)
-            r, v = _int(tks[1], lno, "row"), _int(tks[2], lno, "bound")
-            if not 1 <= r <= m or r in bounds:
-                raise ParseError(f"bad or repeated {which} bound for row {r}", lno)
-            bounds[r] = v
-        else:
+    rows = [(letter, str(r)) for letter in ("bB" if mode == "band" else "b") for r in range(1, m + 1)]
+    split = max(0, len(body) - len(rows))
+    entries = []
+    for lno, tks in body[:split]:
+        if tks[0] != "a" or len(tks) != 4:
             raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
-    # each bound names a distinct row in 1..m, so m of them cover every row
-    if len(lower) != m:
-        raise ParseError("each row needs exactly one lower bound")
-    if mode == "band" and len(upper) != m:
-        raise ParseError("band mode needs exactly one upper bound per row")
-    s = LinSystem(mode, m, n, k, tuple(entries), tuple(lower[r] for r in range(1, m + 1)),
-                  tuple(upper[r] for r in range(1, m + 1)) if mode == "band" else None)
-    return s, {"entry": lines}
+        entries.append(tuple(_int(x, lno, "entry") for x in tks[1:]))
+    bounds = []  # too few leave a bounds_shape violation
+    for (lno, tks), (letter, row) in zip(body[split:], rows):
+        if tks[:2] != [letter, row] or len(tks) != 3:
+            raise ParseError(f"expected '{letter} {row} <bound>', got {' '.join(tks)!r}", lno)
+        bounds.append(_int(tks[2], lno, "bound"))
+    s = LinSystem(mode, m, n, k, tuple(entries), tuple(bounds[:m]), tuple(bounds[m:]) if mode == "band" else None)
+    return s, {"entry": body[:split]}
 
 
 def _write_xor(x: XorSystem):

@@ -6,9 +6,6 @@ obeyed output <= k1 * input + k2 on its size parameters. Gadget vertices and
 universe elements get dense integer identifiers in construction order, with
 a name table in report.notes["names"] for debugging.
 
-Outputs are emitted record by record in construction order; the builders keep
-only counters and the current gadget index between emissions.
-
 Every transformation first checks its input with `validate` (`_require`),
 raising PreconditionError with the first violation's detail; its own
 preconditions (a normalized formula, an LP mode, a degree bound) follow.
@@ -193,7 +190,7 @@ def sat2_to_2cvc3(f: CnfFormula) -> tuple[UGraph, ReductionReport]:
     Declared shortness k1=8, k2=0 on m_vbl -> m_ver.
     """
     _require(f)
-    if f.clauses and not is_normalized_2sat3(f):
+    if not is_normalized_2sat3(f):
         raise PreconditionError("sat2_to_2cvc3 requires a normalized formula")
     n, m = f.num_vars, len(f.clauses)
     # ids: variable pair (2i-1, 2i), clause pair (2n+2j-1, 2n+2j)
@@ -247,14 +244,7 @@ def cvc3_to_sat2(g: UGraph) -> tuple[CnfFormula, ReductionReport]:
         if deg[u] > 2 or deg[v] > 2:
             clauses.append((-u, -v))
     f = CnfFormula(g.num_vertices, tuple(clauses))
-    occ = [0] * (g.num_vertices + 1)
-    for c in clauses:
-        for l in c:
-            occ[abs(l)] += 1
-    max_occ = max(occ) if g.num_vertices else 0
-    report = _report("cvc3_to_sat2", g, "m_ver", f, "m_vbl", 1, 0,
-                     max_occurrence=max_occ, occ_bound_3=max_occ <= 3)
-    return f, report
+    return f, _report("cvc3_to_sat2", g, "m_ver", f, "m_vbl", 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +262,7 @@ def sat2_to_3xce2(f: CnfFormula) -> tuple[XceInstance, ReductionReport]:
     Declared shortness k1=6, k2=0 on m_vbl -> m_set.
     """
     _require(f)
-    if f.clauses and not is_normalized_2sat3(f):
+    if not is_normalized_2sat3(f):
         raise PreconditionError("sat2_to_3xce2 requires a normalized formula")
     n, m = f.num_vars, len(f.clauses)
     names: dict[int, str] = {}
@@ -307,20 +297,19 @@ def sat2_to_3xce2(f: CnfFormula) -> tuple[XceInstance, ReductionReport]:
         sj = element(f"s{j}")
         for lit in clause:
             sets.append((element(occ_name(lit, j)), sj))
-    # variable gadgets B_i
+    # variable gadgets B_i; a normalized formula gives each variable the
+    # occurrence profile (1,1), (2,1) or (1,2)
     for i in range(1, n + 1):
         p, q = pos_occ[i], neg_occ[i]
-        if len(p) == 2 and len(q) == 1:
-            major, minor, major_lit, minor_lit = p, q, i, -i
-        elif len(q) == 2 and len(p) == 1:
-            major, minor, major_lit, minor_lit = q, p, -i, i
-        elif len(p) == 1 and len(q) == 1:
+        if len(p) == 1 and len(q) == 1:
             t1 = element(f"t{i}[1]")
             sets.append((element(occ_name(i, p[0])), t1))
             sets.append((element(occ_name(-i, q[0])), t1))
             continue
-        else:  # unreachable on normalized input
-            raise PreconditionError(f"variable {i} has occurrence profile ({len(p)},{len(q)})")
+        if len(p) == 2:
+            major, minor, major_lit, minor_lit = p, q, i, -i
+        else:
+            major, minor, major_lit, minor_lit = q, p, -i, i
         j1, j2 = sorted(major)
         t1, t2 = element(f"t{i}[1]"), element(f"t{i}[2]")
         sets.append((element(occ_name(major_lit, j1)), t1))
@@ -700,11 +689,12 @@ def reduce_degree_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
     degree <= 4, where each vertex yields at most 2 copies).
     """
     _require(g)
-    ins: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices + 1)]
-    outs: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices + 1)]
+    # each vertex's in- and out-edges by index, in ascending order
+    ins: list[list[int]] = [[] for _ in range(g.num_vertices + 1)]
+    outs: list[list[int]] = [[] for _ in range(g.num_vertices + 1)]
     for idx, (u, v) in enumerate(g.edges):
-        outs[u].append((idx, v))
-        ins[v].append((idx, u))
+        outs[u].append(idx)
+        ins[v].append(idx)
 
     names: dict[int, str] = {}
     copies: dict[int, list[int]] = {}
@@ -726,9 +716,9 @@ def reduce_degree_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
         # slots along the path: 2 on the first copy, 1 on middles, 2 on the
         # last; in-edges fill from the front, out-edges from the back
         slots = [chain[0]] + chain + [chain[-1]]
-        for i, (idx, _) in enumerate(sorted(ins[v])):
+        for i, idx in enumerate(ins[v]):
             in_copy[idx] = slots[i]
-        for i, (idx, _) in enumerate(sorted(outs[v])):
+        for i, idx in enumerate(outs[v]):
             out_copy[idx] = slots[len(slots) - 1 - i]
     for idx in range(len(g.edges)):
         edges.append((out_copy[idx], in_copy[idx]))

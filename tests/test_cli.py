@@ -107,7 +107,8 @@ class TestSolve:
     def test_repeated_s_line_exit_2(self, tmp_path, capsys):
         f = tmp_path / "f.dig"
         f.write_text("p digraph 2 0\ns 1\ns 2\nt 1\n")
-        assert run(capsys, "solve", str(f)) == (2, "", "error: line 3: repeated s line\n")
+        assert run(capsys, "solve", str(f)) == (
+            2, "", "error: line 2: expected the edge lines, then one s and one t line\n")
 
     @pytest.mark.parametrize("text,line", [
         ("p graph 3 0\n", "cover"),  # edgeless: the empty cover

@@ -150,7 +150,7 @@ class TestFormats:
         assert x == XceInstance(3, (3,), ((1, 2), (2, 3)))
 
     def test_comments_ignored(self):
-        g = parse("# heading\np graph 2 1\n# an edge\ne 1 2\n")
+        g = parse("# heading\np graph 2 1\n# an edge, not +3, 1_0, 03, -0 or \u0663\ne 1 2\n")
         assert g == UGraph(2, ((1, 2),))
 
     def test_parse_errors_carry_line_numbers(self):
@@ -219,8 +219,8 @@ class TestFormats:
         ("p xce 3 2\nr\nc 1 2\nc 3 3\n", "line 4: set 2 repeats an element"),
         ("p ap2dm 3\nr\nm 1 2\nm 2 2\n", "line 4: trivial pair (2,2) must stay implicit"),
         # the row's third entry carries the line
-        ("p lin geq 2 3 3\na 1 1 1\na 2 1 1\na 1 2 1\nb 1 0\na 1 3 1\nb 2 0\n",
-         "line 6: row 1 has 3 nonzeros, bound 2"),
+        ("p lin geq 2 3 3\na 1 1 1\na 2 1 1\na 1 2 1\na 1 3 1\nb 1 0\nb 2 0\n",
+         "line 5: row 1 has 3 nonzeros, bound 2"),
         (f"p lin geq 1 1 3\na 1 1 {-MAX_LIN_ENTRY - 1}\nb 1 0\n",
          "line 2: entry at (1,1) exceeds 63-bit budget"),
         ("p xor 2 2\nu 1 0\nx 1 1 0\n", "line 3: parity constraint 2 needs two distinct variables"),
@@ -231,22 +231,42 @@ class TestFormats:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("text,message", [
-        ("p digraph 2 0\ns 1\ns 2\nt 1\n", "line 3: repeated s line"),
-        ("p digraph 2 0\nt 1\ns 1\n# again\nt 2\n", "line 5: repeated t line"),
-        ("p xce 2 0\nr 1 1 2 2\n", "line 2: exemption line repeats an id"),
-        ("p ap2dm 3\n# exempt\nr 3 1 3\nm 1 2\n", "line 3: exemption line repeats an id"),
+        ("p digraph 2 0\ns 1\ns 2\nt 1\n", "line 2: expected the edge lines, then one s and one t line"),
+        ("p digraph 2 0\nt 1\ns 1\n# again\nt 2\n", "line 2: expected the edge lines, then one s and one t line"),
+        ("p xce 2 0\nr 1 1 2 2\n", "line 2: exempt ids must be strictly ascending, got 'r 1 1 2 2'"),
+        ("p ap2dm 3\n# exempt\nr 3 1 3\nm 1 2\n", "line 3: exempt ids must be strictly ascending, got 'r 3 1 3'"),
     ], ids=["digraph_s", "digraph_t", "xce", "ap2dm"])
     def test_repeated_line_or_exempt_id_rejected(self, text, message):
-        """Neither keeps the last s/t line nor merges repeated exempt ids."""
+        """Neither keeps the last s/t line nor merges repeated exempt ids: the
+        edges are followed by exactly one s line, then one t line, and exempt
+        ids are strictly ascending. The error names the first line off the rule."""
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        ("p graph 1_0 1\ne 1 10\n", "line 1: expected 'p graph 10 1', got 'p graph 1_0 1'"),
+        ("p cnf2 2 1\n+1 -2 0\n", "line 2: expected '1 -2 0', got '+1 -2 0'"),
+        ("p xor 3 1\n# unit\nu 03 1\n", "line 3: expected 'u 3 1', got 'u 03 1'"),
+        ("p xce 3 0\nr \u0663\n", "line 2: expected 'r 3', got 'r \u0663'"),
+        ("p lin eq 1 1 1\na 1 1 1\nb 1 -0\n", "line 3: expected 'b 1 0', got 'b 1 -0'"),
+        ("p digraph 2 1\nt 2\ns 1\ne 1 2\n", "line 2: unexpected line 't 2'"),
+        ("p xce 2 0\nr 2 1\n", "line 2: exempt ids must be strictly ascending, got 'r 2 1'"),
+        ("p xce 3 1\nr\nc 3 1\n", "line 3: set ids must be ascending, got 'c 3 1'"),
+        ("p lin geq 1 1 1\nb 1 0\na 1 1 1\n", "line 2: unexpected line 'b 1 0'"),
+        ("p lin geq 2 1 1\nb 2 0\nb 1 0\n", "line 2: expected 'b 1 <bound>', got 'b 2 0'"),
+    ], ids=["header", "sign", "leading_zero", "digit", "minus_zero", "digraph_order", "exempt_order",
+            "set_order", "lin_order", "lin_rows"])
+    def test_only_the_written_spelling_parses(self, text, message):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == message
 
     def test_exemption_line_required(self):
-        for text in ("p xce 2 0\n", "p ap2dm 2\nm 1 2\n"):
+        for text, at in (("p xce 2 0\n", ""), ("p ap2dm 2\nm 1 2\n", "line 2: ")):
             with pytest.raises(ParseError) as err:
                 parse(text)
-            assert str(err.value) == "first body line must be the exemption line 'r ...'"
+            assert str(err.value) == at + "first body line must be the exemption line 'r ...'"
         with pytest.raises(ParseError) as err:
             parse("p ap2dm 2\nr 1 3\n")
         assert str(err.value) == "line 2: exempt element 3 out of range"
@@ -304,6 +324,71 @@ class TestRoundTrip:
                     LinSystem("band", 1, 2, 3, ((1, 1, MAX_LIN_ENTRY), (1, 2, -MAX_LIN_ENTRY)), (0,), (0,)))
         for inst in (*generated, *boundary):
             assert parse(serialize(inst)) == inst
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# Each turns an integer token such as 3 or 10 into +3, 03, 1_0 or \u0663, which
+# int() reads too (or into a token it rejects, such as +-3 or _3).
+_RESPELLINGS = (lambda tok: "+" + tok, lambda tok: "0" + tok,
+                lambda tok: tok[:-1] + "_" + tok[-1], lambda tok: tok.translate(_ARABIC_INDIC))
+
+
+def _mutants(text: str):
+    """(kind, mutated text, the 1-based lines it moved or changed) for a text
+    `serialize` wrote, which has no comment or blank line."""
+    lines = text.splitlines()
+    letters = [line.split()[0] for line in lines]
+
+    def moved(i, j):  # line i taken out and put back at index j
+        rest = lines[:i] + lines[i + 1:]
+        return "\n".join(rest[:j] + [lines[i]] + rest[j:]) + "\n"
+
+    def replaced(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+
+    for i in range(1, len(lines) - 1):
+        yield "swap", moved(i, i + 1), {i + 1, i + 2}
+    for i, line in enumerate(lines):
+        if letters[i] in ("r", "c"):
+            yield "ids_reversed", replaced(i, " ".join([letters[i], *line.split()[:0:-1]])), {i + 1}
+    if letters[-2:] == ["s", "t"]:
+        yield "s_first", moved(len(lines) - 2, 1), {2}
+    if "a" in letters:
+        among = letters.index("a") + letters.count("a") // 2
+        for i, letter in enumerate(letters):
+            if letter == "b":
+                yield "b_among_a", moved(i, among), {among + 1}
+    for i, line in enumerate(lines):
+        toks = line.split()
+        for j, tok in enumerate(toks):
+            if tok.lstrip("-").isdigit():
+                for respell in _RESPELLINGS:
+                    toks2 = toks[:j] + [respell(tok)] + toks[j + 1:]
+                    yield "respelled", replaced(i, " ".join(toks2)), {i + 1}
+
+
+def test_serialize_writes_the_only_spelling():
+    """Every generator family's output parses back to itself, and each
+    mutation of it is rejected on a line it touched, unless it is itself what
+    `serialize` writes: a swap of two clause lines, say."""
+    from redlab.harness import GENERATORS, GenSpec, generate
+    from redlab.instances import PROBLEMS
+
+    texts = {serialize(generate(GenSpec(prob, max_size=6, seed=seed), t))
+             for prob in GENERATORS for seed in (3, 41) for t in range(10)}
+    assert {text.split()[1] for text in texts} == {problem.header for problem in PROBLEMS.values()}
+    rejected = set()
+    for text in texts:
+        assert serialize(parse(text)) == text
+        for kind, mutant, touched in _mutants(text):
+            try:
+                back = serialize(parse(mutant))
+            except ParseError as err:
+                assert err.line in touched, (mutant, str(err))
+                rejected.add(kind)
+            else:
+                assert back == mutant
+    assert rejected == {"swap", "ids_reversed", "s_first", "b_among_a", "respelled"}
 
 
 def test_instances_are_immutable():

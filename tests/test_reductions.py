@@ -161,13 +161,12 @@ class TestCvc3ToSat2:
 
     def test_star(self):
         star = UGraph(4, ((1, 2), (1, 3), (1, 4)))
-        f, rep = cvc3_to_sat2(star)
+        f, _ = cvc3_to_sat2(star)
         assert f.clauses == ((1, 2), (-1, -2), (1, 3), (-1, -3), (1, 4), (-1, -4))
         yes, sigma = oracles.solve_2sat(f)
         assert yes
         assert oracles.check_assignment(f, {1: True, 2: False, 3: False, 4: False})
         assert oracles.check_cover(star, {1})
-        assert rep.notes["max_occurrence"] == 6 and not rep.notes["occ_bound_3"]
 
     def test_empty(self):
         f, _ = cvc3_to_sat2(UGraph(0, ()))
@@ -208,6 +207,17 @@ class TestSat2To3Xce2:
         x, _ = sat2_to_3xce2(CnfFormula(0, ()))
         assert x == XceInstance(0, (), ())
         assert oracles.solve_xce(x)[0] is True
+
+
+@pytest.mark.parametrize("gadget", [sat2_to_2cvc3, sat2_to_3xce2])
+def test_formula_gadgets_share_their_precondition(gadget):
+    """Variables without clauses are not normalized, as no variable occurs with
+    both polarities; both gadgets reject them alike. The empty formula, which
+    `normalize_2sat3` returns for a trivially satisfiable input, passes."""
+    with pytest.raises(PreconditionError) as err:
+        gadget(CnfFormula(3, ()))
+    assert str(err.value) == f"{gadget.__name__} requires a normalized formula"
+    gadget(CnfFormula(0, ()))  # raises nothing
 
 
 class TestXce2To2Lp:
