@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from redlab.instances import (
     MAX_LIN_ENTRY,
+    PROBLEMS,
     Ap2dmInstance,
     CnfFormula,
     Digraph,
@@ -237,9 +238,9 @@ class TestFormats:
         ("p ap2dm 3\n# exempt\nr 3 1 3\nm 1 2\n", "line 3: exempt ids must be strictly ascending, got 'r 3 1 3'"),
     ], ids=["digraph_s", "digraph_t", "xce", "ap2dm"])
     def test_repeated_line_or_exempt_id_rejected(self, text, message):
-        """Neither keeps the last s/t line nor merges repeated exempt ids: the
-        edges are followed by exactly one s line, then one t line, and exempt
-        ids are strictly ascending. The error names the first line off the rule."""
+        """Neither keeps the last s/t line nor merges repeated exempt ids: after
+        the edges come exactly one s line, then one t line, and exempt ids are
+        strictly ascending."""
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == message
@@ -326,7 +327,7 @@ class TestRoundTrip:
             assert parse(serialize(inst)) == inst
 
 
-_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 # Each turns an integer token such as 3 or 10 into +3, 03, 1_0 or \u0663, which
 # int() reads too (or into a token it rejects, such as +-3 or _3).
 _RESPELLINGS = (lambda tok: "+" + tok, lambda tok: "0" + tok,
@@ -372,7 +373,6 @@ def test_serialize_writes_the_only_spelling():
     mutation of it is rejected on a line it touched, unless it is itself what
     `serialize` writes: a swap of two clause lines, say."""
     from redlab.harness import GENERATORS, GenSpec, generate
-    from redlab.instances import PROBLEMS
 
     texts = {serialize(generate(GenSpec(prob, max_size=6, seed=seed), t))
              for prob in GENERATORS for seed in (3, 41) for t in range(10)}
