@@ -451,6 +451,8 @@ def validate(instance, tags: dict | None = None) -> list[Violation]:
 # lines. It checks only the format (each line's letter, token count and
 # integers, the record count, the writer's order of lines and of ids) and
 # returns the instance and its record lines by kind; the validator judges.
+# Readers convert a line's integers with `int`; when that raises, they convert
+# them again with `_int`, which raises the ParseError naming the bad token.
 
 
 def serialize(instance) -> str:
@@ -460,12 +462,9 @@ def serialize(instance) -> str:
     return f"p {problem.header} " + "\n".join(problem.write(instance)) + "\n"
 
 
-def _content_lines(text: str):
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield no, line.split()
+def _content_lines(text: str) -> list[tuple[int, list[str]]]:
+    return [(no, toks) for no, toks in enumerate(map(str.split, text.splitlines()), 1)
+            if toks and toks[0][0] != "#"]
 
 
 def _int(tok: str, no: int, what: str) -> int:
@@ -487,7 +486,7 @@ def parse(text: str):
     """Parse the instance that `serialize` writes as `text`, up to comments,
     blank lines and spacing, if `validate` accepts it. A ParseError gives the
     detail of the malformed line or first violation, and its record's line."""
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty input")
     no, toks = lines[0]
@@ -522,7 +521,10 @@ def _read_exempt(body: list) -> list[int]:
     if not body or body[0][1][0] != "r":
         raise ParseError("first body line must be the exemption line 'r ...'", body[0][0] if body else None)
     rno, rtoks = body[0]
-    exempt = [_int(x, rno, "exempt id") for x in rtoks[1:]]
+    try:
+        exempt = [int(x) for x in rtoks[1:]]
+    except ValueError:
+        exempt = [_int(x, rno, "exempt id") for x in rtoks[1:]]
     if any(a >= b for a, b in zip(exempt, exempt[1:])):
         raise ParseError(f"exempt ids must be strictly ascending, got {' '.join(rtoks)!r}", rno)
     return exempt
@@ -530,14 +532,17 @@ def _read_exempt(body: list) -> list[int]:
 
 def _write_cnf(f: CnfFormula) -> list[str]:
     return [f"{f.num_vars} {len(f.clauses)}",
-            *(" ".join(str(l) for l in clause) + " 0" for clause in f.clauses)]
+            *[f"{c[0]} {c[1]} 0" if len(c) == 2 else " ".join(map(str, c)) + " 0" for c in f.clauses]]
 
 
 def _read_cnf(toks, no, body) -> tuple[CnfFormula, dict]:
     n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
     clauses = []
     for lno, t in body:
-        lits = [_int(x, lno, "literal") for x in t]
+        try:
+            lits = [int(x) for x in t]
+        except ValueError:
+            lits = [_int(x, lno, "literal") for x in t]
         if lits[-1] != 0:
             raise ParseError("clause line must end with 0", lno)
         if not 2 <= len(lits) <= 3:
@@ -564,7 +569,7 @@ def _read_digraph(toks, no, body) -> tuple[Digraph, dict]:
 
 
 def _write_ugraph(g: UGraph | Digraph) -> list[str]:
-    return [f"{g.num_vertices} {len(g.edges)}", *(f"e {u} {v}" for u, v in g.edges)]
+    return [f"{g.num_vertices} {len(g.edges)}", *[f"e {u} {v}" for u, v in g.edges]]
 
 
 def _read_ugraph(toks, no, body) -> tuple[UGraph, dict]:
@@ -573,7 +578,10 @@ def _read_ugraph(toks, no, body) -> tuple[UGraph, dict]:
     for lno, tks in body:
         if tks[0] != "e" or len(tks) != 3:
             raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
-        edges.append((_int(tks[1], lno, "u"), _int(tks[2], lno, "v")))
+        try:
+            edges.append((int(tks[1]), int(tks[2])))
+        except ValueError:
+            edges.append((_int(tks[1], lno, "u"), _int(tks[2], lno, "v")))
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
     return UGraph(n, tuple(edges)), {"edge": body}
@@ -581,7 +589,7 @@ def _read_ugraph(toks, no, body) -> tuple[UGraph, dict]:
 
 def _write_xce(x: XceInstance) -> list[str]:
     return [f"{x.universe_size} {len(x.sets)}", " ".join(["r", *map(str, x.exempt)]),
-            *("c " + " ".join(str(e) for e in s) for s in x.sets)]
+            *["c " + " ".join(map(str, s)) for s in x.sets]]
 
 
 def _read_xce(toks, no, body) -> tuple[XceInstance, dict]:
@@ -591,7 +599,10 @@ def _read_xce(toks, no, body) -> tuple[XceInstance, dict]:
     for lno, tks in body[1:]:
         if tks[0] != "c" or len(tks) > 4:
             raise ParseError(f"set line must be 'c [<id> [<id> [<id>]]]', got {' '.join(tks)!r}", lno)
-        sets.append(tuple(_int(x, lno, "element") for x in tks[1:]))
+        try:
+            sets.append(tuple(map(int, tks[1:])))
+        except ValueError:
+            sets.append(tuple(_int(x, lno, "element") for x in tks[1:]))
     if len(sets) != nc:
         raise ParseError(f"header declares {nc} sets, found {len(sets)}")
     x = XceInstance(nx, tuple(exempt), tuple(sets))
@@ -603,7 +614,7 @@ def _read_xce(toks, no, body) -> tuple[XceInstance, dict]:
 
 def _write_ap2dm(a: Ap2dmInstance) -> list[str]:
     return [str(a.universe_size), " ".join(["r", *map(str, a.exempt)]),
-            *(f"m {u} {v}" for u, v in a.pairs)]
+            *[f"m {u} {v}" for u, v in a.pairs]]
 
 
 def _read_ap2dm(toks, no, body) -> tuple[Ap2dmInstance, dict]:
@@ -613,61 +624,65 @@ def _read_ap2dm(toks, no, body) -> tuple[Ap2dmInstance, dict]:
     for lno, tks in body[1:]:
         if tks[0] != "m" or len(tks) != 3:
             raise ParseError(f"pair line must be 'm <u> <v>', got {' '.join(tks)!r}", lno)
-        pairs.append((_int(tks[1], lno, "u"), _int(tks[2], lno, "v")))
+        try:
+            pairs.append((int(tks[1]), int(tks[2])))
+        except ValueError:
+            pairs.append((_int(tks[1], lno, "u"), _int(tks[2], lno, "v")))
     return (Ap2dmInstance(nx, tuple(exempt), tuple(pairs)),
             {"exempt": body, "pair": body[1:]})
 
 
-def _write_lin(s: LinSystem):
-    yield f"{s.mode} {s.num_rows} {s.num_cols} {s.col_bound}"
-    for r, c, v in s.entries:
-        yield f"a {r} {c} {v}"
-    for r, v in enumerate(s.lower, 1):
-        yield f"b {r} {v}"
-    if s.mode == "band":
-        for r, v in enumerate(s.upper, 1):
-            yield f"B {r} {v}"
+def _write_lin(s: LinSystem) -> list[str]:
+    return [f"{s.mode} {s.num_rows} {s.num_cols} {s.col_bound}", *[f"a {r} {c} {v}" for r, c, v in s.entries],
+            *[f"b {r} {v}" for r, v in enumerate(s.lower, 1)],
+            *([f"B {r} {v}" for r, v in enumerate(s.upper, 1)] if s.mode == "band" else [])]
 
 
 def _read_lin(toks, no, body) -> tuple[LinSystem, dict]:
-    """The entry lines, then b 1 .. b m, then in band mode B 1 .. B m."""
+    """The entry lines, then b 1 .. b m, then in band mode B 1 .. B m; the bounds follow the last a line."""
     mode = toks[2]
     m, n, k = (_count(tok, no, what) for tok, what in zip(toks[3:], "mnk"))
     rows = [(letter, str(r)) for letter in ("bB" if mode == "band" else "b") for r in range(1, m + 1)]
-    split = max(0, len(body) - len(rows))
+    split = len(body) - next((i for i, (_, tks) in enumerate(reversed(body)) if tks[0] == "a"), len(body))
     entries = []
     for lno, tks in body[:split]:
         if tks[0] != "a" or len(tks) != 4:
             raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
-        entries.append(tuple(_int(x, lno, "entry") for x in tks[1:]))
+        try:
+            entries.append((int(tks[1]), int(tks[2]), int(tks[3])))
+        except ValueError:
+            entries.append(tuple(_int(x, lno, "entry") for x in tks[1:]))
     bounds = []  # too few leave a bounds_shape violation
     for (lno, tks), (letter, row) in zip(body[split:], rows):
-        if tks[:2] != [letter, row] or len(tks) != 3:
+        if len(tks) != 3 or tks[0] != letter or tks[1] != row:
             raise ParseError(f"expected '{letter} {row} <bound>', got {' '.join(tks)!r}", lno)
-        bounds.append(_int(tks[2], lno, "bound"))
+        try:
+            bounds.append(int(tks[2]))
+        except ValueError:
+            bounds.append(_int(tks[2], lno, "bound"))
+    for lno, tks in body[split + len(rows):split + len(rows) + 1]:  # a line after the last bound
+        raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
     s = LinSystem(mode, m, n, k, tuple(entries), tuple(bounds[:m]), tuple(bounds[m:]) if mode == "band" else None)
     return s, {"entry": body[:split]}
 
 
-def _write_xor(x: XorSystem):
-    yield f"{x.num_vars} {len(x.constraints)}"
-    for con in x.constraints:
-        if isinstance(con, Parity):
-            yield f"x {con.u} {con.v} {con.c}"
-        else:
-            yield f"u {con.u} {con.c}"
+def _write_xor(x: XorSystem) -> list[str]:
+    return [f"{x.num_vars} {len(x.constraints)}",
+            *[f"x {c.u} {c.v} {c.c}" if isinstance(c, Parity) else f"u {c.u} {c.c}" for c in x.constraints]]
 
 
 def _read_xor(toks, no, body) -> tuple[XorSystem, dict]:
     n, m = _count(toks[2], no, "n"), _count(toks[3], no, "m")
     cons = []
     for lno, tks in body:
-        if tks[0] == "x" and len(tks) == 4:
-            cons.append(Parity(*(_int(x, lno, "field") for x in tks[1:])))
-        elif tks[0] == "u" and len(tks) == 3:
-            cons.append(Unit(_int(tks[1], lno, "var"), _int(tks[2], lno, "const")))
-        else:
+        if not (tks[0] == "x" and len(tks) == 4 or tks[0] == "u" and len(tks) == 3):
             raise ParseError(f"unexpected line {' '.join(tks)!r}", lno)
+        try:
+            cons.append(Parity(int(tks[1]), int(tks[2]), int(tks[3])) if tks[0] == "x"
+                        else Unit(int(tks[1]), int(tks[2])))
+        except ValueError:
+            cons.append(Parity(*(_int(x, lno, "field") for x in tks[1:])) if tks[0] == "x"
+                        else Unit(_int(tks[1], lno, "var"), _int(tks[2], lno, "const")))
     if len(cons) != m:
         raise ParseError(f"header declares {m} constraints, found {len(cons)}")
     return XorSystem(n, tuple(cons)), {"constraint": body}

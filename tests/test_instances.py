@@ -170,8 +170,9 @@ class TestFormats:
         assert parse(serialize(s)) == s
 
     def test_lin_bounds_must_cover_rows(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse("p lin geq 2 2 3\na 1 1 1\nb 1 0\n")
+        assert str(err.value) == "1 lower bounds for 2 rows" and err.value.line is None
 
     def test_xor_roundtrip(self):
         x = XorSystem(3, (Parity(1, 2, 1), Unit(3, 0)))
@@ -256,8 +257,10 @@ class TestFormats:
         ("p xce 3 1\nr\nc 3 1\n", "line 3: set ids must be ascending, got 'c 3 1'"),
         ("p lin geq 1 1 1\nb 1 0\na 1 1 1\n", "line 2: unexpected line 'b 1 0'"),
         ("p lin geq 2 1 1\nb 2 0\nb 1 0\n", "line 2: expected 'b 1 <bound>', got 'b 2 0'"),
+        ("p lin geq 1 1 1\nb 1 0\nB 1 0\n", "line 3: unexpected line 'B 1 0'"),
+        ("p lin geq 1 1 1\na 1 1 1\nb 1 0\nb 1 0\n", "line 4: unexpected line 'b 1 0'"),
     ], ids=["header", "sign", "leading_zero", "digit", "minus_zero", "digraph_order", "exempt_order",
-            "set_order", "lin_order", "lin_rows"])
+            "set_order", "lin_order", "lin_rows", "lin_upper_in_geq", "lin_extra_bound"])
     def test_only_the_written_spelling_parses(self, text, message):
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -368,14 +371,18 @@ def _mutants(text: str):
                     yield "respelled", replaced(i, " ".join(toks2)), {i + 1}
 
 
+def _written_texts() -> set[str]:
+    from redlab.harness import GENERATORS, GenSpec, generate
+
+    return {serialize(generate(GenSpec(prob, max_size=6, seed=seed), t))
+            for prob in GENERATORS for seed in (3, 41) for t in range(10)}
+
+
 def test_serialize_writes_the_only_spelling():
     """Every generator family's output parses back to itself, and each
     mutation of it is rejected on a line it touched, unless it is itself what
     `serialize` writes: a swap of two clause lines, say."""
-    from redlab.harness import GENERATORS, GenSpec, generate
-
-    texts = {serialize(generate(GenSpec(prob, max_size=6, seed=seed), t))
-             for prob in GENERATORS for seed in (3, 41) for t in range(10)}
+    texts = _written_texts()
     assert {text.split()[1] for text in texts} == {problem.header for problem in PROBLEMS.values()}
     rejected = set()
     for text in texts:
@@ -389,6 +396,39 @@ def test_serialize_writes_the_only_spelling():
             else:
                 assert back == mutant
     assert rejected == {"swap", "ids_reversed", "s_first", "b_among_a", "respelled"}
+
+
+_FILLERS = ("#note", "   # indented note", " \t ", "", "#")
+
+
+def _padded(text: str) -> tuple[str, list[int]]:
+    """`text` with comment and blank lines put before and among its lines, and
+    the new number of each old line (index 0 is the unnumbered None)."""
+    out, where = [], [None]
+    for i, line in enumerate(text.splitlines()):
+        out += _FILLERS[:i % 4]
+        out.append(line)
+        where.append(len(out))
+    return "\n".join(out) + "\n", where
+
+
+def test_line_numbers_count_comments_and_blank_lines():
+    """Each mutant of a written text, padded with comments, indented comments
+    and whitespace-only lines, gives the mutant's verdict; an error names the
+    same line, shifted by the padding above it."""
+    for text in _written_texts():
+        for _, mutant, _ in _mutants(text):
+            padded, where = _padded(mutant)
+            try:
+                want = parse(mutant)
+            except ParseError as err:
+                with pytest.raises(ParseError) as got:
+                    parse(padded)
+                detail = str(err).removeprefix(f"line {err.line}: ")
+                assert got.value.line == where[err.line or 0], (padded, str(err), str(got.value))
+                assert str(got.value) == str(ParseError(detail, got.value.line))
+            else:
+                assert parse(padded) == want
 
 
 def test_instances_are_immutable():
