@@ -401,12 +401,12 @@ def test_serialize_writes_the_only_spelling():
 _FILLERS = ("#note", "   # indented note", " \t ", "", "#")
 
 
-def _padded(text: str) -> tuple[str, list[int]]:
+def _padded(text: str) -> tuple[str, list[int | None]]:
     """`text` with comment and blank lines put before and among its lines, and
-    the new number of each old line (index 0 is the unnumbered None)."""
+    `where`: where[n] is the new number of old line n, where[0] None for no line."""
     out, where = [], [None]
     for i, line in enumerate(text.splitlines()):
-        out += _FILLERS[:i % 4]
+        out += _FILLERS[:(i + 2) % (len(_FILLERS) + 1)]
         out.append(line)
         where.append(len(out))
     return "\n".join(out) + "\n", where
