@@ -272,10 +272,12 @@ def _gen_2sat3(spec: GenSpec, rng: SplitMix64) -> CnfFormula:
     if n < 2:
         cap = 0  # a clean 2-literal clause needs two distinct variables
     if spec.clauses is not None:
-        slots = (OCC_BOUND * n) // 2
+        if n < 2:
+            slots, why = 0, f"a 2-literal clause needs two distinct variables, and there is {n}"
+        else:
+            slots, why = (OCC_BOUND * n) // 2, f"floor({OCC_BOUND}*{n}/2) literal slots"
         if not 0 <= spec.clauses <= slots:
-            raise GenerationError(f"clause count {spec.clauses} is outside 0..{slots} "
-                                  f"(floor({OCC_BOUND}*{n}/2) literal slots)")
+            raise GenerationError(f"clause count {spec.clauses} is outside 0..{slots} ({why})")
         m = spec.clauses
         cap = min(cap, m)  # a planted core must fit the exact count
     else:
@@ -678,6 +680,20 @@ def _post_3xce2(out: XceInstance, src) -> list[str]:
     return bad
 
 
+def _post_2sat3_normal(out: CnfFormula, src) -> list[str]:
+    """normalize_2sat3's contract (`reductions.is_normalized_2sat3`)."""
+    return [] if reductions.is_normalized_2sat3(out) else ["normal_form:CnfFormula"]
+
+
+def _post_dstcon_normal(out: Digraph, src) -> list[str]:
+    """normalize_dstcon's contract, the precondition of dstcon_to_ap2dm."""
+    try:
+        reductions._check_dstcon_normalized(out)
+    except reductions.PreconditionError as exc:
+        return [f"normal_form:{exc}"]
+    return []
+
+
 @dataclass(frozen=True)
 class VerifierPlan:
     """How to verify one reduction: generator family, optional preparation
@@ -719,17 +735,17 @@ def default_plans(seed: int = 1) -> dict[str, VerifierPlan]:
             None, reductions.le_to_xor2sat, _post_valid),
         "normalize_2sat3": VerifierPlan(
             GenSpec("2sat3", max_size=12, seed=seed),
-            None, reductions._normalize_2sat3_op),
+            None, reductions._normalize_2sat3_op, _post_2sat3_normal),
         "normalize_dstcon": VerifierPlan(
             GenSpec("digraph4", max_size=6, seed=seed, deg_bound=3),
-            None, reductions.normalize_dstcon),
+            None, reductions.normalize_dstcon, _post_dstcon_normal),
         "dstcon_to_ap2dm": VerifierPlan(
             GenSpec("dstcon_raw", max_size=5, seed=seed),
             _normalized, reductions.dstcon_to_ap2dm,
             partial(_post_valid, tags={"overlap_bound": 4})),
         "reduce_degree_dstcon": VerifierPlan(
             GenSpec("digraph4", max_size=10, seed=seed, deg_bound=4),
-            None, reductions.reduce_degree_dstcon),
+            None, reductions.reduce_degree_dstcon, partial(_post_valid, tags={"deg_bound": 3})),
     }
 
 

@@ -356,18 +356,13 @@ def _validate_ap2dm(a: Ap2dmInstance, tags: dict, out: list[Violation], at):
             if n_in[v] + 1 > k:
                 out.append(Violation("overlap_in", (v, n_in[v] + 1),
                                      f"element {v} has {n_in[v] + 1} left partners, bound {k}"))
-    # Connectivity promise for exempt elements. Default mode requires at least
-    # one partner on each side outside the exemption set; "exactly_one" is the
-    # strict reading.
-    strict = tags.get("uniquely_connected") == "exactly_one"
+    # Connectivity promise for exempt elements: at least one partner on each
+    # side outside the exemption set.
     for v in a.exempt:
         outs, ins = n_outs[v], n_ins[v]
         if outs == 0 or ins == 0:
             out.append(Violation("uniquely_connected", (v, outs, ins),
                                  f"exempt element {v} lacks a non-exempt partner (out={outs}, in={ins})"))
-        elif strict and (outs != 1 or ins != 1):
-            out.append(Violation("uniquely_connected_strict", (v, outs, ins),
-                                 f"exempt element {v} has out={outs}, in={ins}, expected exactly one each"))
 
 
 def _validate_lin(s: LinSystem, tags: dict, out: list[Violation], at):

@@ -8,14 +8,14 @@ constraints each involve at most two Boolean variables, and simple-cycle
 enumeration of the pair digraph for matching. Only the matching enumeration
 runs within a fixed budget; the polynomial deciders have none. The `*_enum`
 functions are exhaustive cross-check routes, each within its own budget. All
-functions are pure. One BFS, `_bfs`, answers reachability and orders the
-cover deciders' vertices; the matching oracle, judged against `solve_dstcon`
-by `dstcon_to_ap2dm`, and the witness checkers keep walks of their own.
+functions are pure. One BFS, `_bfs`, answers reachability; the matching
+oracle, judged against `solve_dstcon` by `dstcon_to_ap2dm`, and the witness
+checkers keep walks of their own.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from functools import cache, partial
 from itertools import product
 from math import inf
@@ -214,40 +214,39 @@ def check_path(g: Digraph, path: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _forced_search(nvars: int, order: Iterable[int], first: int, occ: list[list[tuple[int, int]]],
+def _forced_search(nvars: int, first: int, occ: list[list[tuple[int, int]]],
                    units: list[tuple[int, int]]) -> list[int | None] | None:
-    """The first solution of a system of constraints on at most two of the
-    Boolean variables 1..nvars, or None if there is none.
+    """The lexicographically first solution of a system of constraints on at
+    most two of the Boolean variables 1..nvars, reading x_1 as the most
+    significant digit and `first` as the smaller value, or None if there is
+    none.
 
     Each constraint on two variables is a 4-bit table of the (own, other)
     value pairs it allows, bit 2*own + other, listed in occ[own] as
     (other, table) and in occ[other] with own and other swapped; a
     constraint on one variable v is either a pair (v, table) in occ[v], or a
     unit (v, the only value it allows). The units are set first; then the
-    variables of `order` are set in turn, each to `first` and, if that
+    variables 1..nvars are set in index order, each to `first` and, if that
     conflicts, to the other value. After each value is set, every constraint
     it settles forces its other variable to the only value that fits, or
     leaves it free when both fit, and a constraint that no value fits is a
     conflict (the limited backtracking of Even, Itai & Shamir 1976 for
-    2-SAT). The result lists each variable's value at its index; a variable
-    outside `order` that nothing forced is None.
+    2-SAT). The result lists each variable's value at its index.
 
     Why no deeper backtracking is needed, and why the result is the first
-    solution when the variables of `order` are read as digits, the first
-    most significant and `first` the smaller value: propagation derives only
-    values that every solution extending the current assignment shares, so
-    a conflict rules the tried value out. When propagation ends without
-    conflict, every constraint that touches a set variable holds whatever
-    the free variables are, and the constraints left are constraints of the
-    original system over free variables only. If the system is satisfiable,
-    a solution restricted to the free variables satisfies them, so the first
-    value whose propagation ends cleanly extends to a solution: it is the
-    value of the first solution at that variable. If the system is
-    unsatisfiable, the constraints left are unsatisfiable too, so some
-    variable eventually conflicts for both values, which proves NO. Each of
-    the at most nvars choices propagates at most twice, and one propagation
-    visits each constraint at most twice, so the search takes
-    O(nvars * (nvars + constraints)) steps.
+    solution: propagation derives only values that every solution extending
+    the current assignment shares, so a conflict rules the tried value out.
+    When propagation ends without conflict, every constraint that touches a
+    set variable holds whatever the free variables are, and the constraints
+    left are constraints of the original system over free variables only.
+    If the system is satisfiable, a solution restricted to the free
+    variables satisfies them, so the first value whose propagation ends
+    cleanly extends to a solution: it is the value of the first solution at
+    that variable. If the system is unsatisfiable, the constraints left are
+    unsatisfiable too, so some variable eventually conflicts for both
+    values, which proves NO. Each of the at most nvars choices propagates at
+    most twice, and one propagation visits each constraint at most twice, so
+    the search takes O(nvars * (nvars + constraints)) steps.
     """
     x: list[int | None] = [None] * (nvars + 1)
 
@@ -282,7 +281,7 @@ def _forced_search(nvars: int, order: Iterable[int], first: int, occ: list[list[
                 return None
         elif x[c] != v:
             return None
-    for c in order:
+    for c in range(1, nvars + 1):
         if x[c] is None:
             trail: list[int] = []
             if not assign(c, first, trail):
@@ -298,29 +297,12 @@ def _forced_search(nvars: int, order: Iterable[int], first: int, occ: list[list[
 # ---------------------------------------------------------------------------
 
 
-def _bfs_order(g: UGraph) -> list[int]:
-    """The non-isolated vertices in breadth-first order, each component from
-    its smallest vertex, so every edge is decided as soon as its later
-    endpoint is."""
-    # both directions per edge in turn: the neighbour order sets solve_2cvc's cover
-    adj: list[list[int]] = [[] for _ in range(g.num_vertices + 1)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    order: dict[int, int] = {}
-    for start in range(1, g.num_vertices + 1):
-        if start not in order and adj[start]:
-            order.update(_bfs(adj, start))
-    return list(order)
-
-
 def solve_2cvc(g: UGraph) -> tuple[bool, set[int] | None]:
     """Forced-choice search (`_forced_search`); returns (yes, cover or None).
 
     Each edge is a constraint on its two endpoints: not both out, and not
-    both in unless the edge is a grip. The vertices are decided in BFS order
-    (`_bfs_order`), out before in, so the cover is the one solve_2cvc_enum
-    finds.
+    both in unless the edge is a grip. The vertices are decided in index
+    order, out before in, so the cover is the one solve_2cvc_enum finds.
     """
     n = g.num_vertices
     deg = g.degrees()
@@ -330,51 +312,46 @@ def solve_2cvc(g: UGraph) -> tuple[bool, set[int] | None]:
         table = 0b1110 if g.is_grip((u, v), deg) else 0b0110
         occ[u].append((v, table))
         occ[v].append((u, table))
-    order = _bfs_order(g)
-    x = _forced_search(n, order, 0, occ, [])
+    x = _forced_search(n, 0, occ, [])
     if x is None:
         return False, None
-    return True, {v for v in order if x[v]}
+    return True, {v for v in range(1, n + 1) if x[v]}
 
 
 def solve_2cvc_enum(g: UGraph) -> tuple[bool, set[int] | None]:
-    """Backtracking over the vertices in BFS order, out before in, with each
-    edge checked once its later endpoint is decided; the cross-check route."""
+    """Backtracking over the vertices in index order, out before in, with
+    each edge checked once its larger endpoint is decided; the cross-check
+    route."""
     n = g.num_vertices
     if n > CVC_ENUM_BUDGET:
         raise BudgetError(f"{n} vertices exceed the enumeration budget {CVC_ENUM_BUDGET}")
     deg = g.degrees()
-    grip = {e: g.is_grip(e, deg) for e in g.edges}
-    order = _bfs_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    # Edge constraints attached to the later-decided endpoint.
-    pending: list[list[tuple[int, bool]]] = [[] for _ in range(len(order))]
+    # Edge constraints attached to the larger endpoint.
+    pending: list[list[tuple[int, bool]]] = [[] for _ in range(n + 1)]
     for u, v in g.edges:
-        a, b = (u, v) if pos[u] < pos[v] else (v, u)
-        pending[pos[b]].append((a, grip[(u, v)]))
+        pending[max(u, v)].append((min(u, v), g.is_grip((u, v), deg)))
 
     in_set = [False] * (n + 1)
 
-    def extend(i: int) -> bool:
-        if i == len(order):
+    def extend(v: int) -> bool:
+        if v > n:
             return True
-        v = order[i]
         for choice in (False, True):
             in_set[v] = choice
             ok = True
-            for earlier, is_grip in pending[i]:
+            for earlier, is_grip in pending[v]:
                 if not choice and not in_set[earlier]:
                     ok = False  # uncovered edge
                     break
                 if choice and in_set[earlier] and not is_grip:
                     ok = False  # non-grip edge fully covered
                     break
-            if ok and extend(i + 1):
+            if ok and extend(v + 1):
                 return True
         return False
 
-    if extend(0):
-        return True, {v for v in order if in_set[v]}
+    if extend(1):
+        return True, {v for v in range(1, n + 1) if in_set[v]}
     return False, None
 
 
@@ -431,7 +408,7 @@ def solve_xce(x: XceInstance) -> tuple[bool, list[int] | None]:
                 dead = True
     if dead:
         return False, None
-    chosen = _forced_search(m, range(1, m + 1), 1, occ, units)
+    chosen = _forced_search(m, 1, occ, units)
     if chosen is None:
         return False, None
     return True, [i for i in range(1, m + 1) if chosen[i]]
@@ -768,15 +745,14 @@ def solve_ap2dm(a: Ap2dmInstance) -> tuple[bool, tuple[int, int] | None]:
 
 def solve_lin(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
     """Forced-choice search (`_forced_search`); the same verdict and witness
-    as a scan of {0,1}^n in the order of the integers sum x_c*2^(c-1), in
-    polynomial time.
+    as a scan of {0,1}^n in lexicographic order, in polynomial time.
 
     Every row holds at most 2 nonzeros, so it is a constraint on at most two
     columns: a 2-nonzero row's table lists the value pairs whose sum lies in
     its bounds, a 1-nonzero row that one value fits is a unit, and a row
-    that no value fits makes the system NO. The columns are set from n down
-    to 1, 0 before 1, so the first solution the search finds is the scan's
-    first hit. A row with more than 2 nonzeros raises ValueError.
+    that no value fits makes the system NO. The columns are set from 1 to n,
+    0 before 1, so the first solution the search finds is the scan's first
+    hit. A row with more than 2 nonzeros raises ValueError.
     """
     n = s.num_cols
     upper = s.upper if s.mode == "band" else s.lower if s.mode == "eq" else (inf,) * s.num_rows
@@ -803,20 +779,19 @@ def solve_lin(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
             dead |= not lo <= 0 <= hi
     if dead:
         return False, None
-    x = _forced_search(n, range(n, 0, -1), 0, occ, units)
+    x = _forced_search(n, 0, occ, units)
     if x is None:
         return False, None
     return True, tuple(x[1:])
 
 
 def solve_lin_enum(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
-    """Exhaustive scan of {0,1}^n in the order of the integers
-    sum x_c*2^(c-1); the cross-check route."""
+    """Exhaustive scan of {0,1}^n in lexicographic order, x_1 most
+    significant; the cross-check route."""
     n = s.num_cols
     if n > LIN_ENUM_BUDGET:
         raise BudgetError(f"{n} columns exceed the enumeration budget {LIN_ENUM_BUDGET}")
-    for bits in product((0, 1), repeat=n):
-        x = bits[::-1]  # x_n is the most significant bit
+    for x in product((0, 1), repeat=n):
         if check_vector(s, x):
             return True, x
     return False, None

@@ -43,6 +43,12 @@ class TestGen:
         code, out, err = run(capsys, "gen", "2sat3", "--size", "5", "--clauses", "-1")
         assert code == 2 and out == "" and "outside 0..7" in err
 
+    def test_one_variable_takes_no_clause_exit_2(self, capsys):
+        code, out, err = run(capsys, "gen", "2sat3", "--size", "1", "--clauses", "1")
+        assert code == 2 and out == ""
+        assert err == ("error: clause count 1 is outside 0..0 (a 2-literal clause "
+                       "needs two distinct variables, and there is 1)\n")
+
     @pytest.mark.parametrize("argv,message", [
         (("2sat3", "--bias", "7"), "7 is not a number in [0, 1]"),
         (("2sat3", "--bias", "-0.5"), "-0.5 is not a number in [0, 1]"),

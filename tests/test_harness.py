@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -191,7 +192,7 @@ class TestGenerate:
                 for seed in range(40):
                     spec = GenSpec("2sat3", max_size=n, seed=seed, clauses=k)
                     if (n, k) == (1, 1):
-                        with pytest.raises(GenerationError):
+                        with pytest.raises(GenerationError, match=r"outside 0\.\.0"):
                             generate(spec)
                         continue
                     f = generate(spec)
@@ -403,6 +404,40 @@ class TestMutationSensitivity:
         for name in CORRUPTED:
             r = verify_m_reduction(name, 200)
             assert len(r.equiv_failures) >= 1, name
+
+
+def _split_over_3(g):
+    """normalize_dstcon made to split only vertices of in- or outdegree over
+    3, so degree-3 vertices break its contract but not reachability."""
+    source = inspect.getsource(reductions.normalize_dstcon)
+    assert source.count("d > 2}") == 2
+    namespace = dict(vars(reductions))
+    exec(source.replace("d > 2}", "d > 3}"), namespace)
+    return namespace["normalize_dstcon"](g)
+
+
+class TestNormalFormPostchecks:
+    """Each normalize step's stated output contract is a postcheck, so a step
+    that keeps membership but breaks its contract is caught."""
+
+    def test_dstcon_split_mutant_caught(self):
+        plan = replace(default_plans()["normalize_dstcon"], reduce=_split_over_3)
+        r = _verify("split_over_3", plan, 1000)
+        assert r.equiv_failures == [] and not r.skipped
+        assert len(r.structural_failures) == 158
+        assert r.structural_failures[0] == (
+            4, "normal_form:vertex 5 has indegree 3 / outdegree 0, bound 2")
+
+    @pytest.mark.parametrize("name, struct", [
+        ("normalize_2sat3", "normal_form:CnfFormula"),
+        ("reduce_degree_dstcon", "deg_bound:"),
+    ])
+    def test_identity_step_caught(self, name, struct):
+        """Returning the raw input keeps membership and breaks the contract."""
+        plan = replace(default_plans()[name], reduce=lambda x: (x, None))
+        r = _verify(name, plan, 100)
+        assert r.equiv_failures == [] and r.structural_failures
+        assert all(msg.startswith(struct) for _, msg in r.structural_failures)
 
 
 class TestWitnessCheck:

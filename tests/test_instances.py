@@ -113,15 +113,12 @@ class TestValidate:
             assert all(n <= 3 for n in counts.values())
 
     def test_ap2dm_connectivity_modes(self):
-        # v=1 exempt with exactly one partner each way: fine in both modes
-        a = Ap2dmInstance(3, (1,), ((1, 2), (3, 1)))
-        assert validate(a, {}) == []
-        assert validate(a, {"uniquely_connected": "exactly_one"}) == []
-        # two outgoing partners: default accepts, strict rejects
-        b = Ap2dmInstance(3, (1,), ((1, 2), (1, 3), (3, 1)))
-        assert validate(b, {}) == []
-        assert any(v.rule == "uniquely_connected_strict"
-                   for v in validate(b, {"uniquely_connected": "exactly_one"}))
+        # v=1 exempt with one or two non-exempt partners each way: accepted
+        assert validate(Ap2dmInstance(3, (1,), ((1, 2), (3, 1)))) == []
+        assert validate(Ap2dmInstance(3, (1,), ((1, 2), (1, 3), (3, 1)))) == []
+        # no non-exempt right partner: rejected
+        bad = validate(Ap2dmInstance(3, (1,), ((2, 1),)))
+        assert [(v.rule, v.witness) for v in bad] == [("uniquely_connected", (1, 0, 1))]
 
     def test_ap2dm_overlap_counts_trivial_pair(self):
         a = Ap2dmInstance(4, (), ((1, 2), (1, 3), (1, 4)))

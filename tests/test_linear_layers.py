@@ -74,16 +74,12 @@ def validate_ap2dm_reference(a: Ap2dmInstance, tags: dict) -> list[Violation]:
             if n_in[v] + 1 > k:
                 out.append(Violation("overlap_in", (v, n_in[v] + 1),
                                      f"element {v} has {n_in[v] + 1} left partners, bound {k}"))
-    strict = tags.get("uniquely_connected") == "exactly_one"
     for v in sorted(exempt):
         outs = sum(1 for (u, w) in a.pairs if u == v and w not in exempt)
         ins = sum(1 for (u, w) in a.pairs if w == v and u not in exempt)
         if outs == 0 or ins == 0:
             out.append(Violation("uniquely_connected", (v, outs, ins),
                                  f"exempt element {v} lacks a non-exempt partner (out={outs}, in={ins})"))
-        elif strict and (outs != 1 or ins != 1):
-            out.append(Violation("uniquely_connected_strict", (v, outs, ins),
-                                 f"exempt element {v} has out={outs}, in={ins}, expected exactly one each"))
     return out
 
 
@@ -194,7 +190,7 @@ MALFORMED_AP2DM = [
     # exempt elements whose only partners are exempt
     Ap2dmInstance(4, (1, 2), ((1, 2), (2, 1), (3, 4), (4, 3))),
     Ap2dmInstance(5, (1, 2, 3), ((1, 2), (2, 3), (3, 1), (1, 4), (5, 2), (4, 3), (3, 4))),
-    # several non-exempt partners per side (exactly_one fails, default passes)
+    # several non-exempt partners per side, which the promise allows
     Ap2dmInstance(5, (3,), ((3, 1), (3, 2), (1, 3), (2, 3), (4, 3), (3, 5))),
     Ap2dmInstance(0, (), ()),
 ]
@@ -214,8 +210,8 @@ MALFORMED_DIGRAPH = [
 # the indices of the cases `validate` rejects
 REJECTED = {"xce": [0, 1, 2, 5], "digraph": [2, 3, 4, 5, 8]}
 
-TAGS = ({}, {"overlap_bound": 4}, {"uniquely_connected": "exactly_one"},
-        {"overlap_bound": 2, "uniquely_connected": "exactly_one"})
+# bound 3 is where the implicit trivial pair decides an element of 3 stored partners
+TAGS = ({}, {"overlap_bound": 4}, {"overlap_bound": 3}, {"overlap_bound": 2})
 
 
 class TestXce2To2LpIndex:
@@ -244,7 +240,7 @@ class TestValidateAp2dmOnePass:
     def test_malformed_cases_are_flagged(self):
         rules = {v.rule for a in MALFORMED_AP2DM for tags in TAGS for v in validate(a, tags)}
         assert {"duplicate_pair", "trivial_pair_stored", "pair_range", "exempt_range",
-                "uniquely_connected", "uniquely_connected_strict"} <= rules
+                "uniquely_connected", "overlap_out", "overlap_in"} <= rules
 
 
 class TestNormalizeDstconOnePass:

@@ -240,13 +240,6 @@ class Test2Cvc:
         with pytest.raises(BudgetError):
             solve_2cvc_enum(UGraph(CVC_ENUM_BUDGET + 1, ()))
 
-    def test_bfs_order(self):
-        """Components from their smallest vertex (2, not its first edge's 5),
-        neighbours in edge order with both ends of an edge added in turn
-        (5 meets 9, 3, 2, 7), and the isolated vertex 8 left out."""
-        g = UGraph(9, ((5, 9), (1, 4), (3, 5), (2, 5), (4, 6), (5, 7)))
-        assert oracles._bfs_order(g) == [1, 4, 6, 2, 5, 9, 3, 7]
-
     @pytest.mark.parametrize("sat_bias, expected", [(0.0, False), (1.0, True)])
     def test_decides_far_over_the_enum_budget(self, sat_bias, expected):
         """A 3979-vertex graph, cross-checked by Tarjan SCCs on the 2-CNF
@@ -655,7 +648,7 @@ def _two_sparse_systems(draw) -> LinSystem:
 class TestLin:
     def test_geq_yes(self):
         s = LinSystem("geq", 1, 2, 3, ((1, 1, 1), (1, 2, 1)), (1,))
-        assert solve_lin(s) == (True, (1, 0))
+        assert solve_lin(s) == (True, (0, 1))
 
     def test_geq_conflict(self):
         s = LinSystem("geq", 2, 1, 3, ((1, 1, 1), (2, 1, -1)), (1, 1))
@@ -779,3 +772,47 @@ class TestWitnessSoundness:
             yes, path = solve_dstcon(g)
             if yes:
                 assert check_path(g, path)
+
+
+def _first_hit(n: int, digits: tuple[int, int], accepts):
+    """The first n-digit vector over `digits`, in lexicographic order with
+    the first digit most significant, that `accepts` takes, or None."""
+    return next((bits for bits in product(digits, repeat=n) if accepts(bits)), None)
+
+
+class TestFirstWitness:
+    """The forced-choice deciders return the lexicographically first
+    solution, x_1 most significant. An independent scan through each class's
+    standalone checker pins it on small generated instances."""
+
+    @pytest.mark.parametrize("seed", [21, 5021])
+    def test_cover_is_first_of_scan(self, seed):
+        spec = GenSpec("ugraph3", max_size=14, seed=seed)
+        for t in range(100):
+            g = generate(spec, t)
+            first = _first_hit(g.num_vertices, (0, 1), lambda bits: check_cover(
+                g, {v for v, b in enumerate(bits, 1) if b}))
+            expected = (False, None) if first is None else (
+                True, {v for v, b in enumerate(first, 1) if b})
+            assert solve_2cvc(g) == expected, (t, g)
+
+    @pytest.mark.parametrize("seed", [21, 5021])
+    def test_selection_is_first_of_scan(self, seed):
+        spec = GenSpec("xce", max_size=15, seed=seed)
+        for t in range(100):
+            x = generate(spec, t)
+            if len(x.sets) > 16:
+                continue
+            first = _first_hit(len(x.sets), (1, 0), lambda bits: check_exact_cover(
+                x, [i for i, b in enumerate(bits, 1) if b]))
+            expected = (False, None) if first is None else (
+                True, [i for i, b in enumerate(first, 1) if b])
+            assert solve_xce(x) == expected, (t, x)
+
+    @pytest.mark.parametrize("problem", ["lin_geq", "lin_band", "lin_eq"])
+    def test_vector_is_first_of_scan(self, problem):
+        spec = GenSpec(problem, max_size=14, seed=21)
+        for t in range(100):
+            s = generate(spec, t)
+            first = _first_hit(s.num_cols, (0, 1), lambda bits: check_vector(s, bits))
+            assert solve_lin(s) == (first is not None, first), (t, s)

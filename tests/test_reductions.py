@@ -273,7 +273,7 @@ class TestTwoLpToLp:
         s = LinSystem("band", 1, 2, 3, ((1, 1, 1), (1, 2, 1)), (1,), (2,))
         out, rep = twolp_to_lp(s)
         assert out.mode == "geq" and out.num_cols == 4 and out.num_rows == 6
-        assert oracles.solve_lin(out) == (True, (1, 0, 1, 0))
+        assert oracles.solve_lin(out) == (True, (0, 1, 0, 1))
         assert out.col_bound == s.col_bound + 2 and validate(out) == []
         assert rep.k1 == 6 and rep.shortness_ok
 
