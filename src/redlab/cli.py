@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import figures, harness, oracles, reductions
-from .instances import Ap2dmInstance, Digraph, ParseError, UGraph, parse, serialize
+from .instances import Ap2dmInstance, Digraph, UGraph, parse, serialize
 
 
 def _read(path: str):
@@ -210,8 +210,7 @@ def main(argv=None) -> int:
         # looked up when called, so a wrapper put on a cmd_* function after
         # the cached parser was built still runs
         return globals()[f"cmd_{args.command}"](args)
-    except (ParseError, FileNotFoundError, oracles.BudgetError,
-            reductions.PreconditionError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError, BudgetError and PreconditionError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -895,9 +895,10 @@ def _settle(plan: VerifierPlan, decide: bool, raw) -> _Trial:
     """prepare -> reduce on a generated instance, then with `decide` both
     oracles, the checks of their YES witnesses and the postcheck. An
     instance over an oracle budget or outside a reduction's precondition is
-    skipped rather than ending the run. A malformed output that its decider
-    cannot decide is an `undecidable:<class>` structural failure, with
-    equivalence undecided."""
+    skipped rather than ending the run; an error the postcheck raises is
+    not a skip and propagates. A malformed output that its decider cannot
+    decide is an `undecidable:<class>` structural failure, with equivalence
+    undecided."""
     try:
         src = plan.prepare(raw) if plan.prepare else raw
         out, report = plan.reduce(src)
@@ -905,14 +906,14 @@ def _settle(plan: VerifierPlan, decide: bool, raw) -> _Trial:
             return _Trial(report)
         yes_in, _, ok_in = oracles.decide(src)
         yes_out, ok_out = _decide_output(out)
-        struct = [f"witness:{type(x).__name__}"
-                  for x, ok in ((src, ok_in), (out, ok_out)) if not ok]
-        if yes_out is None:
-            struct.append(f"undecidable:{type(out).__name__}")
-        if plan.postcheck:
-            struct += plan.postcheck(out, src)
     except (oracles.BudgetError, reductions.PreconditionError) as exc:
         return _Trial(skipped=str(exc))
+    struct = [f"witness:{type(x).__name__}"
+              for x, ok in ((src, ok_in), (out, ok_out)) if not ok]
+    if yes_out is None:
+        struct.append(f"undecidable:{type(out).__name__}")
+    if plan.postcheck:
+        struct += plan.postcheck(out, src)
     return _Trial(report, yes_out is None or yes_in == yes_out, tuple(struct))
 
 

@@ -20,7 +20,12 @@ from redlab.harness import (
     verify_m_reduction,
     verify_T_reduction,
 )
-from redlab.oracles import linked_by_chain, linked_by_power, perfect_matchings
+from redlab.oracles import perfect_matchings
+from references import first_hit, linked_by_chain, linked_by_power, parities_hold
+
+
+def _xor_by_scan(x) -> bool:
+    return first_hit(x.num_vars, (0, 1), lambda bits: parities_hold(x, bits)) is not None
 
 
 def report(criterion, ok, detail=""):
@@ -117,10 +122,10 @@ def test_criterion_5_equation_to_parity():
     for t in range(1000):
         s = generate(plan.genspec, t)
         out, _ = reductions.le_to_xor2sat(s)
-        if oracles.solve_xor2sat(out) == oracles.solve_xor2sat_enum(out):
+        if oracles.solve_xor2sat(out) == _xor_by_scan(out):
             agree += 1
     ok = not r.equiv_failures and not r.shortness_failures and agree == 1000
-    report(5, ok, f"equiv fails {len(r.equiv_failures)}, union-find/enum agree {agree}/1000")
+    report(5, ok, f"equiv fails {len(r.equiv_failures)}, union-find/scan agree {agree}/1000")
     assert not r.equiv_failures
     assert not r.shortness_failures
     assert agree == 1000
@@ -202,17 +207,19 @@ def test_criterion_9_oracle_cross_checks():
     sat_disagree = 0
     for t in range(1000):
         f = generate(sat_spec, t)
-        if oracles.solve_2sat(f)[0] != oracles.solve_2sat_enum(f)[0]:
+        scan = first_hit(f.num_vars, (False, True),
+                         lambda bits: oracles.check_assignment(f, dict(enumerate(bits, 1))))
+        if oracles.solve_2sat(f)[0] != (scan is not None):
             sat_disagree += 1
     xor_spec = GenSpec("xor", max_size=10, seed=98)
     xor_disagree = 0
     for t in range(1000):
         x = generate(xor_spec, t)
-        if oracles.solve_xor2sat(x) != oracles.solve_xor2sat_enum(x):
+        if oracles.solve_xor2sat(x) != _xor_by_scan(x):
             xor_disagree += 1
     ok = sat_disagree == 0 and xor_disagree == 0
-    report(9, ok, f"SCC/enum disagreements {sat_disagree}/1000, "
-                  f"union-find/enum {xor_disagree}/1000")
+    report(9, ok, f"SCC/scan disagreements {sat_disagree}/1000, "
+                  f"union-find/scan {xor_disagree}/1000")
     assert sat_disagree == 0
     assert xor_disagree == 0
 

@@ -339,6 +339,18 @@ def test_usage_error_exit_2(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "{dir}"),
+    ("gen", "2sat3", "--size", "3", "-o", "{dir}"),
+    ("verify", "lp_to_2lp", "--trials", "2", "--run-dir", "{file}"),
+], ids=["solve_dir", "gen_output_dir", "verify_run_dir_file"])
+def test_os_error_exit_2(argv, tmp_path, capsys):
+    """An I/O error is one error line and exit 2, not a traceback."""
+    (tmp_path / "file").write_text("")
+    code, _, err = run(capsys, *(a.format(dir=tmp_path, file=tmp_path / "file") for a in argv))
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestParser:
     def test_built_once_and_dispatch_reads_module(self, monkeypatch, capsys):
         assert cli.build_parser() is cli.build_parser()

@@ -32,6 +32,7 @@ from redlab.harness import (
     _verify,
 )
 from redlab.instances import CnfFormula, XceInstance, serialize, validate
+from references import linked_by_chain
 
 # tags each generated class must validate against
 GEN_TAGS = {
@@ -376,8 +377,8 @@ class TestTuringVerify:
             for pi in oracles.perfect_matchings(a):
                 for v in range(1, n + 1):
                     for w in range(v + 1, n + 1):
-                        assert oracles.linked_by_chain(a, pi, v, w) == \
-                            oracles.linked_by_chain(a, pi, w, v), (a, pi, v, w)
+                        assert linked_by_chain(a, pi, v, w) == \
+                            linked_by_chain(a, pi, w, v), (a, pi, v, w)
 
 
 class TestFit:
@@ -438,6 +439,15 @@ class TestNormalFormPostchecks:
         r = _verify(name, plan, 100)
         assert r.equiv_failures == [] and r.structural_failures
         assert all(msg.startswith(struct) for _, msg in r.structural_failures)
+
+    def test_raising_postcheck_propagates(self):
+        """An error in a postcheck is the check's fault, not a skipped trial."""
+        def raising(out, src):
+            raise reductions.PreconditionError("postcheck bug")
+
+        plan = replace(default_plans()["normalize_dstcon"], postcheck=raising)
+        with pytest.raises(reductions.PreconditionError, match="postcheck bug"):
+            _verify("raising_postcheck", plan, 5)
 
 
 class TestWitnessCheck:

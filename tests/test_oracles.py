@@ -20,9 +20,6 @@ from redlab.instances import (
 )
 from redlab.oracles import (
     AP2DM_BUDGET,
-    CVC_ENUM_BUDGET,
-    LIN_ENUM_BUDGET,
-    XCE_ENUM_BUDGET,
     BudgetError,
     check_assignment,
     check_cover,
@@ -30,21 +27,22 @@ from redlab.oracles import (
     check_path,
     check_vector,
     dstcon_oracle,
-    linked_by_chain,
-    linked_by_power,
     perfect_matchings,
     solve_2cvc,
-    solve_2cvc_enum,
     solve_2sat,
-    solve_2sat_enum,
     solve_ap2dm,
     solve_dstcon,
     solve_lin,
-    solve_lin_enum,
     solve_xce,
-    solve_xce_enum,
     solve_xor2sat,
-    solve_xor2sat_enum,
+)
+from references import (
+    first_hit,
+    linked_by_chain,
+    linked_by_power,
+    parities_hold,
+    solve_2cvc_enum,
+    solve_xce_enum,
 )
 
 FIG1 = CnfFormula(3, ((1, -2), (2, 1), (-1, 3), (2, -3)))
@@ -67,17 +65,14 @@ class Test2Sat:
         with pytest.raises(ValueError):
             solve_2sat(CnfFormula(3, ((1, 2, 3),)))
 
-    def test_enum_budget(self):
-        with pytest.raises(BudgetError):
-            solve_2sat_enum(CnfFormula(25, ()))
-
     def test_scc_matches_enumeration(self):
         spec = GenSpec("2sat3", max_size=12, seed=101)
         for t in range(300):
             f = generate(spec, t)
             a, wa = solve_2sat(f)
-            b, _ = solve_2sat_enum(f)
-            assert a == b, f
+            b = first_hit(f.num_vars, (False, True),
+                          lambda bits: check_assignment(f, dict(enumerate(bits, 1))))
+            assert a == (b is not None), f
             if a:
                 assert check_assignment(f, wa)
 
@@ -236,10 +231,6 @@ class Test2Cvc:
         assert expected is False
         assert solve_2cvc(k4)[0] is False
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            solve_2cvc_enum(UGraph(CVC_ENUM_BUDGET + 1, ()))
-
     @pytest.mark.parametrize("sat_bias, expected", [(0.0, False), (1.0, True)])
     def test_decides_far_over_the_enum_budget(self, sat_bias, expected):
         """A 3979-vertex graph, cross-checked by Tarjan SCCs on the 2-CNF
@@ -333,10 +324,6 @@ class TestXce:
     def test_uncoverable(self):
         assert solve_xce(XceInstance(1, (), ()))[0] is False
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            solve_xce_enum(XceInstance(1, (), tuple((1,) for _ in range(XCE_ENUM_BUDGET + 1))))
-
     @pytest.mark.parametrize("sat_bias, expected, sets", [(0.0, False, 3687),
                                                           (1.0, True, 3984)])
     def test_decides_far_over_the_enum_budget(self, sat_bias, expected, sets):
@@ -383,11 +370,10 @@ class TestXce:
             x = generate(spec, t)
             if len(x.sets) > 12:
                 continue
-            expected = any(
-                check_exact_cover(x, [i + 1 for i in range(len(x.sets)) if s >> i & 1])
-                for s in range(1 << len(x.sets)))
+            first = first_hit(len(x.sets), (1, 0), lambda bits: check_exact_cover(
+                x, [i for i, b in enumerate(bits, 1) if b]))
             yes, sel = solve_xce(x)
-            assert yes == expected
+            assert yes == (first is not None)
             if yes:
                 assert check_exact_cover(x, sel)
 
@@ -645,6 +631,12 @@ def _two_sparse_systems(draw) -> LinSystem:
                      tuple(upper) if mode == "band" else None)
 
 
+def _lin_scan(s: LinSystem) -> tuple[bool, tuple[int, ...] | None]:
+    """The verdict and first solution of a scan of {0,1}^n through check_vector."""
+    first = first_hit(s.num_cols, (0, 1), lambda bits: check_vector(s, bits))
+    return first is not None, first
+
+
 class TestLin:
     def test_geq_yes(self):
         s = LinSystem("geq", 1, 2, 3, ((1, 1, 1), (1, 2, 1)), (1,))
@@ -666,10 +658,6 @@ class TestLin:
         s = LinSystem("band", 1, 2, 3, ((1, 1, 1), (1, 2, 1)), (1,), (1,))
         yes, x = solve_lin(s)
         assert yes and check_vector(s, x)
-
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            solve_lin_enum(LinSystem("geq", 0, LIN_ENUM_BUDGET + 1, 3, (), ()))
 
     @pytest.mark.parametrize("sat_bias, expected", [(0.0, False), (1.0, True)])
     def test_decides_far_over_the_enum_budget(self, sat_bias, expected):
@@ -717,20 +705,20 @@ class TestLin:
         for t, src, out in _plan_instances(name):
             for s in (src, out):
                 if isinstance(s, LinSystem):
-                    assert solve_lin(s) == solve_lin_enum(s), (t, s)
+                    assert solve_lin(s) == _lin_scan(s), (t, s)
 
     @settings(max_examples=300, deadline=None)
     @given(_two_sparse_systems())
     def test_matches_enumeration_on_two_sparse_systems(self, s):
         assert validate(s) == []
-        assert solve_lin(s) == solve_lin_enum(s)
+        assert solve_lin(s) == _lin_scan(s)
 
 
 class TestXor2Sat:
     def test_odd_triangle(self):
         x = XorSystem(3, (Parity(1, 2, 1), Parity(2, 3, 1), Parity(1, 3, 1)))
         assert solve_xor2sat(x) is False
-        assert solve_xor2sat_enum(x) is False
+        assert first_hit(3, (0, 1), lambda bits: parities_hold(x, bits)) is None
 
     def test_single_unit(self):
         assert solve_xor2sat(XorSystem(1, (Unit(1, 1),))) is True
@@ -743,7 +731,8 @@ class TestXor2Sat:
         spec = GenSpec("xor", max_size=10, seed=202)
         for t in range(300):
             x = generate(spec, t)
-            assert solve_xor2sat(x) == solve_xor2sat_enum(x), x
+            assert solve_xor2sat(x) == (
+                first_hit(x.num_vars, (0, 1), lambda bits: parities_hold(x, bits)) is not None), x
 
 
 class TestWitnessSoundness:
@@ -774,12 +763,6 @@ class TestWitnessSoundness:
                 assert check_path(g, path)
 
 
-def _first_hit(n: int, digits: tuple[int, int], accepts):
-    """The first n-digit vector over `digits`, in lexicographic order with
-    the first digit most significant, that `accepts` takes, or None."""
-    return next((bits for bits in product(digits, repeat=n) if accepts(bits)), None)
-
-
 class TestFirstWitness:
     """The forced-choice deciders return the lexicographically first
     solution, x_1 most significant. An independent scan through each class's
@@ -790,7 +773,7 @@ class TestFirstWitness:
         spec = GenSpec("ugraph3", max_size=14, seed=seed)
         for t in range(100):
             g = generate(spec, t)
-            first = _first_hit(g.num_vertices, (0, 1), lambda bits: check_cover(
+            first = first_hit(g.num_vertices, (0, 1), lambda bits: check_cover(
                 g, {v for v, b in enumerate(bits, 1) if b}))
             expected = (False, None) if first is None else (
                 True, {v for v, b in enumerate(first, 1) if b})
@@ -803,7 +786,7 @@ class TestFirstWitness:
             x = generate(spec, t)
             if len(x.sets) > 16:
                 continue
-            first = _first_hit(len(x.sets), (1, 0), lambda bits: check_exact_cover(
+            first = first_hit(len(x.sets), (1, 0), lambda bits: check_exact_cover(
                 x, [i for i, b in enumerate(bits, 1) if b]))
             expected = (False, None) if first is None else (
                 True, [i for i, b in enumerate(first, 1) if b])
@@ -814,5 +797,4 @@ class TestFirstWitness:
         spec = GenSpec(problem, max_size=14, seed=21)
         for t in range(100):
             s = generate(spec, t)
-            first = _first_hit(s.num_cols, (0, 1), lambda bits: check_vector(s, bits))
-            assert solve_lin(s) == (first is not None, first), (t, s)
+            assert solve_lin(s) == _lin_scan(s), (t, s)

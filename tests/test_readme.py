@@ -2,13 +2,16 @@
 classes, `gen`'s options and fixed bounds, the reductions `reduce` takes,
 the corrupted fixtures and the oracle budgets; and its claim that runs are
 reproducible from flags alone holds because no module reads the
-environment. README "File formats" gives the header shapes `parse` checks."""
+environment. README "File formats" gives the header shapes `parse` checks,
+and the reference routes README places in tests/references.py live there,
+outside the library."""
 
 import argparse
 import re
 from pathlib import Path
 
 import redlab
+import references
 from redlab import cli, harness, instances, oracles, reductions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -77,3 +80,12 @@ def test_file_format_headers():
     block = text[start:text.index("```", start)]
     shapes = [re.split(r"\s{2,}", line)[0] for line in block.strip().splitlines()]
     assert shapes == [problem.usage for problem in instances.PROBLEMS.values()]
+
+
+def test_reference_routes_live_in_the_tests():
+    text = " ".join(README.read_text().split())
+    named = {name for part in re.split(r"(?<=\.) | - ", text) if "`tests/references.py`" in part
+             for name in _names(part) if name.isidentifier()}
+    assert {"first_hit", "solve_2cvc_enum", "solve_xce_enum", "linked_by_chain"} <= named
+    for name in named:
+        assert callable(getattr(references, name, None)) and not hasattr(oracles, name), name

@@ -32,6 +32,7 @@ from redlab.reductions import (
     twolp_to_lp,
     xce2_to_2lp,
 )
+from references import first_hit, parities_hold
 
 FIG1 = CnfFormula(3, ((1, -2), (2, 1), (-1, 3), (2, -3)))
 FIG2 = CnfFormula(3, ((1, -2), (1, 3), (2, -3), (-1, -3)))
@@ -80,7 +81,8 @@ class TestNormalize2Sat:
         assert out == UNSAT_2SAT3_CANONICAL
         assert is_normalized_2sat3(out)
         assert oracles.solve_2sat(out)[0] is False
-        assert oracles.solve_2sat_enum(out)[0] is False
+        assert first_hit(out.num_vars, (False, True),
+                         lambda bits: oracles.check_assignment(out, dict(enumerate(bits, 1)))) is None
 
     def test_tautology_dropped(self):
         assert normalize_2sat3(CnfFormula(1, ((1, -1),))) == CnfFormula(0, ())
@@ -324,7 +326,8 @@ class TestLeToXor2Sat:
             s = generate(spec, t)
             out, rep = le_to_xor2sat(s)
             assert oracles.solve_xor2sat(out) == oracles.solve_lin(s)[0]
-            assert oracles.solve_xor2sat_enum(out) == oracles.solve_xor2sat(out)
+            scan = first_hit(out.num_vars, (0, 1), lambda bits: parities_hold(out, bits))
+            assert (scan is not None) == oracles.solve_xor2sat(out)
             assert rep.shortness_ok
 
 
