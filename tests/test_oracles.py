@@ -718,7 +718,7 @@ class TestXor2Sat:
     def test_odd_triangle(self):
         x = XorSystem(3, (Parity(1, 2, 1), Parity(2, 3, 1), Parity(1, 3, 1)))
         assert solve_xor2sat(x) is False
-        assert first_hit(3, (0, 1), lambda bits: parities_hold(x, bits)) is None
+        assert first_hit(x.num_vars, (0, 1), lambda bits: parities_hold(x, bits)) is None
 
     def test_single_unit(self):
         assert solve_xor2sat(XorSystem(1, (Unit(1, 1),))) is True
