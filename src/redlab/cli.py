@@ -76,8 +76,7 @@ def cmd_solve(args) -> int:
 def cmd_reduce(args) -> int:
     if args.name not in reductions.REDUCTIONS:
         known = ", ".join(sorted(reductions.REDUCTIONS))
-        print(f"unknown reduction {args.name!r}; known: {known}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown reduction {args.name!r}; known: {known}")
     instance = _read(args.input)
     out, report = reductions.REDUCTIONS[args.name](instance)
     Path(args.output).write_text(serialize(out))
@@ -90,10 +89,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    run_dir = Path(args.run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)  # before the trials, so a bad path fails fast
     result = harness.verify_m_reduction(args.name, args.trials, max_size=args.max_size,
                                         seed=args.seed)
-    run_dir = Path(args.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     for seed, text in result.equiv_failures:
         path = run_dir / f"{result.name}_seed{seed}.txt"
         data = text.encode()
@@ -145,8 +144,7 @@ def cmd_dot(args) -> int:
             lines.append(f"  {u} -> {v};")
         lines.append("}")
     else:
-        print(f"{type(instance).__name__} is not graph-shaped", file=sys.stderr)
-        return 2
+        raise ValueError(f"{type(instance).__name__} is not graph-shaped")
     Path(args.output).write_text("\n".join(lines) + "\n")
     return 0
 

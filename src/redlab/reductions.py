@@ -121,53 +121,50 @@ def is_normalized_2sat3(f: CnfFormula) -> bool:
 
 
 def normalize_2sat3(f: CnfFormula) -> CnfFormula:
-    """Equisatisfiable normal form: drop tautologies, collapse (x v x) to a
-    unit, propagate units, delete clauses holding a removable literal, repeat
-    to fixpoint, then renumber the surviving variables densely.
+    """Equisatisfiable normal form in one pass: drop tautologies, collapse
+    (x v x) to a unit, propagate units, delete the clauses holding a true or
+    a removable literal (one whose negation no longer occurs), then renumber
+    the surviving variables densely.
+
+    Unit propagation and removable-literal deletion commute: any order of
+    the two reaches the same clauses, or a conflict in every order. So one
+    pass gives the normal form, and occurrence lists make it linear: each
+    literal is set true once and each clause deleted once.
 
     The empty output encodes trivially-satisfiable; a propagation conflict
     yields the fixed canonical unsatisfiable formula.
     """
     _require(f)
-    clauses = [tuple(c) for c in f.clauses]
-    while True:
-        changed = False
-        # tautologies and within-clause duplicates
-        cleaned = []
-        for c in clauses:
-            if len(c) == 2:
-                if c[0] == -c[1]:
-                    changed = True
-                    continue  # tautology
-                if c[0] == c[1]:
-                    c = (c[0],)  # collapse to unit
-                    changed = True
-            cleaned.append(c)
-        clauses = cleaned
-        # unit propagation
-        units = {c[0] for c in clauses if len(c) == 1}
-        if any(-l in units for l in units):
+    # (x v x) becomes (x) and tautologies go; no later step makes either again
+    clauses = [c[:1] if c[0] == c[-1] else c for c in f.clauses if c[0] != -c[-1]]
+    occurs: dict[int, list[int]] = {}  # literal -> indices of the clauses holding it
+    for i, c in enumerate(clauses):
+        for l in c:
+            occurs.setdefault(l, []).append(i)
+    true: set[int] = set()
+    forced = [c[0] for c in clauses if len(c) == 1]
+    while forced:
+        l = forced.pop()
+        if -l in true:
             return UNSAT_2SAT3_CANONICAL
-        if units:
-            nxt = []
-            for c in clauses:
-                if any(l in units for l in c):
-                    continue
-                reduced = tuple(l for l in c if -l not in units)
-                if not reduced:
-                    return UNSAT_2SAT3_CANONICAL
-                nxt.append(reduced)
-            if nxt != clauses:
-                changed = True
-            clauses = nxt
-        # removable literals: negation occurs nowhere
-        present = {l for c in clauses for l in c}
-        removable = {l for l in present if -l not in present}
-        if removable:
-            clauses = [c for c in clauses if not any(l in removable for l in c)]
-            changed = True
-        if not changed:
-            break
+        if l not in true:
+            true.add(l)
+            for i in occurs.get(-l, ()):
+                forced.extend(m for m in clauses[i] if m != -l)
+    # With no conflict, every clause holding an assigned variable holds a
+    # true literal: a false literal's clause forced its other one.
+    count = {l: len(ix) for l, ix in occurs.items()}  # occurrences in live clauses
+    alive = [True] * len(clauses)
+    doomed = [*true, *(l for l in occurs if -l not in occurs)]
+    while doomed:
+        for i in occurs[doomed.pop()]:
+            if alive[i]:
+                alive[i] = False
+                for m in clauses[i]:
+                    count[m] -= 1
+                    if not count[m] and count.get(-m):
+                        doomed.append(-m)  # -m became removable
+    clauses = [c for c, keep in zip(clauses, alive) if keep]
     if not clauses:
         return CnfFormula(0, ())
     renum: dict[int, int] = {}

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from redlab import cli
+from redlab import cli, harness
 from redlab.cli import main
 from redlab.instances import CnfFormula, ParseError, parse, serialize
 
@@ -339,16 +339,25 @@ def test_usage_error_exit_2(capsys):
     assert main([]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("solve", "{dir}"),
-    ("gen", "2sat3", "--size", "3", "-o", "{dir}"),
-    ("verify", "lp_to_2lp", "--trials", "2", "--run-dir", "{file}"),
-], ids=["solve_dir", "gen_output_dir", "verify_run_dir_file"])
-def test_os_error_exit_2(argv, tmp_path, capsys):
-    """An I/O error is one error line and exit 2, not a traceback."""
-    (tmp_path / "file").write_text("")
+@pytest.mark.parametrize("argv, generated", [
+    (("solve", "{dir}"), 0),
+    (("gen", "2sat3", "--size", "3", "-o", "{dir}"), 1),
+    (("verify", "lp_to_2lp", "--trials", "2", "--run-dir", "{file}"), 0),
+    (("reduce", "nope", "a", "b"), 0),
+    (("dot", "{file}", "-o", "{dir}/x.dot"), 0),
+], ids=["solve_dir", "gen_output_dir", "verify_run_dir_file", "reduce_unknown_name",
+        "dot_not_graph"])
+def test_os_error_exit_2(argv, generated, tmp_path, capsys, monkeypatch):
+    """An I/O error, an unknown name or an instance a command cannot take is
+    one error line and exit 2, not a traceback. verify creates --run-dir
+    before its first trial, so a bad one costs no trial."""
+    calls = []
+    real = harness.generate
+    monkeypatch.setattr(harness, "generate", lambda *a: calls.append(a) or real(*a))
+    (tmp_path / "file").write_text("p cnf2 1 0\n")
     code, _, err = run(capsys, *(a.format(dir=tmp_path, file=tmp_path / "file") for a in argv))
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert len(calls) == generated
 
 
 class TestParser:

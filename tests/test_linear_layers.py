@@ -2,10 +2,12 @@
 gate on their growth.
 
 `xce2_to_2lp` reads each element's covering sets off one index, the
-ap2dm validator counts exempt partners in one pass over the pairs, and
+ap2dm validator counts exempt partners in one pass over the pairs,
 `normalize_dstcon` splits each vertex once through per-vertex edge-position
-lists. The original double loop, per-exempt scan and restart-after-every-
-relay loop are kept here as references; outputs, reports and violation
+lists, and `normalize_2sat3` propagates units and deletes removable
+literals in one pass over per-literal occurrence lists. The original double
+loop, per-exempt scan, restart-after-every-relay loop and repeat-until-
+fixpoint loop are kept here as references; outputs, reports and violation
 lists must match them exactly, malformed inputs included, except that an
 input `validate` rejects must raise PreconditionError with the detail of
 the first violation.
@@ -14,13 +16,30 @@ the first violation.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from redlab.harness import GenSpec, generate
-from redlab.instances import Ap2dmInstance, Digraph, LinSystem, Violation, XceInstance, validate
-from redlab.reductions import PreconditionError, dstcon_to_ap2dm, normalize_dstcon, xce2_to_2lp
+from redlab.harness import GenSpec, default_plans, generate
+from redlab.instances import (
+    Ap2dmInstance,
+    CnfFormula,
+    Digraph,
+    LinSystem,
+    Violation,
+    XceInstance,
+    validate,
+)
+from redlab.reductions import (
+    UNSAT_2SAT3_CANONICAL,
+    PreconditionError,
+    dstcon_to_ap2dm,
+    normalize_2sat3,
+    normalize_dstcon,
+    xce2_to_2lp,
+)
 
 # ---------------------------------------------------------------------------
 # References
@@ -138,6 +157,52 @@ def normalize_dstcon_reference(g: Digraph) -> tuple[Digraph, dict[int, str]]:
                 changed = True
                 break
     return Digraph(nxt, tuple(edges), new_s, new_t), names
+
+
+def normalize_2sat3_reference(f: CnfFormula) -> CnfFormula:
+    """Whole clean-up, unit and removable-literal rounds until none changes
+    anything; quadratic when each round settles one variable."""
+    clauses = [tuple(c) for c in f.clauses]
+    while True:
+        changed = False
+        cleaned = []
+        for c in clauses:
+            if len(c) == 2:
+                if c[0] == -c[1]:
+                    changed = True
+                    continue
+                if c[0] == c[1]:
+                    c = (c[0],)
+                    changed = True
+            cleaned.append(c)
+        clauses = cleaned
+        units = {c[0] for c in clauses if len(c) == 1}
+        if any(-l in units for l in units):
+            return UNSAT_2SAT3_CANONICAL
+        if units:
+            nxt = []
+            for c in clauses:
+                if any(l in units for l in c):
+                    continue
+                reduced = tuple(l for l in c if -l not in units)
+                if not reduced:
+                    return UNSAT_2SAT3_CANONICAL
+                nxt.append(reduced)
+            if nxt != clauses:
+                changed = True
+            clauses = nxt
+        present = {l for c in clauses for l in c}
+        removable = {l for l in present if -l not in present}
+        if removable:
+            clauses = [c for c in clauses if not any(l in removable for l in c)]
+            changed = True
+        if not changed:
+            break
+    if not clauses:
+        return CnfFormula(0, ())
+    renum = {var: i for i, var in enumerate(sorted({abs(l) for c in clauses for l in c}), 1)}
+    return CnfFormula(len(renum), tuple(
+        tuple((1 if l > 0 else -1) * renum[abs(l)] for l in c) for c in clauses))
 
 
 def _outcome(fn, x):
@@ -266,6 +331,89 @@ class TestNormalizeDstconOnePass:
         assert _outcome(self._new, g) == _expected(normalize_dstcon_reference, g)
 
 
+def _unit_chain(n: int) -> CnfFormula:
+    """(x1)(!x1 v x2)...(!x(n-1) v xn)(!xn v !x(n-1)): one unit forces the
+    whole chain, then the last clause conflicts."""
+    return CnfFormula(n, ((1,), *((-v, v + 1) for v in range(1, n)), (-n, 1 - n)))
+
+
+def _pure_cascade(n: int) -> CnfFormula:
+    """(x1 v x2)(!x2 v x3)...(!x(n-1) v xn): only the two ends are removable
+    at first, and each deletion makes the next literal removable."""
+    return CnfFormula(n, ((1, 2), *((-v, v + 1) for v in range(2, n))))
+
+
+def _sat_families():
+    """Every 2sat3 family: the default plans' specs, their --max-size
+    variants (which drop the clause caps) and the exact clause count n of
+    the scale pipelines."""
+    plans = [p.genspec for p in default_plans(seed=7).values() if p.genspec.problem == "2sat3"]
+    assert len(plans) == 3
+    for spec in plans:
+        yield spec, 600
+    for size, trials in ((6, 400), (12, 300), (25, 200), (50, 100), (100, 40), (200, 20)):
+        yield replace(plans[0], max_size=size, vc_budget=None, max_clauses=None), trials
+        yield GenSpec("2sat3", max_size=size, clauses=size, seed=size), 5
+
+
+RAW_VARS = 4  # few enough that both polarities of a variable often survive
+
+
+@st.composite
+def raw_2cnf(draw):
+    """Valid raw formulas: clean 2-clauses mixed with up to three units,
+    tautologies or (x v x), over some variables and leaving others unused."""
+    n = draw(st.integers(2, RAW_VARS + 2))
+    lit = st.builds(lambda v, pos: v if pos else -v, st.integers(1, min(n, RAW_VARS)),
+                    st.booleans())
+    clean = st.tuples(lit, lit).filter(lambda c: abs(c[0]) != abs(c[1]))
+    noise = st.one_of(st.tuples(lit), lit.map(lambda l: (l, l)), lit.map(lambda l: (l, -l)))
+    clauses = draw(st.lists(clean, min_size=3, max_size=16)) + draw(st.lists(noise, max_size=3))
+    return CnfFormula(n, tuple(draw(st.permutations(clauses))))
+
+
+CONFLICTS = [
+    CnfFormula(1, ((1,), (-1,))),
+    CnfFormula(1, ((1, 1), (-1, -1))),
+    CnfFormula(2, ((1,), (-1, 2), (-2,))),
+    CnfFormula(3, ((2, 3), (1,), (-1, 2), (-1, -2))),
+    CnfFormula(4, ((3, -3), (1, 1), (-1, 2), (-2, -1))),
+    _unit_chain(2),
+    _unit_chain(30),
+]
+
+
+class TestNormalize2Sat3OnePass:
+    def test_generated_match_reference(self):
+        checked = kept = 0
+        for spec, trials in _sat_families():
+            for t in range(trials):
+                f = generate(spec, t)
+                got = normalize_2sat3(f)
+                assert got == normalize_2sat3_reference(f), (spec, t)
+                checked += 1
+                kept += bool(got.clauses)
+        assert checked == 3 * 600 + sum((t + 5) for t in (400, 300, 200, 100, 40, 20))
+        assert kept >= checked // 5  # not only formulas that vanish
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 40])
+    def test_chains_match_reference(self, n):
+        for f in (_unit_chain(n), _pure_cascade(n)):
+            assert normalize_2sat3(f) == normalize_2sat3_reference(f)
+        assert normalize_2sat3(_pure_cascade(n)) == CnfFormula(0, ())
+
+    @pytest.mark.parametrize("f", CONFLICTS)
+    def test_conflict_yields_canonical(self, f):
+        assert normalize_2sat3(f) == normalize_2sat3_reference(f) == UNSAT_2SAT3_CANONICAL
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_2cnf())
+    @example(CONFLICTS[3])
+    @example(CnfFormula(5, ((1, -1), (2, 2), (-2, 3), (3, 4), (-4, -3), (4, -3))))
+    def test_raw_match_reference(self, f):
+        assert normalize_2sat3(f) == normalize_2sat3_reference(f)
+
+
 def test_rejected_cases():
     assert REJECTED == {
         "xce": [i for i, x in enumerate(MALFORMED_XCE) if validate(x)],
@@ -301,6 +449,8 @@ LAYERS = {
     "validate_ap2dm": (1000, lambda n: partial(validate, _ap2dm_ring(n), {"overlap_bound": 4})),
     "normalize_dstcon": (400, lambda n: partial(normalize_dstcon, _digraph_deg3(n))),
     "gen_2sat3": (600, lambda n: partial(generate, GenSpec("2sat3", max_size=n, clauses=n, seed=5))),
+    "normalize_2sat3_unit_chain": (1000, lambda n: partial(normalize_2sat3, _unit_chain(n))),
+    "normalize_2sat3_pure_cascade": (1000, lambda n: partial(normalize_2sat3, _pure_cascade(n))),
 }
 
 
