@@ -7,10 +7,10 @@ seed + i, so the trials of one run can be split into seed ranges.
 
 A `verify` or `fit` run generates the instance of every trial but decides
 each distinct instance once: prepare, reduce and (for `verify`) both
-deciders, the witness checks and the postcheck run for the first trial
-that draws it, and later trials of the run that draw an equal instance
-reuse that outcome under their own seeds (`_trials`). The results are
-those of deciding every trial.
+deciders, the witness checks and the validation of the output under its
+plan's tags run for the first trial that draws it, and later trials of the
+run that draw an equal instance reuse that outcome under their own seeds
+(`_trials`). The results are those of deciding every trial.
 """
 
 from __future__ import annotations
@@ -665,46 +665,18 @@ def _normalized(g: Digraph) -> Digraph:
     return reductions.normalize_dstcon(g)[0]
 
 
-def _post_valid(out, src, tags: dict | None = None) -> list[str]:
-    """Generic postcheck: the output passes its own type invariants and
-    `tags`. Plans bind the tags with functools.partial."""
-    return [f"{v.rule}:{v.detail}" for v in validate(out, tags)]
-
-
-def _post_3xce2(out: XceInstance, src) -> list[str]:
-    bad = _post_valid(out, src)
-    cost = out.overlap_costs()
-    for e in range(1, out.universe_size + 1):
-        if cost[e] != 2:
-            bad.append(f"element {e} covered by {cost[e]} sets, expected exactly 2")
-    return bad
-
-
-def _post_2sat3_normal(out: CnfFormula, src) -> list[str]:
-    """normalize_2sat3's contract (`reductions.is_normalized_2sat3`)."""
-    return [] if reductions.is_normalized_2sat3(out) else ["normal_form:CnfFormula"]
-
-
-def _post_dstcon_normal(out: Digraph, src) -> list[str]:
-    """normalize_dstcon's contract, the precondition of dstcon_to_ap2dm."""
-    try:
-        reductions._check_dstcon_normalized(out)
-    except reductions.PreconditionError as exc:
-        return [f"normal_form:{exc}"]
-    return []
-
-
 @dataclass(frozen=True)
 class VerifierPlan:
     """How to verify one reduction: generator family, optional preparation
-    step (normalize, build a gadget), the reduction and structural
-    postchecks. Both sides are decided through `oracles.DECIDERS`, by
-    instance class; a reduction whose output is a bool is its own verdict."""
+    step (normalize, build a gadget), the reduction, and the `validate` tags
+    that state its output contract. Both sides are decided through
+    `oracles.DECIDERS`, by instance class; a reduction whose output is a bool
+    is its own verdict."""
 
     genspec: GenSpec
     prepare: object | None  # instance -> instance (e.g. normalize)
     reduce: object  # instance -> (instance or bool, report)
-    postcheck: object | None = None  # (out, src) -> [messages]
+    out_tags: dict = field(default_factory=dict)  # validate(out, out_tags) must be empty
 
 
 def default_plans(seed: int = 1) -> dict[str, VerifierPlan]:
@@ -713,39 +685,37 @@ def default_plans(seed: int = 1) -> dict[str, VerifierPlan]:
     return {
         "sat2_to_2cvc3": VerifierPlan(
             GenSpec("2sat3", max_size=10, seed=seed, vc_budget=13),
-            reductions.normalize_2sat3, reductions.sat2_to_2cvc3,
-            partial(_post_valid, tags={"deg_bound": 3})),
+            reductions.normalize_2sat3, reductions.sat2_to_2cvc3, {"deg_bound": 3}),
         "cvc3_to_sat2": VerifierPlan(
             GenSpec("ugraph3", max_size=14, seed=seed),
             None, reductions.cvc3_to_sat2),
         "sat2_to_3xce2": VerifierPlan(
             GenSpec("2sat3", max_size=8, seed=seed, max_clauses=6),
-            reductions.normalize_2sat3, reductions.sat2_to_3xce2, _post_3xce2),
+            reductions.normalize_2sat3, reductions.sat2_to_3xce2, {"exactly_2": True}),
         "xce2_to_2lp": VerifierPlan(
             GenSpec("xce", max_size=9, seed=seed),
-            None, reductions.xce2_to_2lp, _post_valid),
+            None, reductions.xce2_to_2lp),
         "lp_to_2lp": VerifierPlan(
             GenSpec("lin_geq", max_size=10, seed=seed, max_rows=8),
-            None, reductions.lp_to_2lp, _post_valid),
+            None, reductions.lp_to_2lp),
         "twolp_to_lp": VerifierPlan(
             GenSpec("lin_band", max_size=6, seed=seed, max_rows=6),
-            None, reductions.twolp_to_lp, _post_valid),
+            None, reductions.twolp_to_lp),
         "le_to_xor2sat": VerifierPlan(
             GenSpec("lin_eq", max_size=12, seed=seed, max_rows=8),
-            None, reductions.le_to_xor2sat, _post_valid),
+            None, reductions.le_to_xor2sat),
         "normalize_2sat3": VerifierPlan(
             GenSpec("2sat3", max_size=12, seed=seed),
-            None, reductions._normalize_2sat3_op, _post_2sat3_normal),
+            None, reductions._normalize_2sat3_op, {"normal_form": True}),
         "normalize_dstcon": VerifierPlan(
             GenSpec("digraph4", max_size=6, seed=seed, deg_bound=3),
-            None, reductions.normalize_dstcon, _post_dstcon_normal),
+            None, reductions.normalize_dstcon, {"normal_form": True}),
         "dstcon_to_ap2dm": VerifierPlan(
             GenSpec("dstcon_raw", max_size=5, seed=seed),
-            _normalized, reductions.dstcon_to_ap2dm,
-            partial(_post_valid, tags={"overlap_bound": 4})),
+            _normalized, reductions.dstcon_to_ap2dm, {"overlap_bound": 4}),
         "reduce_degree_dstcon": VerifierPlan(
             GenSpec("digraph4", max_size=10, seed=seed, deg_bound=4),
-            None, reductions.reduce_degree_dstcon, partial(_post_valid, tags={"deg_bound": 3})),
+            None, reductions.reduce_degree_dstcon, {"deg_bound": 3}),
     }
 
 
@@ -893,12 +863,12 @@ def _decide_output(out) -> tuple[bool | None, bool]:
 
 def _settle(plan: VerifierPlan, decide: bool, raw) -> _Trial:
     """prepare -> reduce on a generated instance, then with `decide` both
-    oracles, the checks of their YES witnesses and the postcheck. An
-    instance over an oracle budget or outside a reduction's precondition is
-    skipped rather than ending the run; an error the postcheck raises is
-    not a skip and propagates. A malformed output that its decider cannot
-    decide is an `undecidable:<class>` structural failure, with equivalence
-    undecided."""
+    oracles, the checks of their YES witnesses, and `validate` on an output
+    that is not a bool, under the plan's `out_tags`: each violation is a
+    `<rule>:<detail>` structural failure. An instance over an oracle budget
+    or outside a reduction's precondition is skipped rather than ending the
+    run. A malformed output that its decider cannot decide is also an
+    `undecidable:<class>` structural failure, with equivalence undecided."""
     try:
         src = plan.prepare(raw) if plan.prepare else raw
         out, report = plan.reduce(src)
@@ -912,8 +882,8 @@ def _settle(plan: VerifierPlan, decide: bool, raw) -> _Trial:
               for x, ok in ((src, ok_in), (out, ok_out)) if not ok]
     if yes_out is None:
         struct.append(f"undecidable:{type(out).__name__}")
-    if plan.postcheck:
-        struct += plan.postcheck(out, src)
+    if not isinstance(out, bool):
+        struct += [f"{v.rule}:{v.detail}" for v in validate(out, plan.out_tags)]
     return _Trial(report, yes_out is None or yes_in == yes_out, tuple(struct))
 
 

@@ -222,21 +222,41 @@ def size_param_names(instance) -> tuple[str, ...]:
 
 def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation], at):
     bound = tags.get("occ_bound")
-    counts: dict[int, int] = {}  # filled only when occ_bound asks for it
+    normal = tags.get("normal_form")
+    counted = bound is not None or normal
+    # each variable's positive and negative occurrences, counted only under a tag
+    size = f.num_vars + 1 if counted else 0
+    pos, neg = [0] * size, [0] * size
     for j, clause in enumerate(f.clauses, 1):
         if not 1 <= len(clause) <= 2:
             out.append(Violation("clause_width", (j,), f"clause {j} has {len(clause)} literals", at("clause", j)))
         for lit in clause:
-            var = abs(lit)
-            if lit == 0 or var > f.num_vars:
+            if lit == 0 or abs(lit) > f.num_vars:
                 out.append(Violation("literal_range", (j, lit), f"literal {lit} out of range in clause {j}",
                                      at("clause", j)))
-            elif bound is not None:
-                counts[var] = counts.get(var, 0) + 1
-    for var in sorted(counts):
-        if counts[var] > bound:
-            out.append(Violation("occ_bound", (var, counts[var]),
-                                 f"variable {var} occurs {counts[var]} times, bound {bound}"))
+            elif counted:
+                if lit > 0:
+                    pos[lit] += 1
+                else:
+                    neg[-lit] += 1
+    if bound is not None:
+        for var in range(1, f.num_vars + 1):
+            if pos[var] + neg[var] > bound:
+                out.append(Violation("occ_bound", (var, pos[var] + neg[var]),
+                                     f"variable {var} occurs {pos[var] + neg[var]} times, bound {bound}"))
+    # The normal form of 2SAT3: exact clean clauses, and every variable with
+    # both polarities and at most 3 occurrences
+    if normal:
+        for j, clause in enumerate(f.clauses, 1):
+            if len(clause) != 2 or abs(clause[0]) == abs(clause[1]):
+                out.append(Violation("normal_form", (j,), f"clause {j} is not two literals of distinct variables",
+                                     at("clause", j)))
+        for var in range(1, f.num_vars + 1):
+            p, q = pos[var], neg[var]
+            if not p or not q or p + q > 3:
+                out.append(Violation("normal_form", (var, p, q),
+                                     f"variable {var} occurs {p} times positive and {q} negative, "
+                                     "normal form needs both and at most 3"))
 
 
 # Neither graph validator tests Lemma 1's size relation for connected graphs
@@ -246,8 +266,10 @@ def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation], at):
 # 2*m_edg > k*m_ver already has a violation.
 def _validate_digraph(g: Digraph, tags: dict, out: list[Violation], at):
     k = tags.get("deg_bound")
+    normal = tags.get("normal_form")
     seen = set()
-    deg = [0] * (g.num_vertices + 1)  # in + out degree, counted only under deg_bound
+    indeg = [0] * (g.num_vertices + 1)  # counted only under a tag
+    outdeg = [0] * (g.num_vertices + 1)
     for i, e in enumerate(g.edges, 1):
         u, v = e
         if not (1 <= u <= g.num_vertices and 1 <= v <= g.num_vertices):
@@ -258,16 +280,34 @@ def _validate_digraph(g: Digraph, tags: dict, out: list[Violation], at):
         if e in seen:
             out.append(Violation("duplicate_edge", (u, v), f"duplicate edge ({u},{v})", at("edge", i)))
         seen.add(e)
-        if k is not None:
-            deg[u] += 1
-            deg[v] += 1
+        if k is not None or normal:
+            outdeg[u] += 1
+            indeg[v] += 1
     for name, w in (("s", g.s), ("t", g.t)):
         if not 1 <= w <= g.num_vertices:
             out.append(Violation("endpoint_range", (name, w), f"{name}={w} out of range", at(name, 1)))
     if k is not None:
         for v in range(1, g.num_vertices + 1):
-            if deg[v] > k:
-                out.append(Violation("deg_bound", (v, deg[v]), f"vertex {v} has degree {deg[v]}, bound {k}"))
+            if indeg[v] + outdeg[v] > k:
+                out.append(Violation("deg_bound", (v, indeg[v] + outdeg[v]),
+                                     f"vertex {v} has degree {indeg[v] + outdeg[v]}, bound {k}"))
+    # The normal form that the matching gadget needs: distinct endpoints, no
+    # s->t edge, s a source and t a sink of degree at most 1 (an endpoint may
+    # be isolated), and in- and outdegree at most 2 everywhere
+    if normal:
+        s, t, n = g.s, g.t, g.num_vertices
+        if s == t:
+            out.append(Violation("normal_form", ("s", "t"), "s and t must be distinct"))
+        if (s, t) in seen:
+            out.append(Violation("normal_form", (s, t), "direct s->t edge must be subdivided"))
+        if 1 <= s <= n and (indeg[s] or outdeg[s] > 1):
+            out.append(Violation("normal_form", ("s", s), "s must have outdegree at most 1 and indegree 0"))
+        if 1 <= t <= n and (outdeg[t] or indeg[t] > 1):
+            out.append(Violation("normal_form", ("t", t), "t must have indegree at most 1 and outdegree 0"))
+        for v in range(1, n + 1):
+            if indeg[v] > 2 or outdeg[v] > 2:
+                out.append(Violation("normal_form", (v, indeg[v], outdeg[v]),
+                                     f"vertex {v} has indegree {indeg[v]} / outdegree {outdeg[v]}, bound 2"))
 
 
 def _validate_ugraph(g: UGraph, tags: dict, out: list[Violation], at):
@@ -315,6 +355,11 @@ def _validate_xce(x: XceInstance, tags: dict, out: list[Violation], at):
     for e in range(1, x.universe_size + 1):
         if cost[e] > 2:
             out.append(Violation("overlap", (e, cost[e]), f"element {e} has overlapping cost {cost[e]}, bound 2"))
+    if tags.get("exactly_2"):  # the 3XCE2 form: every element in exactly two sets
+        for e in range(1, x.universe_size + 1):
+            if cost[e] != 2:
+                out.append(Violation("exactly_2", (e, cost[e]),
+                                     f"element {e} covered by {cost[e]} sets, expected exactly 2"))
 
 
 def _validate_ap2dm(a: Ap2dmInstance, tags: dict, out: list[Violation], at):
@@ -429,7 +474,12 @@ def validate(instance, tags: dict | None = None) -> list[Violation]:
     """Check all type invariants plus the requested tags.
 
     Returns every violated invariant with a locating witness; an empty list
-    means the instance is valid. Violations are data, never exceptions.
+    means the instance is valid. Violations are data, never exceptions. The
+    tags state the restrictions that the reductions need, each only here:
+    `occ_bound` (k) and `normal_form` for a CnfFormula, `deg_bound` (k) for
+    both graph classes, `normal_form` for a Digraph, `exactly_2` for an
+    XceInstance and `overlap_bound` (k) for an Ap2dmInstance. A tag's
+    violations follow the untagged ones, which `parse` checks alone.
     """
     out: list[Violation] = []
     PROBLEMS[type(instance)].validate(instance, tags or {}, out, lambda kind, i: None)

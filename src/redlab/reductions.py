@@ -6,9 +6,11 @@ obeyed output <= k1 * input + k2 on its size parameters. Gadget vertices and
 universe elements get dense integer identifiers in construction order, with
 a name table in report.notes["names"] for debugging.
 
-Every transformation first checks its input with `validate` (`_require`),
-raising PreconditionError with the first violation's detail; its own
-preconditions (a normalized formula, an LP mode, a degree bound) follow.
+Every transformation first checks its input with one `_require(x, tags)`:
+`validate` under the tags that state its restriction (a normalized formula
+or digraph, a degree or overlap bound), raising PreconditionError with the
+first violation's detail. Only the LP modes and `normalize_dstcon`'s
+componentwise degree bound of 3 are checked apart.
 """
 
 from __future__ import annotations
@@ -104,22 +106,6 @@ UNSAT_2SAT3_CANONICAL = CnfFormula(
 )
 
 
-def is_normalized_2sat3(f: CnfFormula) -> bool:
-    """Exact clean clauses, every variable used with both polarities, occ <= 3."""
-    pos = [0] * (f.num_vars + 1)
-    neg = [0] * (f.num_vars + 1)
-    for clause in f.clauses:
-        if len(clause) != 2 or abs(clause[0]) == abs(clause[1]):
-            return False
-        for l in clause:
-            if l > 0:
-                pos[l] += 1
-            else:
-                neg[-l] += 1
-    return all(pos[v] >= 1 and neg[v] >= 1 and pos[v] + neg[v] <= 3
-               for v in range(1, f.num_vars + 1))
-
-
 def normalize_2sat3(f: CnfFormula) -> CnfFormula:
     """Equisatisfiable normal form in one pass: drop tautologies, collapse
     (x v x) to a unit, propagate units, delete the clauses holding a true or
@@ -186,9 +172,7 @@ def sat2_to_2cvc3(f: CnfFormula) -> tuple[UGraph, ReductionReport]:
 
     Declared shortness k1=8, k2=0 on m_vbl -> m_ver.
     """
-    _require(f)
-    if not is_normalized_2sat3(f):
-        raise PreconditionError("sat2_to_2cvc3 requires a normalized formula")
+    _require(f, {"normal_form": True})
     n, m = f.num_vars, len(f.clauses)
     # ids: variable pair (2i-1, 2i), clause pair (2n+2j-1, 2n+2j)
     names: dict[int, str] = {}
@@ -258,9 +242,7 @@ def sat2_to_3xce2(f: CnfFormula) -> tuple[XceInstance, ReductionReport]:
     variables with one occurrence of each polarity.
     Declared shortness k1=6, k2=0 on m_vbl -> m_set.
     """
-    _require(f)
-    if not is_normalized_2sat3(f):
-        raise PreconditionError("sat2_to_3xce2 requires a normalized formula")
+    _require(f, {"normal_form": True})
     n, m = f.num_vars, len(f.clauses)
     names: dict[int, str] = {}
     ids: dict[str, int] = {}
@@ -565,26 +547,6 @@ def normalize_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
     return out, report
 
 
-def _check_dstcon_normalized(g: Digraph):
-    indeg = [0] * (g.num_vertices + 1)
-    outdeg = [0] * (g.num_vertices + 1)
-    for u, v in g.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    if g.s == g.t:
-        raise PreconditionError("s and t must be distinct")
-    if (g.s, g.t) in g.edges:
-        raise PreconditionError("direct s->t edge must be subdivided")
-    # degree at most 1: an endpoint may also be isolated (unreachable)
-    if indeg[g.s] != 0 or outdeg[g.s] > 1:
-        raise PreconditionError("s must have outdegree at most 1 and indegree 0")
-    if outdeg[g.t] != 0 or indeg[g.t] > 1:
-        raise PreconditionError("t must have indegree at most 1 and outdegree 0")
-    for v in range(1, g.num_vertices + 1):
-        if indeg[v] > 2 or outdeg[v] > 2:
-            raise PreconditionError(f"vertex {v} has indegree {indeg[v]} / outdegree {outdeg[v]}, bound 2")
-
-
 def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, ReductionReport]:
     """Three-layer matching gadget over the internal vertices: layer 0
     copies the edges, layers 1 and 2 are bidirectional chains anchored to s
@@ -600,8 +562,7 @@ def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, ReductionReport]:
 
     Declared shortness k1=3, k2=2 on m_ver -> m_set.
     """
-    _require(g)
-    _check_dstcon_normalized(g)
+    _require(g, {"normal_form": True})
     inner = [v for v in range(1, g.num_vertices + 1) if v not in (g.s, g.t)]
     n = len(inner)
     pos = {v: i for i, v in enumerate(inner)}

@@ -2,14 +2,15 @@
 
 `first_hit` is the one exhaustive scan. The cover and exact-cover searches
 prune, in the same order, since cover plans reach 26 vertices; the linkage
-tests are the matching definitions by the letter.
+tests are the matching definitions by the letter. The two normal-form
+predicates restate the `normal_form` tags of `validate` on valid instances.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from redlab.instances import Ap2dmInstance, Parity, UGraph, XceInstance, XorSystem
+from redlab.instances import Ap2dmInstance, CnfFormula, Digraph, Parity, UGraph, XceInstance, XorSystem
 
 
 def first_hit(n: int, digits: tuple, accepts):
@@ -133,3 +134,33 @@ def linked_by_power(pi: tuple[int, ...], v: int, w: int) -> bool:
         if k % 2 == 0 and k >= 2 and z == w:
             return True
     return False
+
+
+def is_normalized_2sat3(f: CnfFormula) -> bool:
+    """Exact clean clauses, every variable used with both polarities, occ <= 3."""
+    pos = [0] * (f.num_vars + 1)
+    neg = [0] * (f.num_vars + 1)
+    for clause in f.clauses:
+        if len(clause) != 2 or abs(clause[0]) == abs(clause[1]):
+            return False
+        for l in clause:
+            if l > 0:
+                pos[l] += 1
+            else:
+                neg[-l] += 1
+    return all(pos[v] >= 1 and neg[v] >= 1 and pos[v] + neg[v] <= 3
+               for v in range(1, f.num_vars + 1))
+
+
+def is_normalized_dstcon(g: Digraph) -> bool:
+    """Distinct s and t, no s->t edge, s of indegree 0 and outdegree at most
+    1, t of outdegree 0 and indegree at most 1, and every in- and outdegree
+    at most 2."""
+    indeg = [0] * (g.num_vertices + 1)
+    outdeg = [0] * (g.num_vertices + 1)
+    for u, v in g.edges:
+        outdeg[u] += 1
+        indeg[v] += 1
+    return (g.s != g.t and (g.s, g.t) not in g.edges
+            and indeg[g.s] == 0 and outdeg[g.s] <= 1 and outdeg[g.t] == 0 and indeg[g.t] <= 1
+            and all(indeg[v] <= 2 and outdeg[v] <= 2 for v in range(1, g.num_vertices + 1)))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from redlab.instances import (
     MAX_LIN_ENTRY,
@@ -21,9 +21,52 @@ from redlab.instances import (
     size_param,
     validate,
 )
+from redlab.harness import GenSpec, generate
+from redlab.reductions import normalize_2sat3
+from references import is_normalized_2sat3, is_normalized_dstcon
 
 FIG1 = CnfFormula(3, ((1, -2), (2, 1), (-1, 3), (2, -3)))
 FIG3 = Digraph(6, ((5, 2), (3, 2), (2, 4), (4, 3), (3, 6)), 5, 6)
+NORMAL = {"normal_form": True}
+
+
+def _ids(draw, n: int):
+    """Ids 1..n, or in one draw of three (and when n is 0) -1..n+1."""
+    return st.integers(1, n) if n and draw(st.integers(0, 2)) else st.integers(-1, n + 1)
+
+
+@st.composite
+def messy_formulas(draw):
+    """Formulas of 0 to 3 literals per clause, or a normalized generated
+    formula, whole or without its first clause, with at most one such clause
+    added."""
+    drawn = draw(st.booleans())
+    if drawn:
+        n, clauses = draw(st.integers(0, 4)), ()
+    else:
+        f = normalize_2sat3(generate(GenSpec("2sat3", max_size=8, seed=draw(st.integers(0, 999))), 0))
+        n, clauses = f.num_vars, f.clauses[draw(st.integers(0, 1)):]
+    var = _ids(draw, n)
+    lit = st.builds(lambda v, pos: v if pos else -v, var, st.booleans())
+    clause = st.lists(lit, max_size=3).map(tuple)
+    return CnfFormula(n, clauses + tuple(draw(st.lists(clause, max_size=7 if drawn else 1))))
+
+
+@st.composite
+def messy_digraphs(draw):
+    """Digraphs, with out-of-range, repeated and looping edges and endpoints."""
+    n = draw(st.integers(0, 6))
+    ids = _ids(draw, n)
+    return Digraph(n, tuple(draw(st.lists(st.tuples(ids, ids), max_size=8))), draw(ids), draw(ids))
+
+
+@st.composite
+def messy_xce(draw):
+    """Instances with sets of 0 to 4 ids, out-of-range and repeated ids too."""
+    n = draw(st.integers(0, 5))
+    ids = _ids(draw, n)
+    sets = draw(st.lists(st.lists(ids, max_size=4).map(tuple), max_size=8))
+    return XceInstance(n, tuple(draw(st.lists(ids, max_size=3))), tuple(sets))
 
 
 class TestSizeParams:
@@ -99,6 +142,57 @@ class TestValidate:
         degree = Counter(w for e in edges for w in e)  # a digraph self-loop counts twice
         assert (tagged == []) == (untagged == [] and all(d <= k for d in degree.values()))
         assert tagged[:len(untagged)] == untagged
+
+    # Each restriction tag, tested as deg_bound is above; the examples are
+    # instances in the restricted form.
+
+    @settings(max_examples=300, deadline=None)
+    @given(messy_formulas())
+    @example(CnfFormula(0, ()))
+    @example(FIG1)
+    @example(CnfFormula(2, ((1, 2), (-1, -2), (-2, 1))))
+    def test_cnf_normal_form_by_independent_predicate(self, f):
+        """Tagged validation accepts exactly the valid formulas that
+        `references.is_normalized_2sat3` accepts, and its violations extend
+        the untagged ones."""
+        untagged = validate(f)
+        tagged = validate(f, NORMAL)
+        assert (tagged == []) == (untagged == [] and is_normalized_2sat3(f))
+        assert tagged[:len(untagged)] == untagged
+
+    @settings(max_examples=300, deadline=None)
+    @given(messy_digraphs())
+    @example(Digraph(2, (), 1, 2))
+    @example(Digraph(5, ((1, 3), (3, 4), (4, 3), (3, 5), (4, 2)), 1, 2))
+    def test_digraph_normal_form_by_independent_predicate(self, g):
+        untagged = validate(g)
+        tagged = validate(g, NORMAL)
+        assert (tagged == []) == (untagged == [] and is_normalized_dstcon(g))
+        assert tagged[:len(untagged)] == untagged
+
+    @settings(max_examples=300, deadline=None)
+    @given(messy_xce())
+    @example(XceInstance(0, (), ()))
+    @example(XceInstance(3, (2,), ((1, 2), (3,), (1, 2, 3))))
+    def test_xce_exactly_2_by_independent_recount(self, x):
+        from collections import Counter
+
+        untagged = validate(x)
+        tagged = validate(x, {"exactly_2": True})
+        held = Counter(e for s in x.sets for e in s)
+        twice = all(held[e] == 2 for e in range(1, x.universe_size + 1))
+        assert (tagged == []) == (untagged == [] and twice)
+        assert tagged[:len(untagged)] == untagged
+
+    @pytest.mark.parametrize("x, tags", [
+        (CnfFormula(3, ((1, 2),)), NORMAL),
+        (Digraph(2, ((1, 2), (2, 1)), 1, 1), NORMAL),
+        (XceInstance(2, (), ((1,),)), {"exactly_2": True}),
+    ])
+    def test_parse_applies_no_tag(self, x, tags):
+        """A valid instance outside a restriction still parses."""
+        assert validate(x) == [] and validate(x, tags)
+        assert parse(serialize(x)) == x
 
     def test_occ_soundness_by_independent_recount(self):
         # instances accepted under occ_bound=3 recount to <= 3 via Counter

@@ -411,7 +411,14 @@ class TestNormalize2Sat3OnePass:
     @example(CONFLICTS[3])
     @example(CnfFormula(5, ((1, -1), (2, 2), (-2, 3), (3, 4), (-4, -3), (4, -3))))
     def test_raw_match_reference(self, f):
-        assert normalize_2sat3(f) == normalize_2sat3_reference(f)
+        out = normalize_2sat3(f)
+        assert out == normalize_2sat3_reference(f)
+        # Exact clean clauses with both polarities of every variable, and at
+        # most 3 occurrences where the input has at most 3: the step keeps
+        # but does not enforce the occurrence bound.
+        bad = validate(out, {"normal_form": True})
+        assert all(len(v.witness) == 3 and v.witness[1] and v.witness[2] for v in bad)
+        assert not bad or validate(f, {"occ_bound": 3})
 
 
 def test_rejected_cases():
