@@ -144,13 +144,15 @@ class TestValidate:
         assert tagged[:len(untagged)] == untagged
 
     # Each restriction tag, tested as deg_bound is above; the examples are
-    # instances in the restricted form.
+    # instances in the restricted form, and one with 4 occurrences of each
+    # variable that a draw rarely reaches.
 
     @settings(max_examples=300, deadline=None)
     @given(messy_formulas())
     @example(CnfFormula(0, ()))
     @example(FIG1)
     @example(CnfFormula(2, ((1, 2), (-1, -2), (-2, 1))))
+    @example(CnfFormula(2, ((1, 2), (-1, -2), (-2, 1), (2, -1))))
     def test_cnf_normal_form_by_independent_predicate(self, f):
         """Tagged validation accepts exactly the valid formulas that
         `references.is_normalized_2sat3` accepts, and its violations extend
