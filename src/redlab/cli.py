@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -88,16 +89,34 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _holds(path: str, data: bytes) -> bool:
+    """Whether the file at path holds exactly data. One read asks for one
+    byte more than data, so a longer file differs; a short read only costs a
+    needless rewrite. A missing file or a directory does not hold data, and
+    any other error propagates."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        return False
+    try:
+        return os.read(fd, len(data) + 1) == data
+    except IsADirectoryError:
+        return False  # the write then fails with the path in its message
+    finally:
+        os.close(fd)
+
+
 def cmd_verify(args) -> int:
-    run_dir = Path(args.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)  # before the trials, so a bad path fails fast
-    result = harness.verify_m_reduction(args.name, args.trials, max_size=args.max_size,
-                                        seed=args.seed)
+    # the name first, then --run-dir, then the trials: a bad name leaves no
+    # directory behind, and a bad path costs no trial
+    plan = harness._resolve(args.name, args.seed, args.max_size)
+    Path(args.run_dir).mkdir(parents=True, exist_ok=True)
+    result = harness.verify_m_reduction(args.name, args.trials, plan=plan)
     for seed, text in result.equiv_failures:
-        path = run_dir / f"{result.name}_seed{seed}.txt"
+        path = f"{args.run_dir}/{result.name}_seed{seed}.txt"
         data = text.encode()
-        if not (path.is_file() and path.read_bytes() == data):  # a rerun leaves it untouched
-            path.write_bytes(data)
+        if not _holds(path, data):  # a rerun leaves an equal file untouched
+            Path(path).write_bytes(data)
     sys.stdout.write(result.to_text(include_timing=not args.no_timing))
     return 0
 

@@ -117,10 +117,13 @@ def normalize_2sat3(f: CnfFormula) -> CnfFormula:
     pass gives the normal form, and occurrence lists make it linear: each
     literal is set true once and each clause deleted once.
 
-    The empty output encodes trivially-satisfiable; a propagation conflict
+    The input is a 2SAT3 formula: every variable occurs at most 3 times,
+    (x v x) and (x v !x) counting twice. Outside that bound the output could
+    leave the normal form, so such a formula raises PreconditionError. The
+    empty output encodes trivially-satisfiable; a propagation conflict
     yields the fixed canonical unsatisfiable formula.
     """
-    _require(f)
+    _require(f, {"occ_bound": 3})
     # (x v x) becomes (x) and tautologies go; no later step makes either again
     clauses = [c[:1] if c[0] == c[-1] else c for c in f.clauses if c[0] != -c[-1]]
     occurs: dict[int, list[int]] = {}  # literal -> indices of the clauses holding it

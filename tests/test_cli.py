@@ -213,22 +213,75 @@ class TestVerify:
         files = list(tmp_path.glob("bad_cvc3_to_sat2_seed*.txt"))
         assert files and files[0].read_text().startswith("p graph")
 
+    RERUN = ("verify", "bad_cvc3_to_sat2", "--trials", "100", "--no-timing")
+
+    def _first_run(self, run_dir, capsys):
+        """Run RERUN into run_dir; its counterexample files, sorted."""
+        run(capsys, *self.RERUN, "--run-dir", str(run_dir))
+        files = sorted(run_dir.glob("bad_cvc3_to_sat2_seed*.txt"))
+        assert len(files) >= 2
+        return files
+
     def test_rerun_leaves_equal_counterexample_files(self, tmp_path, capsys):
         """A second identical run rewrites no counterexample file; a file
         holding other bytes is rewritten."""
-        args = ("verify", "bad_cvc3_to_sat2", "--trials", "100",
-                "--run-dir", str(tmp_path), "--no-timing")
-        run(capsys, *args)
-        files = sorted(tmp_path.glob("bad_cvc3_to_sat2_seed*.txt"))
-        assert len(files) >= 2
+        files = self._first_run(tmp_path, capsys)
         stale = files[0]
         expected = stale.read_bytes()
         stale.write_text("stale\n")
         for f in files[1:]:
             os.utime(f, ns=(1, 1))  # any rewrite moves the time off 1 ns
-        run(capsys, *args)
+        run(capsys, *self.RERUN, "--run-dir", str(tmp_path))
         assert stale.read_bytes() == expected
         assert all(f.stat().st_mtime_ns == 1 for f in files[1:])
+
+    @pytest.mark.parametrize("edit", [lambda data: data + b"\n", lambda data: data[:-1]],
+                             ids=["extra_byte", "strict_prefix"])
+    def test_rerun_rewrites_longer_and_shorter_files(self, edit, tmp_path, capsys):
+        files = self._first_run(tmp_path, capsys)
+        expected = [f.read_bytes() for f in files]
+        for f, data in zip(files, expected):
+            f.write_bytes(edit(data))
+        run(capsys, *self.RERUN, "--run-dir", str(tmp_path))
+        assert [f.read_bytes() for f in files] == expected
+
+    def test_counterexample_name_taken_by_directory_exit_2(self, tmp_path, capsys):
+        files = self._first_run(tmp_path, capsys)
+        files[0].unlink()
+        files[0].mkdir()
+        code, _, err = run(capsys, *self.RERUN, "--run-dir", str(tmp_path))
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert files[0].name in err
+
+    def test_rerun_at_other_max_size_rewrites_changed_files(self, tmp_path, capsys):
+        """Default size, then --max-size 10 over the same 60 seeds: of the
+        seeds that fail at both, those whose instance changed are rewritten
+        and the others keep their file untouched."""
+        name, args = "bad_sat2_to_2cvc3", ("--trials", "60", "--run-dir", str(tmp_path))
+        run(capsys, "verify", name, *args)
+        first = {f: f.read_bytes() for f in tmp_path.glob(f"{name}_seed*.txt")}
+        for f in first:
+            os.utime(f, ns=(1, 1))
+        run(capsys, "verify", name, *args, "--max-size", "10")
+        wanted = dict(harness.verify_m_reduction(name, 60, max_size=10).equiv_failures)
+        changed = kept = 0
+        for f, old in first.items():
+            new = wanted.get(int(f.stem.rsplit("seed", 1)[1]))
+            if new is None:
+                continue
+            assert f.read_text() == new
+            if new.encode() == old:
+                kept += 1
+                assert f.stat().st_mtime_ns == 1
+            else:
+                changed += 1
+        assert changed and kept
+
+    def test_unknown_name_creates_no_run_dir(self, tmp_path, capsys):
+        run_dir = tmp_path / "fresh" / "run"
+        code, out, err = run(capsys, "verify", "nope", "--trials", "2", "--run-dir", str(run_dir))
+        assert code == 2 and out == "" and err.startswith("error: unknown reduction 'nope'")
+        assert not (tmp_path / "fresh").exists()
 
     def test_max_size_override(self, tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "le_to_xor2sat", "--trials", "20",

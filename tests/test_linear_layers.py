@@ -374,12 +374,20 @@ def raw_2cnf(draw):
 
 CONFLICTS = [
     CnfFormula(1, ((1,), (-1,))),
-    CnfFormula(1, ((1, 1), (-1, -1))),
+    CnfFormula(2, ((1, 1), (-1, 2), (-2, -2))),
     CnfFormula(2, ((1,), (-1, 2), (-2,))),
     CnfFormula(3, ((2, 3), (1,), (-1, 2), (-1, -2))),
-    CnfFormula(4, ((3, -3), (1, 1), (-1, 2), (-2, -1))),
+    CnfFormula(4, ((3, -3), (1, 1), (-1, 2), (-2, 4), (-4, -2))),
     _unit_chain(2),
     _unit_chain(30),
+]
+# Formulas with a variable in more than 3 literals, outside normalize_2sat3's
+# input contract: the first two were conflict cases before the bound was
+# checked, and the third normalized to itself, 4 occurrences of each variable
+OVER_BOUND = [
+    CnfFormula(1, ((1, 1), (-1, -1))),
+    CnfFormula(4, ((3, -3), (1, 1), (-1, 2), (-2, -1))),
+    CnfFormula(2, ((-1, -2), (-1, -2), (-1, 2), (1, -2))),
 ]
 
 
@@ -406,19 +414,27 @@ class TestNormalize2Sat3OnePass:
     def test_conflict_yields_canonical(self, f):
         assert normalize_2sat3(f) == normalize_2sat3_reference(f) == UNSAT_2SAT3_CANONICAL
 
+    @pytest.mark.parametrize("f", OVER_BOUND)
+    def test_over_bound_rejected(self, f):
+        with pytest.raises(PreconditionError) as exc:
+            normalize_2sat3(f)
+        assert str(exc.value) == validate(f, {"occ_bound": 3})[0].detail
+
     @settings(max_examples=300, deadline=None)
     @given(raw_2cnf())
     @example(CONFLICTS[3])
     @example(CnfFormula(5, ((1, -1), (2, 2), (-2, 3), (3, 4), (-4, -3), (4, -3))))
+    @example(OVER_BOUND[2])
     def test_raw_match_reference(self, f):
+        """Within the occurrence bound the output is the reference's and in
+        the normal form; over it the step raises. Most draws are over it."""
+        if validate(f, {"occ_bound": 3}):
+            with pytest.raises(PreconditionError):
+                normalize_2sat3(f)
+            return
         out = normalize_2sat3(f)
         assert out == normalize_2sat3_reference(f)
-        # Exact clean clauses with both polarities of every variable, and at
-        # most 3 occurrences where the input has at most 3: the step keeps
-        # but does not enforce the occurrence bound.
-        bad = validate(out, {"normal_form": True})
-        assert all(len(v.witness) == 3 and v.witness[1] and v.witness[2] for v in bad)
-        assert not bad or validate(f, {"occ_bound": 3})
+        assert not validate(out, {"normal_form": True})
 
 
 def test_rejected_cases():

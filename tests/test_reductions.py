@@ -75,7 +75,7 @@ class TestNormalize2Sat:
         assert normalize_2sat3(f) == CnfFormula(0, ())
 
     def test_unit_conflict_yields_canonical_unsat(self):
-        f = CnfFormula(1, ((1, 1), (-1, -1)))
+        f = CnfFormula(1, ((1, 1), (-1,)))  # (x v x) is the unit x
         out = normalize_2sat3(f)
         assert out == UNSAT_2SAT3_CANONICAL
         assert is_normalized_2sat3(out)
