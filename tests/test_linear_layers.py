@@ -382,8 +382,8 @@ CONFLICTS = [
     _unit_chain(30),
 ]
 # Formulas with a variable in more than 3 literals, outside normalize_2sat3's
-# input contract: the first two were conflict cases before the bound was
-# checked, and the third normalized to itself, 4 occurrences of each variable
+# input contract. Unchecked, the first two would give the canonical conflict
+# and the third would come back unchanged, outside the normal form.
 OVER_BOUND = [
     CnfFormula(1, ((1, 1), (-1, -1))),
     CnfFormula(4, ((3, -3), (1, 1), (-1, 2), (-2, -1))),
