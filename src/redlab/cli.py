@@ -111,7 +111,7 @@ def cmd_verify(args) -> int:
     # directory behind, and a bad path costs no trial
     plan = harness._resolve(args.name, args.seed, args.max_size)
     Path(args.run_dir).mkdir(parents=True, exist_ok=True)
-    result = harness.verify_m_reduction(args.name, args.trials, plan=plan)
+    result = harness._verify(args.name, plan, args.trials)
     for seed, text in result.equiv_failures:
         path = f"{args.run_dir}/{result.name}_seed{seed}.txt"
         data = text.encode()

@@ -925,17 +925,15 @@ def _verify(name: str, plan: VerifierPlan, trials: int) -> VerifyResult:
 
 
 def verify_m_reduction(name: str, trials: int, max_size: int | None = None,
-                       seed: int = 1, plan: VerifierPlan | None = None) -> VerifyResult:
+                       seed: int = 1) -> VerifyResult:
     """Generate / normalize / reduce / compare both oracles, `trials` times.
 
     Failures never abort the run; each kind is collected with a reproducing
     seed and the serialized instance, and a trial over an oracle budget or
     outside a reduction's precondition is recorded as skipped. `name` is any
     name `_resolve` knows, and max_size overrides the family's size knob.
-    A caller that has already resolved the name passes the plan, which
-    then replaces seed and max_size.
     """
-    return _verify(name, plan or _resolve(name, seed, max_size), trials)
+    return _verify(name, _resolve(name, seed, max_size), trials)
 
 
 def verify_T_reduction(trials: int, seed: int = 1, exploratory: bool = False,

@@ -22,7 +22,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from redlab.harness import GenSpec, default_plans, generate
+from redlab.harness import OCC_BOUND, GenSpec, default_plans, generate
 from redlab.instances import (
     Ap2dmInstance,
     CnfFormula,
@@ -361,14 +361,34 @@ RAW_VARS = 4  # few enough that both polarities of a variable often survive
 
 @st.composite
 def raw_2cnf(draw):
-    """Valid raw formulas: clean 2-clauses mixed with up to three units,
-    tautologies or (x v x), over some variables and leaving others unused."""
+    """Valid raw formulas within the 3-occurrence bound: up to three units,
+    tautologies or (x v x), then clean 2-clauses, over some variables and
+    leaving others unused. Each variable has OCC_BOUND occurrence credits,
+    and a clause only takes variables with credits left, as `_gen_2sat3`
+    does."""
     n = draw(st.integers(2, RAW_VARS + 2))
-    lit = st.builds(lambda v, pos: v if pos else -v, st.integers(1, min(n, RAW_VARS)),
-                    st.booleans())
-    clean = st.tuples(lit, lit).filter(lambda c: abs(c[0]) != abs(c[1]))
-    noise = st.one_of(st.tuples(lit), lit.map(lambda l: (l, l)), lit.map(lambda l: (l, -l)))
-    clauses = draw(st.lists(clean, min_size=3, max_size=16)) + draw(st.lists(noise, max_size=3))
+    credits = dict.fromkeys(range(1, min(n, RAW_VARS) + 1), OCC_BOUND)
+
+    def spend(need: int, count: int) -> list[int]:
+        """count distinct variables with need credits each, charged and
+        signed; [] when too few are left."""
+        live = [v for v, c in credits.items() if c >= need]
+        if len(live) < count:
+            return []
+        vs = draw(st.lists(st.sampled_from(live), min_size=count, max_size=count, unique=True))
+        for v in vs:
+            credits[v] -= need
+        return [v if draw(st.booleans()) else -v for v in vs]
+
+    clauses = []
+    for shape in draw(st.lists(st.sampled_from(("unit", "same", "taut")), max_size=3)):
+        for l in spend(1 if shape == "unit" else 2, 1):
+            clauses.append((l,) if shape == "unit" else (l, l) if shape == "same" else (l, -l))
+    for _ in range(draw(st.integers(3, 16))):
+        pair = spend(1, 2)
+        if not pair:
+            break
+        clauses.append(tuple(pair))
     return CnfFormula(n, tuple(draw(st.permutations(clauses))))
 
 
@@ -382,11 +402,12 @@ CONFLICTS = [
     _unit_chain(30),
 ]
 # Formulas with a variable in more than 3 literals, outside normalize_2sat3's
-# input contract. Unchecked, the first two would give the canonical conflict
-# and the third would come back unchanged, outside the normal form.
+# input contract. Unchecked, the first three would give the canonical conflict
+# and the last would come back unchanged, outside the normal form.
 OVER_BOUND = [
     CnfFormula(1, ((1, 1), (-1, -1))),
     CnfFormula(4, ((3, -3), (1, 1), (-1, 2), (-2, -1))),
+    CnfFormula(5, ((1, -1), (2, 2), (-2, 3), (3, 4), (-4, -3), (4, -3))),
     CnfFormula(2, ((-1, -2), (-1, -2), (-1, 2), (1, -2))),
 ]
 
@@ -423,15 +444,12 @@ class TestNormalize2Sat3OnePass:
     @settings(max_examples=300, deadline=None)
     @given(raw_2cnf())
     @example(CONFLICTS[3])
-    @example(CnfFormula(5, ((1, -1), (2, 2), (-2, 3), (3, 4), (-4, -3), (4, -3))))
-    @example(OVER_BOUND[2])
+    @example(CnfFormula(5, ((1, -1), (2, 2), (-2, 3), (-4, -3), (4, -3))))
     def test_raw_match_reference(self, f):
-        """Within the occurrence bound the output is the reference's and in
-        the normal form; over it the step raises. Most draws are over it."""
-        if validate(f, {"occ_bound": 3}):
-            with pytest.raises(PreconditionError):
-                normalize_2sat3(f)
-            return
+        """Every draw is within the occurrence bound (test_over_bound_rejected
+        covers the rest), and its output is the reference's and in the
+        normal form."""
+        assert not validate(f, {"occ_bound": 3})
         out = normalize_2sat3(f)
         assert out == normalize_2sat3_reference(f)
         assert not validate(out, {"normal_form": True})
