@@ -5,7 +5,7 @@ error. Every run depends on its flags alone: no subcommand reads the
 environment.
 
 `reduce` takes the many-one reductions of `reductions.REDUCTIONS`. `verify`
-and `fit` take every name `harness._resolve` knows: those reductions, the
+and `fit` take every name `harness.resolve` knows: those reductions, the
 `bad_*` mutation fixtures and the oracle reduction `ap2dm_to_dstcon_queries`.
 """
 
@@ -109,9 +109,9 @@ def _holds(path: str, data: bytes) -> bool:
 def cmd_verify(args) -> int:
     # the name first, then --run-dir, then the trials: a bad name leaves no
     # directory behind, and a bad path costs no trial
-    plan = harness._resolve(args.name, args.seed, args.max_size)
+    plan = harness.resolve(args.name, args.seed, args.max_size)
     Path(args.run_dir).mkdir(parents=True, exist_ok=True)
-    result = harness._verify(args.name, plan, args.trials)
+    result = harness.verify(args.name, plan, args.trials)
     for seed, text in result.equiv_failures:
         path = f"{args.run_dir}/{result.name}_seed{seed}.txt"
         data = text.encode()

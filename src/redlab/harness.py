@@ -679,42 +679,44 @@ class VerifierPlan:
     out_tags: dict = field(default_factory=dict)  # validate(out, out_tags) must be empty
 
 
-def default_plans(seed: int = 1) -> dict[str, VerifierPlan]:
-    """Default verification families. Their sizes and clause caps fix the
-    default-size draws that the verify and benchmark goldens pin."""
+def default_plans() -> dict[str, VerifierPlan]:
+    """Default verification families, built when called so that each binds
+    the reductions as they are then. Their sizes and clause caps fix the
+    default-size draws that the verify and benchmark goldens pin; `resolve`
+    sets the seed."""
     return {
         "sat2_to_2cvc3": VerifierPlan(
-            GenSpec("2sat3", max_size=10, seed=seed, vc_budget=13),
+            GenSpec("2sat3", max_size=10, vc_budget=13),
             reductions.normalize_2sat3, reductions.sat2_to_2cvc3, {"deg_bound": 3}),
         "cvc3_to_sat2": VerifierPlan(
-            GenSpec("ugraph3", max_size=14, seed=seed),
+            GenSpec("ugraph3", max_size=14),
             None, reductions.cvc3_to_sat2),
         "sat2_to_3xce2": VerifierPlan(
-            GenSpec("2sat3", max_size=8, seed=seed, max_clauses=6),
+            GenSpec("2sat3", max_size=8, max_clauses=6),
             reductions.normalize_2sat3, reductions.sat2_to_3xce2, {"exactly_2": True}),
         "xce2_to_2lp": VerifierPlan(
-            GenSpec("xce", max_size=9, seed=seed),
+            GenSpec("xce", max_size=9),
             None, reductions.xce2_to_2lp),
         "lp_to_2lp": VerifierPlan(
-            GenSpec("lin_geq", max_size=10, seed=seed, max_rows=8),
+            GenSpec("lin_geq", max_size=10, max_rows=8),
             None, reductions.lp_to_2lp),
         "twolp_to_lp": VerifierPlan(
-            GenSpec("lin_band", max_size=6, seed=seed, max_rows=6),
+            GenSpec("lin_band", max_size=6, max_rows=6),
             None, reductions.twolp_to_lp),
         "le_to_xor2sat": VerifierPlan(
-            GenSpec("lin_eq", max_size=12, seed=seed, max_rows=8),
+            GenSpec("lin_eq", max_size=12, max_rows=8),
             None, reductions.le_to_xor2sat),
         "normalize_2sat3": VerifierPlan(
-            GenSpec("2sat3", max_size=12, seed=seed),
+            GenSpec("2sat3", max_size=12),
             None, reductions._normalize_2sat3_op, {"normal_form": True}),
         "normalize_dstcon": VerifierPlan(
-            GenSpec("digraph4", max_size=6, seed=seed, deg_bound=3),
+            GenSpec("digraph4", max_size=6, deg_bound=3),
             None, reductions.normalize_dstcon, {"normal_form": True}),
         "dstcon_to_ap2dm": VerifierPlan(
-            GenSpec("dstcon_raw", max_size=5, seed=seed),
+            GenSpec("dstcon_raw", max_size=5),
             _normalized, reductions.dstcon_to_ap2dm, {"overlap_bound": 4}),
         "reduce_degree_dstcon": VerifierPlan(
-            GenSpec("digraph4", max_size=10, seed=seed, deg_bound=4),
+            GenSpec("digraph4", max_size=10, deg_bound=4),
             None, reductions.reduce_degree_dstcon, {"deg_bound": 3}),
     }
 
@@ -790,32 +792,26 @@ def _ap2dm_gadget(g: Digraph) -> Ap2dmInstance:
     return reductions.dstcon_to_ap2dm(_normalized(g))[0]
 
 
-def _oracle_plan(seed: int) -> VerifierPlan:
-    """The strict oracle-reduction plan: the reduction's own verdict against
-    the matching oracle, over the matching gadgets of small raw
-    reachability instances."""
-    return VerifierPlan(
-        GenSpec("dstcon_raw", max_size=5, seed=seed), _ap2dm_gadget,
-        partial(reductions.ap2dm_to_dstcon_queries, oracle=oracles.dstcon_oracle))
-
-
-def _resolve(name: str, seed: int, max_size: int | None) -> VerifierPlan:
-    """The plan a `verify` or `fit` name means: a default plan, the strict
-    oracle-reduction plan for `ap2dm_to_dstcon_queries`, or for a corrupted
-    fixture the base plan with the fixture as its reduce. max_size, when
-    given, replaces the family's size knob and drops its clause caps
-    (vc_budget, max_clauses), so every plan scales with it alike."""
+def resolve(name: str, seed: int = 1, max_size: int | None = None) -> VerifierPlan:
+    """The plan a `verify` or `fit` name means, drawing trial t from seed
+    + t: a default plan; for `ap2dm_to_dstcon_queries` the oracle
+    reduction's own verdict against the matching oracle, over the matching
+    gadgets of small raw reachability instances; or for a corrupted fixture
+    its base plan with the fixture as its reduce. max_size, when given,
+    replaces the family's size knob and drops its clause caps (vc_budget,
+    max_clauses), so every plan scales with it alike."""
     base, bad = CORRUPTED.get(name, (name, None))
-    plan = (_oracle_plan(seed) if base == "ap2dm_to_dstcon_queries"
-            else default_plans(seed).get(base))
+    if base == "ap2dm_to_dstcon_queries":
+        plan = VerifierPlan(GenSpec("dstcon_raw", max_size=5), _ap2dm_gadget, partial(
+            reductions.ap2dm_to_dstcon_queries, oracle=oracles.dstcon_oracle))
+    else:
+        plan = default_plans().get(base)
     if plan is None:
         raise GenerationError(f"unknown reduction {name!r}")
-    if bad is not None:
-        plan = replace(plan, reduce=bad)
-    if max_size is not None:
-        plan = replace(plan, genspec=replace(plan.genspec, max_size=max_size,
-                                             vc_budget=None, max_clauses=None))
-    return plan
+    sizes = {} if max_size is None else {"max_size": max_size, "vc_budget": None,
+                                         "max_clauses": None}
+    return replace(plan, genspec=replace(plan.genspec, seed=seed, **sizes),
+                   reduce=bad or plan.reduce)
 
 
 # The memo of one `verify` or `fit` run (see _trials) keeps the records of at
@@ -903,7 +899,14 @@ def _trials(plan: VerifierPlan, trials: int,
         yield plan.genspec.seed + t, raw, settle(raw)
 
 
-def _verify(name: str, plan: VerifierPlan, trials: int) -> VerifyResult:
+def verify(name: str, plan: VerifierPlan, trials: int) -> VerifyResult:
+    """Generate / prepare / reduce / compare both oracles, `trials` times,
+    under the run's name, for a plan `resolve` or a test builds.
+
+    Failures never abort the run; each kind is collected with a reproducing
+    seed and the serialized instance, and a trial over an oracle budget or
+    outside a reduction's precondition is recorded as skipped.
+    """
     started = time.perf_counter()
     result = VerifyResult(name=name, trials=trials)
     for seed, raw, rec in _trials(plan, trials, decide=True):
@@ -924,28 +927,18 @@ def _verify(name: str, plan: VerifierPlan, trials: int) -> VerifyResult:
     return result
 
 
-def verify_m_reduction(name: str, trials: int, max_size: int | None = None,
-                       seed: int = 1) -> VerifyResult:
-    """Generate / normalize / reduce / compare both oracles, `trials` times.
-
-    Failures never abort the run; each kind is collected with a reproducing
-    seed and the serialized instance, and a trial over an oracle budget or
-    outside a reduction's precondition is recorded as skipped. `name` is any
-    name `_resolve` knows, and max_size overrides the family's size knob.
-    """
-    return _verify(name, _resolve(name, seed, max_size), trials)
+# The old name of `verify`, bound to the same function object, since the
+# benchmark's span tracer (bench/spans.py) wraps it by this name; the
+# benchmark re-record of ROADMAP item 11 retires it.
+verify_m_reduction = verify
 
 
-def verify_T_reduction(trials: int, seed: int = 1, exploratory: bool = False,
-                       max_size: int | None = None) -> VerifyResult:
-    """Check the oracle reduction against the matching oracle.
-
-    Strict mode is `verify_m_reduction("ap2dm_to_dstcon_queries", ...)`: it
-    runs over gadget instances built from small normalized reachability
-    graphs and counts disagreements as equivalence failures. Exploratory
-    mode runs the same plan over arbitrary random 4-overlapping instances
-    and records disagreements as findings only. Per-query sizes are
-    enforced against the |X| bound in both modes. max_size defaults to 5.
+def verify_T_reduction(trials: int, seed: int = 1, max_size: int | None = None) -> VerifyResult:
+    """The exploratory oracle-reduction run: the plan of
+    `ap2dm_to_dstcon_queries` over arbitrary random 4-overlapping instances
+    in place of its matching gadgets, with disagreements recorded as
+    findings only. Per-query sizes are enforced against the |X| bound.
+    max_size defaults to 5.
 
     Linkage needs no separate symmetry check: under a perfect matching, v
     links to w exactly when w = pi^k(v) for some even k >= 2 (acceptance
@@ -954,11 +947,9 @@ def verify_T_reduction(trials: int, seed: int = 1, exploratory: bool = False,
     when L is odd. So linkage is symmetric on every matching by proof.
     """
     name = "ap2dm_to_dstcon_queries"
-    if not exploratory:
-        return verify_m_reduction(name, trials, max_size=max_size, seed=seed)
-    plan = _resolve(name, seed, max_size)
+    plan = resolve(name, seed, max_size)
     plan = replace(plan, genspec=replace(plan.genspec, problem="ap2dm"), prepare=None)
-    result = _verify(name + "_exploratory", plan, trials)
+    result = verify(name + "_exploratory", plan, trials)
     result.findings, result.equiv_failures = result.equiv_failures, []
     return result
 
@@ -966,10 +957,11 @@ def verify_T_reduction(trials: int, seed: int = 1, exploratory: bool = False,
 def fit_shortness(name: str, trials: int, seed: int = 1) -> dict:
     """Observed input/output size pairs, the tightest fitting constants, and
     a ratio histogram, alongside the declared constants. The trials are
-    those of `verify_m_reduction`, with the oracle stages left out."""
+    those of `verify` on `resolve(name, seed)`, with the oracle stages left
+    out."""
     pairs: list[tuple[int, int]] = []
     declared = None
-    plan = _resolve(name, seed, None)
+    plan = resolve(name, seed)
     for _, _, rec in _trials(plan, trials, decide=False):
         if rec.report is None:
             continue

@@ -4,12 +4,19 @@
 prune, in the same order, since cover plans reach 26 vertices; the linkage
 tests are the matching definitions by the letter. The two normal-form
 predicates restate the `normal_form` tags of `validate` on valid instances.
+`checkered_cover` is the closed-form cover behind README defect 2. The
+2sat3 families and the raw-formula strategy are the formula sources that
+more than one test module draws from.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
+from hypothesis import strategies as st
+
+from redlab.harness import OCC_BOUND, GenSpec, default_plans, resolve
 from redlab.instances import Ap2dmInstance, CnfFormula, Digraph, Parity, UGraph, XceInstance, XorSystem
 
 
@@ -164,3 +171,68 @@ def is_normalized_dstcon(g: Digraph) -> bool:
     return (g.s != g.t and (g.s, g.t) not in g.edges
             and indeg[g.s] == 0 and outdeg[g.s] <= 1 and outdeg[g.t] == 0 and indeg[g.t] <= 1
             and all(indeg[v] <= 2 and outdeg[v] <= 2 for v in range(1, g.num_vertices + 1)))
+
+
+def checkered_cover(f: CnfFormula) -> set[int]:
+    """A 2-checkered cover of `sat2_to_2cvc3`'s graph of the normalized
+    formula f, satisfiable or not: every clause-slot vertex, and for each
+    variable the vertex of a literal that occurs once.
+
+    The normal form leaves each variable with both polarities and at most 3
+    occurrences, so one of its literals occurs once, and that literal's
+    vertex has degree 2, as every slot vertex does. So an edge with both
+    ends in the cover is a grip, and every other edge (the other literal of
+    a variable pair, or a slot's literal) has one end in it."""
+    n, count = f.num_vars, Counter(l for c in f.clauses for l in c)
+    cover = set(range(2 * n + 1, 2 * (n + len(f.clauses)) + 1))
+    cover.update(2 * v - 1 if count[v] == 1 else 2 * v for v in range(1, n + 1))
+    return cover
+
+
+def sat_families():
+    """(spec, trials) for every 2sat3 family: the default plans' specs at
+    seed 7, the --max-size variants of the first (which drop its clause
+    caps) and the exact clause count n of the scale pipelines."""
+    plans = [name for name, plan in default_plans().items() if plan.genspec.problem == "2sat3"]
+    assert len(plans) == 3
+    for name in plans:
+        yield resolve(name, seed=7).genspec, 600
+    for size, trials in ((6, 400), (12, 300), (25, 200), (50, 100), (100, 40), (200, 20)):
+        yield resolve(plans[0], seed=7, max_size=size).genspec, trials
+        yield GenSpec("2sat3", max_size=size, clauses=size, seed=size), 5
+
+
+RAW_VARS = 4  # few enough that both polarities of a variable often survive
+
+
+@st.composite
+def raw_2cnf(draw):
+    """Valid raw formulas within the 3-occurrence bound: up to three units,
+    tautologies or (x v x), then clean 2-clauses, over some variables and
+    leaving others unused. Each variable has OCC_BOUND occurrence credits,
+    and a clause only takes variables with credits left, as `_gen_2sat3`
+    does."""
+    n = draw(st.integers(2, RAW_VARS + 2))
+    credits = dict.fromkeys(range(1, min(n, RAW_VARS) + 1), OCC_BOUND)
+
+    def spend(need: int, count: int) -> list[int]:
+        """count distinct variables with need credits each, charged and
+        signed; [] when too few are left."""
+        live = [v for v, c in credits.items() if c >= need]
+        if len(live) < count:
+            return []
+        vs = draw(st.lists(st.sampled_from(live), min_size=count, max_size=count, unique=True))
+        for v in vs:
+            credits[v] -= need
+        return [v if draw(st.booleans()) else -v for v in vs]
+
+    clauses = []
+    for shape in draw(st.lists(st.sampled_from(("unit", "same", "taut")), max_size=3)):
+        for l in spend(1 if shape == "unit" else 2, 1):
+            clauses.append((l,) if shape == "unit" else (l, l) if shape == "same" else (l, -l))
+    for _ in range(draw(st.integers(3, 16))):
+        pair = spend(1, 2)
+        if not pair:
+            break
+        clauses.append(tuple(pair))
+    return CnfFormula(n, tuple(draw(st.permutations(clauses))))

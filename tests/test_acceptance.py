@@ -15,10 +15,9 @@ from redlab.cli import main
 from redlab.harness import (
     CORRUPTED,
     GenSpec,
-    default_plans,
     generate,
-    verify_m_reduction,
-    verify_T_reduction,
+    resolve,
+    verify,
 )
 from redlab.oracles import perfect_matchings
 from references import first_hit, linked_by_chain, linked_by_power, parities_hold
@@ -50,10 +49,10 @@ def test_criterion_1_figure1_regression():
 
 def test_criterion_2_vertex_cover_equivalence():
     started = time.perf_counter()
-    fwd = verify_m_reduction("sat2_to_2cvc3", 1000)
-    bwd = verify_m_reduction("cvc3_to_sat2", 1000)
+    fwd = verify("sat2_to_2cvc3", resolve("sat2_to_2cvc3"), 1000)
+    bwd = verify("cvc3_to_sat2", resolve("cvc3_to_sat2"), 1000)
     # backward parameter equality m_vbl = m_ver, spot-checked over the family
-    plan = default_plans(1)["cvc3_to_sat2"]
+    plan = resolve("cvc3_to_sat2")
     equal_params = True
     for t in range(200):
         rep = reductions.cvc3_to_sat2(generate(plan.genspec, t))[1]
@@ -80,9 +79,9 @@ def test_criterion_2_vertex_cover_equivalence():
 
 
 def test_criterion_3_exact_cover_equivalence():
-    fwd = verify_m_reduction("sat2_to_3xce2", 1000)
-    bwd = verify_m_reduction("xce2_to_2lp", 1000)
-    plan = default_plans(1)["xce2_to_2lp"]
+    fwd = verify("sat2_to_3xce2", resolve("sat2_to_3xce2"), 1000)
+    bwd = verify("xce2_to_2lp", resolve("xce2_to_2lp"), 1000)
+    plan = resolve("xce2_to_2lp")
     equal_params = True
     for t in range(200):
         rep = reductions.xce2_to_2lp(generate(plan.genspec, t))[1]
@@ -102,8 +101,8 @@ def test_criterion_3_exact_cover_equivalence():
 
 
 def test_criterion_4_band_geq_equivalence():
-    a = verify_m_reduction("lp_to_2lp", 1000)
-    b = verify_m_reduction("twolp_to_lp", 1000)
+    a = verify("lp_to_2lp", resolve("lp_to_2lp"), 1000)
+    b = verify("twolp_to_lp", resolve("twolp_to_lp"), 1000)
     ok = (not a.equiv_failures and not b.equiv_failures
           and not a.shortness_failures and not b.shortness_failures
           and not b.structural_failures)
@@ -116,8 +115,8 @@ def test_criterion_4_band_geq_equivalence():
 
 
 def test_criterion_5_equation_to_parity():
-    r = verify_m_reduction("le_to_xor2sat", 1000)
-    plan = default_plans(1)["le_to_xor2sat"]
+    r = verify("le_to_xor2sat", resolve("le_to_xor2sat"), 1000)
+    plan = resolve("le_to_xor2sat")
     agree = 0
     for t in range(1000):
         s = generate(plan.genspec, t)
@@ -132,8 +131,8 @@ def test_criterion_5_equation_to_parity():
 
 
 def test_criterion_6_matching_gadget_forward():
-    r = verify_m_reduction("dstcon_to_ap2dm", 200)
-    plan = default_plans(1)["dstcon_to_ap2dm"]
+    r = verify("dstcon_to_ap2dm", resolve("dstcon_to_ap2dm"), 200)
+    plan = resolve("dstcon_to_ap2dm")
     exact = 0
     for t in range(200):
         g = reductions.normalize_dstcon(generate(plan.genspec, t))[0]
@@ -157,7 +156,7 @@ def test_criterion_6_matching_gadget_forward():
 
 
 def test_criterion_7_matching_gadget_backward():
-    r = verify_T_reduction(200, seed=1)
+    r = verify("ap2dm_to_dstcon_queries", resolve("ap2dm_to_dstcon_queries"), 200)
     sizes_ok = r.max_ratio == 1.0 and not r.shortness_failures
     # Figure 3 end to end
     g, a, _ = figures.fig3()
@@ -227,7 +226,7 @@ def test_criterion_9_oracle_cross_checks():
 def test_criterion_10_mutation_sensitivity():
     caught = {}
     for name in CORRUPTED:
-        r = verify_m_reduction(name, 200)
+        r = verify(name, resolve(name), 200)
         caught[name] = len(r.equiv_failures)
     ok = len(caught) >= 3 and all(n >= 1 for n in caught.values())
     report(10, ok, ", ".join(f"{k}:{v}" for k, v in caught.items()))

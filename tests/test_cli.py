@@ -263,7 +263,7 @@ class TestVerify:
         for f in first:
             os.utime(f, ns=(1, 1))
         run(capsys, "verify", name, *args, "--max-size", "10")
-        wanted = dict(harness.verify_m_reduction(name, 60, max_size=10).equiv_failures)
+        wanted = dict(harness.verify(name, harness.resolve(name, max_size=10), 60).equiv_failures)
         changed = kept = 0
         for f, old in first.items():
             new = wanted.get(int(f.stem.rsplit("seed", 1)[1]))

@@ -15,15 +15,13 @@ import hashlib
 
 import pytest
 
-from redlab.harness import GenSpec, default_plans, generate
+from redlab.harness import GenSpec, generate, resolve
 from redlab.instances import serialize
-
-_PLANS = default_plans(seed=1)
 
 # (label, spec, trials, sha256). The strict oracle-reduction run draws from
 # the spec of the dstcon_to_ap2dm plan.
 CASES = [
-    *[(f"plan:{name}", _PLANS[name].genspec, 1000, sha) for name, sha in [
+    *[(f"plan:{name}", resolve(name).genspec, 1000, sha) for name, sha in [
         ("sat2_to_2cvc3",
          "e3f8b497bb9b344303d8c547a37c41ab8ff3974077479fd4d99dcee5e46f0ed9"),
         ("cvc3_to_sat2",

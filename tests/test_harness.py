@@ -24,12 +24,11 @@ from redlab.harness import (
     default_plans,
     fit_shortness,
     generate,
-    verify_m_reduction,
+    resolve,
+    verify,
     verify_T_reduction,
-    _resolve,
     _settle,
     _shuffled_front,
-    _verify,
 )
 from redlab.instances import CnfFormula, XceInstance, serialize, validate
 from references import linked_by_chain
@@ -216,47 +215,52 @@ class TestGenerate:
         assert answers == {True, False}
 
 
+VERIFY_NAMES = [*default_plans(), *CORRUPTED, "ap2dm_to_dstcon_queries"]
+
+
 class TestVerify:
     def test_result_text_deterministic(self):
-        a = verify_m_reduction("lp_to_2lp", 60)
-        b = verify_m_reduction("lp_to_2lp", 60)
+        a = verify("lp_to_2lp", resolve("lp_to_2lp"), 60)
+        b = verify("lp_to_2lp", resolve("lp_to_2lp"), 60)
         assert a.to_text(include_timing=False) == b.to_text(include_timing=False)
 
     def test_seed_changes_family(self):
         # trial t of a run at seed s draws from seed s + t: runs at seeds 1
         # and 2 share the trial seeds 2..40 and differ at 1 and 41
-        a = verify_m_reduction("bad_cvc3_to_sat2", 40, seed=1).equiv_failures
-        b = verify_m_reduction("bad_cvc3_to_sat2", 40, seed=2).equiv_failures
+        a = verify("bad_cvc3_to_sat2", resolve("bad_cvc3_to_sat2", seed=1), 40).equiv_failures
+        b = verify("bad_cvc3_to_sat2", resolve("bad_cvc3_to_sat2", seed=2), 40).equiv_failures
         assert a[0][0] == 1 and b[-1][0] == 41
         assert [f for f in a if f[0] >= 2] == [f for f in b if f[0] <= 40]
 
     @pytest.mark.parametrize("name,half,seed,max_size,kind", [
         ("bad_cvc3_to_sat2", 40, 1, None, "equiv_failures"),
         ("dstcon_to_ap2dm", 10, 3, 14, "skipped"),
+        *[(name, 20, 1, None, None) for name in VERIFY_NAMES],
     ])
     def test_seed_ranges_split_a_run(self, name, half, seed, max_size, kind):
         # trial t draws seed + t, so 2T trials at seed s are T trials at s and
-        # T at s + T: runs can be split into seed ranges and merged
-        a = verify_m_reduction(name, half, max_size, seed)
-        b = verify_m_reduction(name, half, max_size, seed + half)
-        assert getattr(a, kind) and getattr(b, kind)
+        # T at s + T: runs can be split into seed ranges and merged; kind
+        # names a list both halves must fill
+        a = verify(name, resolve(name, seed, max_size), half)
+        b = verify(name, resolve(name, seed + half, max_size), half)
+        assert kind is None or (getattr(a, kind) and getattr(b, kind))
         lists = ("equiv_failures", "shortness_failures", "structural_failures",
                  "findings", "skipped")
         merged = VerifyResult(name, 2 * half, max_ratio=max(a.max_ratio, b.max_ratio),
                               **{f: getattr(a, f) + getattr(b, f) for f in lists})
-        assert replace(verify_m_reduction(name, 2 * half, max_size, seed), wall_time=0.0) == merged
+        assert replace(verify(name, resolve(name, seed, max_size), 2 * half), wall_time=0.0) == merged
 
     @pytest.mark.parametrize("name, over", [
         ("sat2_to_2cvc3", lambda f: f.num_vars + len(f.clauses) > 13),  # vc_budget=13
         ("sat2_to_3xce2", lambda f: len(f.clauses) > 6),  # max_clauses=6
     ])
     def test_max_size_drops_the_clause_caps(self, name, over):
-        plan = _resolve(name, 1, 50)
+        plan = resolve(name, max_size=50)
         formulas = [plan.prepare(generate(plan.genspec, t)) for t in range(20)]
         assert any(f.clauses and over(f) for f in formulas)
 
     def test_failures_do_not_abort(self):
-        r = verify_m_reduction("bad_cvc3_to_sat2", 120)
+        r = verify("bad_cvc3_to_sat2", resolve("bad_cvc3_to_sat2"), 120)
         assert r.trials == 120
         assert len(r.equiv_failures) >= 1
         # counterexamples carry a reproducing seed and the serialized input
@@ -265,19 +269,16 @@ class TestVerify:
 
     def test_unknown_name(self):
         with pytest.raises(GenerationError):
-            verify_m_reduction("no_such_reduction", 5)
+            resolve("no_such_reduction")
 
     def test_invalid_reduce_input_skipped(self):
         """An input `validate` rejects skips the trial with its first detail."""
         from redlab.instances import LinSystem
 
         bad = LinSystem("geq", 2, 1, 1, ((1, 1, 1), (2, 1, 1)), (0, 0))
-        plan = replace(default_plans()["lp_to_2lp"], prepare=lambda s: bad)
+        plan = replace(resolve("lp_to_2lp"), prepare=lambda s: bad)
         rec = _settle(plan, True, generate(plan.genspec, 0))
         assert rec.skipped == "column 1 has 2 nonzeros, bound 1" and rec.report is None
-
-
-VERIFY_NAMES = [*default_plans(), *CORRUPTED, "ap2dm_to_dstcon_queries"]
 
 
 def _counted(monkeypatch, module, name: str) -> list:
@@ -298,24 +299,24 @@ class TestMemo:
 
     def test_verify_decides_each_distinct_gadget_once(self, monkeypatch):
         # `decide` finds the matching oracle in `oracles` when called
-        spec = _resolve("dstcon_to_ap2dm", 1, None).genspec
+        spec = resolve("dstcon_to_ap2dm").genspec
         distinct = len({generate(spec, t) for t in range(1000)})
         assert distinct == 49
         calls = _counted(monkeypatch, oracles, "solve_ap2dm")
-        first = verify_m_reduction("dstcon_to_ap2dm", 1000, seed=1)
+        first = verify("dstcon_to_ap2dm", resolve("dstcon_to_ap2dm", seed=1), 1000)
         assert len(calls) == distinct
         # the memo ends with its run: an equal run does the work again
-        second = verify_m_reduction("dstcon_to_ap2dm", 1000, seed=1)
+        second = verify("dstcon_to_ap2dm", resolve("dstcon_to_ap2dm", seed=1), 1000)
         assert len(calls) == 2 * distinct
         assert replace(first, wall_time=0.0) == replace(second, wall_time=0.0)
         # with no room in the memo every trial decides its own gadget
         monkeypatch.setattr(harness, "MEMO_ENTRIES", 0)
-        verify_m_reduction("dstcon_to_ap2dm", 1000, seed=1)
+        verify("dstcon_to_ap2dm", resolve("dstcon_to_ap2dm", seed=1), 1000)
         assert len(calls) == 2 * distinct + 1000
 
     def test_fit_reduces_each_distinct_instance_once(self, monkeypatch):
-        # plans bind the reduction when `_resolve` builds them, after the patch
-        spec = _resolve("dstcon_to_ap2dm", 1, None).genspec
+        # plans bind the reduction when `resolve` builds them, after the patch
+        spec = resolve("dstcon_to_ap2dm").genspec
         distinct = len({generate(spec, t) for t in range(1000)})
         calls = _counted(monkeypatch, reductions, "dstcon_to_ap2dm")
         first = fit_shortness("dstcon_to_ap2dm", 1000, seed=1)
@@ -324,7 +325,7 @@ class TestMemo:
         assert len(calls) == 2 * distinct
 
     def test_skip_repeats_at_every_seed(self):
-        plan = default_plans()["cvc3_to_sat2"]
+        plan = resolve("cvc3_to_sat2")
         target = generate(plan.genspec, 22)
         seeds = [1 + t for t in range(200) if generate(plan.genspec, t) == target]
         assert len(seeds) > 1
@@ -336,16 +337,16 @@ class TestMemo:
                 raise reductions.PreconditionError("refused")
             return reductions.cvc3_to_sat2(g)
 
-        r = _verify("cvc3_to_sat2", replace(plan, reduce=refuse), 200)
+        r = verify("cvc3_to_sat2", replace(plan, reduce=refuse), 200)
         assert r.skipped == [(seed, "refused") for seed in seeds]
         assert len(refusals) == 1
 
     @pytest.mark.parametrize("cap", [0, 2])
     def test_cap_changes_no_result(self, monkeypatch, cap):
         def results():
-            runs = [verify_m_reduction(name, 200, seed=seed)
+            runs = [verify(name, resolve(name, seed=seed), 200)
                     for name in VERIFY_NAMES for seed in (1, 7920)]
-            runs.append(verify_m_reduction("sat2_to_2cvc3", 100, max_size=50))
+            runs.append(verify("sat2_to_2cvc3", resolve("sat2_to_2cvc3", max_size=50), 100))
             return [replace(r, wall_time=0.0) for r in runs]
 
         want = results()
@@ -356,14 +357,15 @@ class TestMemo:
 
 class TestTuringVerify:
     def test_strict_mode_counts_disagreements(self):
-        r = verify_T_reduction(20, seed=5)
+        name = "ap2dm_to_dstcon_queries"
+        r = verify(name, resolve(name, seed=5), 20)
         assert r.trials == 20
         # per-query size bound holds even where the oracles disagree
         assert r.max_ratio <= 1.0
         assert not r.shortness_failures
 
     def test_exploratory_mode_records_findings(self):
-        r = verify_T_reduction(20, seed=5, exploratory=True, max_size=6)
+        r = verify_T_reduction(20, seed=5, max_size=6)
         # disagreements on arbitrary instances are findings, never failures
         assert r.equiv_failures == []
         # the only findings are the disagreeing instances themselves
@@ -395,7 +397,8 @@ class TestFit:
         assert fit["max_ratio"] <= 1.0
 
     def test_turing_query_ratio_is_one(self):
-        r = verify_T_reduction(15, seed=9)
+        name = "ap2dm_to_dstcon_queries"
+        r = verify(name, resolve(name, seed=9), 15)
         assert r.max_ratio == 1.0
 
 
@@ -403,7 +406,7 @@ class TestMutationSensitivity:
     def test_every_fixture_caught_within_200(self):
         assert len(CORRUPTED) >= 3
         for name in CORRUPTED:
-            r = verify_m_reduction(name, 200)
+            r = verify(name, resolve(name), 200)
             assert len(r.equiv_failures) >= 1, name
 
 
@@ -422,8 +425,8 @@ class TestNormalFormPostchecks:
     that keeps membership but breaks its contract is caught."""
 
     def test_dstcon_split_mutant_caught(self):
-        plan = replace(default_plans()["normalize_dstcon"], reduce=_split_over_3)
-        r = _verify("split_over_3", plan, 1000)
+        plan = replace(resolve("normalize_dstcon"), reduce=_split_over_3)
+        r = verify("split_over_3", plan, 1000)
         assert r.equiv_failures == [] and not r.skipped
         # one failure per vertex over the bound, in 158 trials
         assert len(r.structural_failures) == 190
@@ -437,8 +440,8 @@ class TestNormalFormPostchecks:
     ])
     def test_identity_step_caught(self, name, struct):
         """Returning the raw input keeps membership and breaks the contract."""
-        plan = replace(default_plans()[name], reduce=lambda x: (x, None))
-        r = _verify(name, plan, 100)
+        plan = replace(resolve(name), reduce=lambda x: (x, None))
+        r = verify(name, plan, 100)
         assert r.equiv_failures == [] and r.structural_failures
         assert all(msg.startswith(struct) for _, msg in r.structural_failures)
 
@@ -447,7 +450,7 @@ class TestWitnessCheck:
     def test_rejected_yes_witness_is_structural(self, monkeypatch):
         """A decider that says YES with a flipped assignment is caught by
         its checker; the engine finds the decider in `oracles` when called."""
-        honest = verify_m_reduction("normalize_2sat3", 100)
+        honest = verify("normalize_2sat3", resolve("normalize_2sat3"), 100)
         assert honest.structural_failures == [] and not honest.skipped
         solve = oracles.solve_2sat
 
@@ -457,7 +460,7 @@ class TestWitnessCheck:
             return True, {v: not b for v, b in assignment.items()}
 
         monkeypatch.setattr(oracles, "solve_2sat", flipped)
-        r = verify_m_reduction("normalize_2sat3", 100)
+        r = verify("normalize_2sat3", resolve("normalize_2sat3"), 100)
         assert r.structural_failures
         assert {msg for _, msg in r.structural_failures} == {"witness:CnfFormula"}
 
@@ -466,7 +469,7 @@ class TestWitnessCheck:
         oracle's verdict on its input, with nothing to check."""
         from redlab.harness import _ap2dm_gadget
 
-        r = verify_m_reduction("ap2dm_to_dstcon_queries", 40, seed=5)
+        r = verify("ap2dm_to_dstcon_queries", resolve("ap2dm_to_dstcon_queries", seed=5), 40)
         spec = GenSpec("dstcon_raw", max_size=5, seed=5)
         expected = []
         for t in range(40):
@@ -503,14 +506,14 @@ class TestMalformedOutput:
                  "exactly_2:element 1 covered by 4 sets, expected exactly 2"]),
     ])
     def test_xce_output_counted_and_postchecked(self, trial, elements, struct):
-        plan = replace(default_plans()["sat2_to_3xce2"], reduce=_with_sets_1_1)
+        plan = replace(resolve("sat2_to_3xce2"), reduce=_with_sets_1_1)
         assert reductions.normalize_2sat3(generate(plan.genspec, trial)).num_vars == elements
         rec = _settle(plan, True, generate(plan.genspec, trial))
         assert rec.skipped is None and rec.equiv and rec.struct == tuple(struct)
 
     def test_verify_finishes(self):
-        plan = replace(default_plans()["cvc3_to_sat2"], reduce=_with_literal_out_of_range)
-        r = _verify("cvc3_to_sat2_oob", plan, 30)
+        plan = replace(resolve("cvc3_to_sat2"), reduce=_with_literal_out_of_range)
+        r = verify("cvc3_to_sat2_oob", plan, 30)
         assert r.equiv_failures == [] and not r.skipped
         expected = []
         for t in range(30):
@@ -526,7 +529,7 @@ class TestMalformedOutput:
 
         monkeypatch.setattr(oracles, "solve_xce", broken)
         with pytest.raises(error, match="decider bug"):
-            verify_m_reduction("sat2_to_3xce2", 5)
+            verify("sat2_to_3xce2", resolve("sat2_to_3xce2"), 5)
 
     def test_decider_error_on_source_propagates(self, monkeypatch):
         def broken(f):
@@ -534,4 +537,4 @@ class TestMalformedOutput:
 
         monkeypatch.setattr(oracles, "solve_2sat", broken)
         with pytest.raises(IndexError, match="decider bug"):
-            verify_m_reduction("sat2_to_3xce2", 5)
+            verify("sat2_to_3xce2", resolve("sat2_to_3xce2"), 5)

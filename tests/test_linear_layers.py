@@ -16,13 +16,12 @@ the first violation.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from functools import partial
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
-from redlab.harness import OCC_BOUND, GenSpec, default_plans, generate
+from redlab.harness import GenSpec, generate
 from redlab.instances import (
     Ap2dmInstance,
     CnfFormula,
@@ -40,6 +39,7 @@ from redlab.reductions import (
     normalize_dstcon,
     xce2_to_2lp,
 )
+from references import raw_2cnf, sat_families
 
 # ---------------------------------------------------------------------------
 # References
@@ -343,55 +343,6 @@ def _pure_cascade(n: int) -> CnfFormula:
     return CnfFormula(n, ((1, 2), *((-v, v + 1) for v in range(2, n))))
 
 
-def _sat_families():
-    """Every 2sat3 family: the default plans' specs, their --max-size
-    variants (which drop the clause caps) and the exact clause count n of
-    the scale pipelines."""
-    plans = [p.genspec for p in default_plans(seed=7).values() if p.genspec.problem == "2sat3"]
-    assert len(plans) == 3
-    for spec in plans:
-        yield spec, 600
-    for size, trials in ((6, 400), (12, 300), (25, 200), (50, 100), (100, 40), (200, 20)):
-        yield replace(plans[0], max_size=size, vc_budget=None, max_clauses=None), trials
-        yield GenSpec("2sat3", max_size=size, clauses=size, seed=size), 5
-
-
-RAW_VARS = 4  # few enough that both polarities of a variable often survive
-
-
-@st.composite
-def raw_2cnf(draw):
-    """Valid raw formulas within the 3-occurrence bound: up to three units,
-    tautologies or (x v x), then clean 2-clauses, over some variables and
-    leaving others unused. Each variable has OCC_BOUND occurrence credits,
-    and a clause only takes variables with credits left, as `_gen_2sat3`
-    does."""
-    n = draw(st.integers(2, RAW_VARS + 2))
-    credits = dict.fromkeys(range(1, min(n, RAW_VARS) + 1), OCC_BOUND)
-
-    def spend(need: int, count: int) -> list[int]:
-        """count distinct variables with need credits each, charged and
-        signed; [] when too few are left."""
-        live = [v for v, c in credits.items() if c >= need]
-        if len(live) < count:
-            return []
-        vs = draw(st.lists(st.sampled_from(live), min_size=count, max_size=count, unique=True))
-        for v in vs:
-            credits[v] -= need
-        return [v if draw(st.booleans()) else -v for v in vs]
-
-    clauses = []
-    for shape in draw(st.lists(st.sampled_from(("unit", "same", "taut")), max_size=3)):
-        for l in spend(1 if shape == "unit" else 2, 1):
-            clauses.append((l,) if shape == "unit" else (l, l) if shape == "same" else (l, -l))
-    for _ in range(draw(st.integers(3, 16))):
-        pair = spend(1, 2)
-        if not pair:
-            break
-        clauses.append(tuple(pair))
-    return CnfFormula(n, tuple(draw(st.permutations(clauses))))
-
-
 CONFLICTS = [
     CnfFormula(1, ((1,), (-1,))),
     CnfFormula(2, ((1, 1), (-1, 2), (-2, -2))),
@@ -415,7 +366,7 @@ OVER_BOUND = [
 class TestNormalize2Sat3OnePass:
     def test_generated_match_reference(self):
         checked = kept = 0
-        for spec, trials in _sat_families():
+        for spec, trials in sat_families():
             for t in range(trials):
                 f = generate(spec, t)
                 got = normalize_2sat3(f)

@@ -149,7 +149,7 @@ class TestDstcon:
     def test_query_oracle_on_reduction_graphs(self):
         """Every qualifying pair of 200 strict oracle-reduction gadgets, 200
         random ap2dm instances at max_size 5-8 and the fig3 gadget."""
-        plan = harness._oracle_plan(1)
+        plan = harness.resolve("ap2dm_to_dstcon_queries")
         corpus = [plan.prepare(generate(plan.genspec, t)) for t in range(200)]
         for max_size in (5, 6, 7, 8):
             spec = GenSpec("ap2dm", max_size=max_size, seed=60 + max_size)
@@ -167,7 +167,7 @@ class TestDstcon:
 
 def _plan_instances(name: str, trials: int = 300):
     """The reduce input and output of each of the plan's first default trials."""
-    plan = harness._resolve(name, 1, None)
+    plan = harness.resolve(name)
     for t in range(trials):
         raw = generate(plan.genspec, t)
         src = plan.prepare(raw) if plan.prepare else raw

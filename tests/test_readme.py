@@ -4,11 +4,16 @@ the corrupted fixtures and the oracle budgets; and its claim that runs are
 reproducible from flags alone holds because no module reads the
 environment. README "File formats" gives the header shapes `parse` checks,
 and the reference routes README places in tests/references.py live there,
-outside the library."""
+outside the library. The `EQUIV_FAILURES` counts README "Known gadget
+defects" quotes are those of the runs it names, and defect 2 fails on
+exactly the unsatisfiable sources."""
 
 import argparse
+import functools
 import re
 from pathlib import Path
+
+import pytest
 
 import redlab
 import references
@@ -89,3 +94,46 @@ def test_reference_routes_live_in_the_tests():
     assert {"first_hit", "solve_2cvc_enum", "solve_xce_enum", "linked_by_chain"} <= named
     for name in named:
         assert callable(getattr(references, name, None)) and not hasattr(oracles, name), name
+
+
+@functools.cache
+def _run(name: str, trials: int, max_size: int | None) -> harness.VerifyResult:
+    """The seed-1 `verify` run, shared by the tests that read it."""
+    return harness.verify(name, harness.resolve(name, max_size=max_size), trials)
+
+
+@pytest.mark.parametrize("trials,max_size,failures", [(1000, None, 156), (1000, 30, 246),
+                                                      (200, 1000, 54)])
+def test_defect_2_fails_on_every_unsatisfiable_source(trials, max_size, failures):
+    """`sat2_to_2cvc3` maps every normalized formula to YES (the cover
+    `references.checkered_cover`), so its counterexamples are exactly the
+    unsatisfiable sources."""
+    spec = harness.resolve("sat2_to_2cvc3", max_size=max_size).genspec
+    unsat = [spec.seed + t for t in range(trials)
+             if not oracles.solve_2sat(harness.generate(spec, t))[0]]
+    r = _run("sat2_to_2cvc3", trials, max_size)
+    assert [seed for seed, _ in r.equiv_failures] == unsat and not r.skipped
+    assert len(unsat) == failures
+
+
+def test_quoted_defect_counts():
+    """Each `EQUIV_FAILURES` count README quotes is that of the run it
+    names, at the CLI's default seed 1."""
+    text = README.read_text()
+    start = text.index("## Known gadget defects")
+    section = " ".join(text[start:text.index("\n## ", start + 1)].split())
+    m = re.search(r"`redlab verify (\w+) --trials (\d+) --max-size N` reports `EQUIV_FAILURES` "
+                  r"(\d+), (\d+) and (\d+) of \d+ trials for N = (\d+), (\d+) and (\d+)", section)
+    name, trials = m.group(1), int(m.group(2))
+    counts, sizes = m.groups()[2:5], m.groups()[5:]
+    quoted = [(name, trials, int(n), int(c)) for n, c in zip(sizes, counts)]
+    m = re.search(r"`redlab verify (\w+)` reports one `EQUIV_FAILURES` per unsatisfiable "
+                  r"source: (.*?), which", section)
+    for count, trials, max_size in re.findall(
+            r"(\d+) with `--trials (\d+)(?: --max-size (\d+))?`", m.group(2)):
+        quoted.append((m.group(1), int(trials), int(max_size) if max_size else None, int(count)))
+    assert [q[:3] for q in quoted] == [
+        ("dstcon_to_ap2dm", 200, 10), ("dstcon_to_ap2dm", 200, 11), ("dstcon_to_ap2dm", 200, 12),
+        ("sat2_to_2cvc3", 1000, None), ("sat2_to_2cvc3", 1000, 30), ("sat2_to_2cvc3", 200, 1000)]
+    for name, trials, max_size, count in quoted:
+        assert len(_run(name, trials, max_size).equiv_failures) == count, (name, max_size)

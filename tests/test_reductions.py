@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from redlab import harness, oracles
 from redlab.harness import GenSpec, generate
@@ -31,7 +32,14 @@ from redlab.reductions import (
     twolp_to_lp,
     xce2_to_2lp,
 )
-from references import first_hit, is_normalized_2sat3, parities_hold
+from references import (
+    checkered_cover,
+    first_hit,
+    is_normalized_2sat3,
+    parities_hold,
+    raw_2cnf,
+    sat_families,
+)
 
 FIG1 = CnfFormula(3, ((1, -2), (2, 1), (-1, 3), (2, -3)))
 FIG2 = CnfFormula(3, ((1, -2), (1, 3), (2, -3), (-1, -3)))
@@ -151,6 +159,33 @@ class TestSat2To2Cvc3:
             assert oracles.check_cover(g, cover_from_assignment(f, sigma))
             checked += 1
         assert checked > 30
+
+
+class TestCheckeredCover:
+    """README defect 2: `sat2_to_2cvc3`'s graph of every normalized formula
+    has the 2-checkered cover `checkered_cover`, so the gadget maps every
+    unsatisfiable source to YES."""
+
+    def test_every_2sat3_family(self):
+        checked = unsat = 0
+        for spec, trials in sat_families():
+            for t in range(trials):
+                f = normalize_2sat3(generate(spec, t))
+                assert oracles.check_cover(sat2_to_2cvc3(f)[0], checkered_cover(f)), (spec, t)
+                checked += 1
+                unsat += not oracles.solve_2sat(f)[0]
+        assert unsat >= checked // 10, (unsat, checked)
+
+    @pytest.mark.parametrize("f", [UNSAT_2SAT3_CANONICAL, UNSAT4])
+    def test_unsatisfiable_fixtures(self, f):
+        assert not oracles.solve_2sat(f)[0]
+        assert oracles.check_cover(sat2_to_2cvc3(f)[0], checkered_cover(f))
+
+    @settings(max_examples=50, deadline=None)
+    @given(raw_2cnf())
+    def test_drawn_normalized_formulas(self, raw):
+        f = normalize_2sat3(raw)
+        assert oracles.check_cover(sat2_to_2cvc3(f)[0], checkered_cover(f))
 
 
 class TestCvc3ToSat2:
@@ -428,7 +463,7 @@ class TestTuringReduction:
         """One oracle call per instance on its query graph, then one ask per
         logged query, in log order: v < w, (v, w) before (w, v), pairs of two
         exempt elements skipped."""
-        plan = harness._oracle_plan(1)
+        plan = harness.resolve("ap2dm_to_dstcon_queries")
         corpus = [plan.prepare(generate(plan.genspec, t)) for t in range(200)]
         for max_size in (5, 6, 7, 8):
             spec = GenSpec("ap2dm", max_size=max_size, seed=40 + max_size)
@@ -524,9 +559,9 @@ class TestMembershipEquivalenceSweeps:
     @pytest.mark.parametrize("name", ["normalize_2sat3", "normalize_dstcon",
                                       "reduce_degree_dstcon"])
     def test_thousand_trials(self, name):
-        from redlab.harness import verify_m_reduction
+        from redlab.harness import resolve, verify
 
-        r = verify_m_reduction(name, 1000)
+        r = verify(name, resolve(name), 1000)
         assert not r.equiv_failures
         assert not r.shortness_failures
 

@@ -151,6 +151,6 @@ def test_fit_bytes(argv, stdout, capsys):
 
 @pytest.mark.parametrize("kwargs,summary,findings", EXPLORATORY_GOLDEN)
 def test_exploratory_bytes(kwargs, summary, findings):
-    r = harness.verify_T_reduction(exploratory=True, **kwargs)
+    r = harness.verify_T_reduction(**kwargs)
     found = "".join(f"{seed}\n{text}" for seed, text in r.findings)
     assert (_sha(r.to_text(include_timing=False)), _sha(found)) == (summary, findings)
