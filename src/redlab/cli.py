@@ -80,12 +80,13 @@ def cmd_reduce(args) -> int:
         raise ValueError(f"unknown reduction {args.name!r}; known: {known}")
     instance = _read(args.input)
     out, report = reductions.REDUCTIONS[args.name](instance)
+    if report is None and args.report:
+        raise ValueError(f"{args.name} writes no report")
     Path(args.output).write_text(serialize(out))
-    if report is not None:
-        if args.report:
-            Path(args.report).write_text(report.to_text())
-        else:
-            sys.stdout.write(report.to_text())
+    if args.report:
+        Path(args.report).write_text(report.to_text())
+    elif report is not None:
+        sys.stdout.write(report.to_text())
     return 0
 
 

@@ -744,12 +744,10 @@ def _bad_sat2_to_2cvc3(f: CnfFormula):
 
 
 def _bad_cvc3_to_sat2(g: UGraph):
-    """Drops the exclusivity clause on non-grip edges."""
-    reductions._require(g, {"deg_bound": 3})
-    clauses = tuple((u, v) for u, v in g.edges)
-    f = CnfFormula(g.num_vertices, clauses)
-    rep = reductions._report("bad_cvc3_to_sat2", g, "m_ver", f, "m_vbl", 1, 0)
-    return f, rep
+    """Drops the exclusivity clause on non-grip edges: keeps only the
+    clauses whose first literal is positive."""
+    f, rep = reductions.cvc3_to_sat2(g)
+    return CnfFormula(f.num_vars, tuple(c for c in f.clauses if c[0] > 0)), rep
 
 
 def _bad_xce2_to_2lp(x: XceInstance):

@@ -107,17 +107,6 @@ class XceInstance:
         object.__setattr__(self, "exempt", tuple(sorted(set(self.exempt))))
         object.__setattr__(self, "sets", tuple(tuple(sorted(s)) for s in self.sets))
 
-    def overlap_costs(self) -> list[int]:
-        """cost[e]: how many sets hold element e (cost[0] unused). An element
-        outside 1..universe_size is not counted; `validate` reports it."""
-        n = self.universe_size
-        cost = [0] * (n + 1)
-        for s in self.sets:
-            for e in s:
-                if 1 <= e <= n:
-                    cost[e] += 1
-        return cost
-
 
 @dataclass(frozen=True)
 class Ap2dmInstance:
@@ -267,6 +256,8 @@ def _validate_cnf(f: CnfFormula, tags: dict, out: list[Violation], at):
 def _validate_digraph(g: Digraph, tags: dict, out: list[Violation], at):
     k = tags.get("deg_bound")
     normal = tags.get("normal_form")
+    inout = tags.get("inout_bound")
+    counted = k is not None or normal or inout is not None
     seen = set()
     indeg = [0] * (g.num_vertices + 1)  # counted only under a tag
     outdeg = [0] * (g.num_vertices + 1)
@@ -280,7 +271,7 @@ def _validate_digraph(g: Digraph, tags: dict, out: list[Violation], at):
         if e in seen:
             out.append(Violation("duplicate_edge", (u, v), f"duplicate edge ({u},{v})", at("edge", i)))
         seen.add(e)
-        if k is not None or normal:
+        if counted:
             outdeg[u] += 1
             indeg[v] += 1
     for name, w in (("s", g.s), ("t", g.t)):
@@ -308,6 +299,12 @@ def _validate_digraph(g: Digraph, tags: dict, out: list[Violation], at):
             if indeg[v] > 2 or outdeg[v] > 2:
                 out.append(Violation("normal_form", (v, indeg[v], outdeg[v]),
                                      f"vertex {v} has indegree {indeg[v]} / outdegree {outdeg[v]}, bound 2"))
+    if inout is not None:
+        for v in range(1, g.num_vertices + 1):
+            if indeg[v] > inout or outdeg[v] > inout:
+                out.append(Violation("inout_bound", (v, indeg[v], outdeg[v]),
+                                     f"vertex {v} has indegree {indeg[v]} / outdegree {outdeg[v]}, "
+                                     f"componentwise bound {inout}"))
 
 
 def _validate_ugraph(g: UGraph, tags: dict, out: list[Violation], at):
@@ -447,6 +444,9 @@ def _validate_lin(s: LinSystem, tags: dict, out: list[Violation], at):
             out.append(Violation("bounds_shape", ("upper",), "band mode requires one upper bound per row"))
     elif s.upper is not None:
         out.append(Violation("bounds_shape", ("upper",), f"mode {s.mode!r} must not carry upper bounds"))
+    want = tags.get("mode")
+    if want is not None and s.mode != want:
+        out.append(Violation("mode", (s.mode,), f"mode {s.mode!r}, expected {want!r}"))
 
 
 def _validate_xor(x: XorSystem, tags: dict, out: list[Violation], at):
@@ -477,9 +477,11 @@ def validate(instance, tags: dict | None = None) -> list[Violation]:
     means the instance is valid. Violations are data, never exceptions. The
     tags state the restrictions that the reductions need, each only here:
     `occ_bound` (k) and `normal_form` for a CnfFormula, `deg_bound` (k) for
-    both graph classes, `normal_form` for a Digraph, `exactly_2` for an
-    XceInstance and `overlap_bound` (k) for an Ap2dmInstance. A tag's
-    violations follow the untagged ones, which `parse` checks alone.
+    both graph classes, `normal_form` and `inout_bound` (k, on in- and
+    outdegree apart) for a Digraph, `exactly_2` for an XceInstance,
+    `overlap_bound` (k) for an Ap2dmInstance and `mode` ("geq", "band" or
+    "eq") for a LinSystem. A tag's violations follow the untagged ones,
+    which `parse` checks alone.
     """
     out: list[Violation] = []
     PROBLEMS[type(instance)].validate(instance, tags or {}, out, lambda kind, i: None)

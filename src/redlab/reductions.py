@@ -6,15 +6,21 @@ obeyed output <= k1 * input + k2 on its size parameters. Gadget vertices and
 universe elements get dense integer identifiers in construction order, with
 a name table in report.notes["names"] for debugging.
 
-Every transformation first checks its input with one `_require(x, tags)`:
-`validate` under the tags that state its restriction (a normalized formula
-or digraph, a degree or overlap bound), raising PreconditionError with the
-first violation's detail. Only the LP modes and `normalize_dstcon`'s
-componentwise degree bound of 3 are checked apart.
+Each transformation's contract is stated once, in its `_contract(cls,
+tags, src_param, dst_param, k1, k2)` line: the input class, the `validate`
+tags that state its restriction (a normalized formula or digraph, a degree
+or overlap bound, an LP mode) and the shortness constants on the named size
+parameters. The decorator checks the input with `_require` and builds the
+report; the body returns (output, notes). An input of another class, or one
+`validate` rejects under the tags, raises PreconditionError with the first
+violation's detail. `normalize_2sat3` (no report) and the oracle reduction
+`ap2dm_to_dstcon_queries` (a bool output and per-query report) call
+`_require` themselves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .instances import (
@@ -37,8 +43,11 @@ class PreconditionError(ValueError):
     """Input violates a reduction's precondition."""
 
 
-def _require(instance, tags: dict | None = None):
-    """Raise PreconditionError with the first violation `validate` reports."""
+def _require(instance, cls, tags: dict | None = None):
+    """Raise PreconditionError unless instance is a cls, then with the first
+    violation `validate` reports under tags."""
+    if not isinstance(instance, cls):
+        raise PreconditionError(f"expected a {cls.__name__}, got a {type(instance).__name__}")
     bad = validate(instance, tags)
     if bad:
         raise PreconditionError(bad[0].detail)
@@ -78,19 +87,21 @@ class ReductionReport:
         return "\n".join(lines) + "\n"
 
 
-def _report(name: str, src, src_param: str, dst, dst_param: str, k1: int, k2: int,
-            **notes) -> ReductionReport:
-    iv = size_param(src, src_param)
-    ov = size_param(dst, dst_param)
-    return ReductionReport(
-        name=name,
-        input_param=SizeParam(src_param, iv),
-        output_param=SizeParam(dst_param, ov),
-        k1=k1,
-        k2=k2,
-        shortness_ok=ov <= k1 * iv + k2,
-        notes=dict(notes),
-    )
+def _contract(cls, tags: dict | None, src_param: str, dst_param: str, k1: int, k2: int):
+    """Decorate a reduction body x -> (output, notes): the reduction requires a
+    cls input that `validate` accepts under tags, and returns the output with
+    a report of whether its dst_param is at most k1 * the input's src_param
+    + k2."""
+    def decorate(body):
+        @functools.wraps(body)
+        def reduction(x):
+            _require(x, cls, tags)
+            out, notes = body(x)
+            iv, ov = size_param(x, src_param), size_param(out, dst_param)
+            return out, ReductionReport(body.__name__, SizeParam(src_param, iv), SizeParam(dst_param, ov),
+                                        k1, k2, ov <= k1 * iv + k2, notes=notes)
+        return reduction
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +134,7 @@ def normalize_2sat3(f: CnfFormula) -> CnfFormula:
     empty output encodes trivially-satisfiable; a propagation conflict
     yields the fixed canonical unsatisfiable formula.
     """
-    _require(f, {"occ_bound": 3})
+    _require(f, CnfFormula, {"occ_bound": 3})
     # (x v x) becomes (x) and tautologies go; no later step makes either again
     clauses = [c[:1] if c[0] == c[-1] else c for c in f.clauses if c[0] != -c[-1]]
     occurs: dict[int, list[int]] = {}  # literal -> indices of the clauses holding it
@@ -170,12 +181,9 @@ def normalize_2sat3(f: CnfFormula) -> CnfFormula:
 # ---------------------------------------------------------------------------
 
 
-def sat2_to_2cvc3(f: CnfFormula) -> tuple[UGraph, ReductionReport]:
-    """Variable pairs, clause grips, and one edge per represented literal.
-
-    Declared shortness k1=8, k2=0 on m_vbl -> m_ver.
-    """
-    _require(f, {"normal_form": True})
+@_contract(CnfFormula, {"normal_form": True}, "m_vbl", "m_ver", 8, 0)
+def sat2_to_2cvc3(f: CnfFormula) -> tuple[UGraph, dict]:
+    """Variable pairs, clause grips, and one edge per represented literal."""
     n, m = f.num_vars, len(f.clauses)
     # ids: variable pair (2i-1, 2i), clause pair (2n+2j-1, 2n+2j)
     names: dict[int, str] = {}
@@ -195,9 +203,7 @@ def sat2_to_2cvc3(f: CnfFormula) -> tuple[UGraph, ReductionReport]:
             slot_vertex = 2 * n + 2 * j - (2 - slot)
             u, v = min(lit_vertex, slot_vertex), max(lit_vertex, slot_vertex)
             edges.append((u, v))
-    g = UGraph(2 * (n + m), tuple(edges))
-    report = _report("sat2_to_2cvc3", f, "m_vbl", g, "m_ver", 8, 0, names=names)
-    return g, report
+    return UGraph(2 * (n + m), tuple(edges)), {"names": names}
 
 
 def cover_from_assignment(f: CnfFormula, assignment: dict[int, bool]) -> set[int]:
@@ -214,21 +220,17 @@ def cover_from_assignment(f: CnfFormula, assignment: dict[int, bool]) -> set[int
     return cover
 
 
-def cvc3_to_sat2(g: UGraph) -> tuple[CnfFormula, ReductionReport]:
+@_contract(UGraph, {"deg_bound": 3}, "m_ver", "m_vbl", 1, 0)
+def cvc3_to_sat2(g: UGraph) -> tuple[CnfFormula, dict]:
     """One variable per vertex; (u v v) on grip-eligible edges, the
-    exclusive pair (u v v) & (!u v !v) where an endpoint has degree over 2.
-
-    Declared shortness k1=1, k2=0 on m_ver -> m_vbl.
-    """
-    _require(g, {"deg_bound": 3})
+    exclusive pair (u v v) & (!u v !v) where an endpoint has degree over 2."""
     deg = g.degrees()
     clauses: list[tuple[int, int]] = []
     for u, v in g.edges:
         clauses.append((u, v))
         if deg[u] > 2 or deg[v] > 2:
             clauses.append((-u, -v))
-    f = CnfFormula(g.num_vertices, tuple(clauses))
-    return f, _report("cvc3_to_sat2", g, "m_ver", f, "m_vbl", 1, 0)
+    return CnfFormula(g.num_vertices, tuple(clauses)), {}
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +238,15 @@ def cvc3_to_sat2(g: UGraph) -> tuple[CnfFormula, ReductionReport]:
 # ---------------------------------------------------------------------------
 
 
-def sat2_to_3xce2(f: CnfFormula) -> tuple[XceInstance, ReductionReport]:
+@_contract(CnfFormula, {"normal_form": True}, "m_vbl", "m_set", 6, 0)
+def sat2_to_3xce2(f: CnfFormula) -> tuple[XceInstance, dict]:
     """Occurrence elements (exempt), clause elements, and tag elements glued
     by per-clause 2-sets and per-variable occurrence gadgets.
 
     Tag elements are restricted to the ones the gadgets actually reference:
     t_i[1], t_i[2] for variables with three occurrences, t_i[1] alone for
     variables with one occurrence of each polarity.
-    Declared shortness k1=6, k2=0 on m_vbl -> m_set.
     """
-    _require(f, {"normal_form": True})
     n, m = f.num_vars, len(f.clauses)
     names: dict[int, str] = {}
     ids: dict[str, int] = {}
@@ -300,9 +301,7 @@ def sat2_to_3xce2(f: CnfFormula) -> tuple[XceInstance, ReductionReport]:
 
     exempt = tuple(ids[occ_name(lit, j)]
                    for j, clause in enumerate(f.clauses, 1) for lit in clause)
-    x = XceInstance(len(ids), exempt, tuple(sets))
-    report = _report("sat2_to_3xce2", f, "m_vbl", x, "m_set", 6, 0, names=names)
-    return x, report
+    return XceInstance(len(ids), exempt, tuple(sets)), {"names": names}
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +309,15 @@ def sat2_to_3xce2(f: CnfFormula) -> tuple[XceInstance, ReductionReport]:
 # ---------------------------------------------------------------------------
 
 
-def xce2_to_2lp(x: XceInstance) -> tuple[LinSystem, ReductionReport]:
+@_contract(XceInstance, None, "m_set", "m_row", 1, 0)
+def xce2_to_2lp(x: XceInstance) -> tuple[LinSystem, dict]:
     """One indicator column per set (x_j = 1 iff the set is selected), one
     row per element over its <= 2 covering sets; non-exempt rows pinned to
     [1,1], exempt rows to [0,1].
 
     A non-exempt element no set covers yields a zero-entry row with bounds
     [1,1]: the natural immediate-NO short circuit.
-    Declared shortness k1=1, k2=0 on m_set -> m_row.
     """
-    _require(x)
     exempt = set(x.exempt)
     # the sets covering each element, ascending (at most 2 once valid)
     covering: list[list[int]] = [[] for _ in range(x.universe_size + 1)]
@@ -338,10 +336,8 @@ def xce2_to_2lp(x: XceInstance) -> tuple[LinSystem, ReductionReport]:
             lower.append(1)
         upper.append(1)
     # a column holds one entry per element of its set, so at most 3
-    out = LinSystem("band", x.universe_size, len(x.sets), 3,
-                    tuple(entries), tuple(lower), tuple(upper))
-    report = _report("xce2_to_2lp", x, "m_set", out, "m_row", 1, 0)
-    return out, report
+    return LinSystem("band", x.universe_size, len(x.sets), 3,
+                     tuple(entries), tuple(lower), tuple(upper)), {}
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +345,19 @@ def xce2_to_2lp(x: XceInstance) -> tuple[LinSystem, ReductionReport]:
 # ---------------------------------------------------------------------------
 
 
-def lp_to_2lp(s: LinSystem) -> tuple[LinSystem, ReductionReport]:
+@_contract(LinSystem, {"mode": "geq"}, "m_col", "m_col", 1, 0)
+def lp_to_2lp(s: LinSystem) -> tuple[LinSystem, dict]:
     """Same matrix; the new upper bound of each row is its absolute
-    coefficient sum, a ceiling no {0,1}-vector can exceed.
-
-    Declared shortness k1=1, k2=0 on m_col.
-    """
-    _require(s)
-    if s.mode != "geq":
-        raise PreconditionError("lp_to_2lp expects a GEQ system")
+    coefficient sum, a ceiling no {0,1}-vector can exceed."""
     rowsum = [0] * (s.num_rows + 1)
     for r, _, v in s.entries:
         rowsum[r] += abs(v)
-    out = LinSystem("band", s.num_rows, s.num_cols, s.col_bound,
-                    s.entries, s.lower, tuple(rowsum[1:]))
-    report = _report("lp_to_2lp", s, "m_col", out, "m_col", 1, 0)
-    return out, report
+    return LinSystem("band", s.num_rows, s.num_cols, s.col_bound,
+                     s.entries, s.lower, tuple(rowsum[1:])), {}
 
 
-def twolp_to_lp(s: LinSystem) -> tuple[LinSystem, ReductionReport]:
+@_contract(LinSystem, {"mode": "band"}, "m_col", "m_col", 6, 0)
+def twolp_to_lp(s: LinSystem) -> tuple[LinSystem, dict]:
     """Doubled-variable elimination of the upper bounds.
 
     Used columns are pruned and duplicated (y_j and y_{n+j} both standing for
@@ -376,12 +366,9 @@ def twolp_to_lp(s: LinSystem) -> tuple[LinSystem, ReductionReport]:
     y_j = y_{n+j}. Coupling whole copies in single rows would put n nonzeros
     in one row and break the 2-nonzeros format; the per-column pair is all
     the equality argument needs. Dimensions (2m + 2n') x 2n' over n' used
-    columns; every column gains at most 2 nonzeros.
-    Declared shortness k1=6, k2=0 on m_col (pruning keeps n' <= 2m).
+    columns; every column gains at most 2 nonzeros. Pruning keeps n' <= 2m,
+    so the output has at most 6m rows.
     """
-    _require(s)
-    if s.mode != "band":
-        raise PreconditionError("twolp_to_lp expects a BAND system")
     used = sorted({c for _, c, _ in s.entries})
     colmap = {c: i + 1 for i, c in enumerate(used)}
     np_ = len(used)
@@ -399,10 +386,8 @@ def twolp_to_lp(s: LinSystem) -> tuple[LinSystem, ReductionReport]:
         r2 = 2 * m + 2 * j
         entries.extend([(r1, j, 1), (r1, np_ + j, -1), (r2, j, -1), (r2, np_ + j, 1)])
         lower.extend([0, 0])
-    out = LinSystem("geq", 2 * m + 2 * np_, 2 * np_, s.col_bound + 2,
-                    tuple(entries), tuple(lower))
-    report = _report("twolp_to_lp", s, "m_col", out, "m_col", 6, 0)
-    return out, report
+    return LinSystem("geq", 2 * m + 2 * np_, 2 * np_, s.col_bound + 2,
+                     tuple(entries), tuple(lower)), {}
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +399,13 @@ def _xor_unsat_marker(num_vars: int) -> XorSystem:
     return XorSystem(max(1, num_vars), (Unit(1, 0), Unit(1, 1)))
 
 
-def le_to_xor2sat(s: LinSystem) -> tuple[XorSystem, ReductionReport]:
+@_contract(LinSystem, {"mode": "eq"}, "m_row", "m_vbl", 1, 0)
+def le_to_xor2sat(s: LinSystem) -> tuple[XorSystem, dict]:
     """Per row, classify the exact {0,1} solution set of the 1- or
     2-variable integer equation and emit the equivalent parity/unit
     constraints; an empty solution set makes the whole instance the
     UNSAT-marker (encoded as a contradictory unit pair).
-
-    Declared shortness k1=1, k2=0 on m_row -> m_vbl.
     """
-    _require(s)
-    if s.mode != "eq":
-        raise PreconditionError("le_to_xor2sat expects an EQ system")
     cons: list = []
     marker = False
     for r, row in enumerate(s.rows()[1:], 1):
@@ -461,8 +442,7 @@ def le_to_xor2sat(s: LinSystem) -> tuple[XorSystem, ReductionReport]:
                 cons.append(Parity(c1, c2, p1 ^ q1))
         # len(sols) in (3, 4) cannot occur with two nonzero coefficients
     out = _xor_unsat_marker(s.num_cols) if marker else XorSystem(s.num_cols, tuple(cons))
-    report = _report("le_to_xor2sat", s, "m_row", out, "m_vbl", 1, 0, unsat_marker=marker)
-    return out, report
+    return out, {"unsat_marker": marker}
 
 
 # ---------------------------------------------------------------------------
@@ -470,25 +450,13 @@ def le_to_xor2sat(s: LinSystem) -> tuple[XorSystem, ReductionReport]:
 # ---------------------------------------------------------------------------
 
 
-def normalize_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
+@_contract(Digraph, {"inout_bound": 3}, "m_ver", "m_ver", 4, 4)
+def normalize_dstcon(g: Digraph) -> tuple[Digraph, dict]:
     """Prepare a reachability instance for the matching gadget: subdivide a
     direct s->t edge, attach fresh degree-1 endpoints s' and t', and split
     every vertex with indegree or outdegree 3 or more through relay
     vertices until both are at most 2. Reachability is preserved.
-
-    Declared shortness k1=4, k2=4 on m_ver.
     """
-    _require(g)
-    indeg = [0] * (g.num_vertices + 1)
-    outdeg = [0] * (g.num_vertices + 1)
-    for u, v in g.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    for v in range(1, g.num_vertices + 1):
-        if indeg[v] > 3 or outdeg[v] > 3:
-            raise PreconditionError(
-                f"vertex {v} has indegree {indeg[v]} / outdegree {outdeg[v]}, componentwise bound 3")
-
     names = {v: f"v{v}" for v in range(1, g.num_vertices + 1)}
     nxt = g.num_vertices
 
@@ -545,12 +513,11 @@ def normalize_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
             del outs[v][:2]
             outs[v].append(len(edges))
             edges.append((v, relay))
-    out = Digraph(nxt, tuple(edges), new_s, new_t)
-    report = _report("normalize_dstcon", g, "m_ver", out, "m_ver", 4, 4, names=names)
-    return out, report
+    return Digraph(nxt, tuple(edges), new_s, new_t), {"names": names}
 
 
-def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, ReductionReport]:
+@_contract(Digraph, {"normal_form": True}, "m_ver", "m_set", 3, 2)
+def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, dict]:
     """Three-layer matching gadget over the internal vertices: layer 0
     copies the edges, layers 1 and 2 are bidirectional chains anchored to s
     and t, per-vertex couplings tie the layers, and layer-0 elements form
@@ -562,10 +529,7 @@ def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, ReductionReport]:
     normalized, no s->t edge, no edge into s and none out of t. The one
     exception is n = 1, where both chain ends are the same vertex, so its
     anchors are taken once.
-
-    Declared shortness k1=3, k2=2 on m_ver -> m_set.
     """
-    _require(g, {"normal_form": True})
     inner = [v for v in range(1, g.num_vertices + 1) if v not in (g.s, g.t)]
     n = len(inner)
     pos = {v: i for i, v in enumerate(inner)}
@@ -596,9 +560,7 @@ def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, ReductionReport]:
             pairs.append((l0 + pos[u], 2))
     # M6 (trivial pairs) stays implicit.
 
-    out = Ap2dmInstance(3 * n + 2, tuple(range(l0, l1)), tuple(pairs))
-    report = _report("dstcon_to_ap2dm", g, "m_ver", out, "m_set", 3, 2, names=names)
-    return out, report
+    return Ap2dmInstance(3 * n + 2, tuple(range(l0, l1)), tuple(pairs)), {"names": names}
 
 
 def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
@@ -615,7 +577,7 @@ def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
     is the largest query (0 when none is issued).
     Declared per-query shortness k1=1, k2=0 on m_set -> m_ver.
     """
-    _require(a, {"overlap_bound": 4})
+    _require(a, Ap2dmInstance, {"overlap_bound": 4})
     n = a.universe_size
     exempt = set(a.exempt)
     size = max(1, n)  # m_ver of every query graph, whose vertex set is X
@@ -641,15 +603,14 @@ def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
     return all(q.answer for q in queries), report
 
 
-def reduce_degree_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
+@_contract(Digraph, None, "m_ver", "m_ver", 2, 0)
+def reduce_degree_dstcon(g: Digraph) -> tuple[Digraph, dict]:
     """Folklore vertex splitting down to total degree <= 3: a vertex of
     degree d > 3 becomes a directed path of d-2 copies whose in-edges attach
-    before its out-edges, preserving reachability exactly.
-
-    Declared shortness k1=2, k2=0 on m_ver (tight for inputs of total
-    degree <= 4, where each vertex yields at most 2 copies).
+    before its out-edges, preserving reachability exactly. Its k1 = 2 is
+    tight for inputs of total degree <= 4, where each vertex yields at most
+    2 copies.
     """
-    _require(g)
     # each vertex's in- and out-edges by index, in ascending order
     ins: list[list[int]] = [[] for _ in range(g.num_vertices + 1)]
     outs: list[list[int]] = [[] for _ in range(g.num_vertices + 1)]
@@ -683,9 +644,7 @@ def reduce_degree_dstcon(g: Digraph) -> tuple[Digraph, ReductionReport]:
             out_copy[idx] = slots[len(slots) - 1 - i]
     for idx in range(len(g.edges)):
         edges.append((out_copy[idx], in_copy[idx]))
-    out = Digraph(nxt, tuple(edges), copies[g.s][0], copies[g.t][-1])
-    report = _report("reduce_degree_dstcon", g, "m_ver", out, "m_ver", 2, 0, names=names)
-    return out, report
+    return Digraph(nxt, tuple(edges), copies[g.s][0], copies[g.t][-1]), {"names": names}
 
 
 # ---------------------------------------------------------------------------

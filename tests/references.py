@@ -4,7 +4,8 @@
 prune, in the same order, since cover plans reach 26 vertices; the linkage
 tests are the matching definitions by the letter. The two normal-form
 predicates restate the `normal_form` tags of `validate` on valid instances.
-`checkered_cover` is the closed-form cover behind README defect 2. The
+`checkered_cover` is the closed-form cover behind README defect 2, and
+`pendant_repair` the repaired gadget that README states beside it. The
 2sat3 families and the raw-formula strategy are the formula sources that
 more than one test module draws from.
 """
@@ -16,6 +17,7 @@ from itertools import product
 
 from hypothesis import strategies as st
 
+from redlab import reductions
 from redlab.harness import OCC_BOUND, GenSpec, default_plans, resolve
 from redlab.instances import Ap2dmInstance, CnfFormula, Digraph, Parity, UGraph, XceInstance, XorSystem
 
@@ -187,6 +189,34 @@ def checkered_cover(f: CnfFormula) -> set[int]:
     cover = set(range(2 * n + 1, 2 * (n + len(f.clauses)) + 1))
     cover.update(2 * v - 1 if count[v] == 1 else 2 * v for v in range(1, n + 1))
     return cover
+
+
+def pendant_repair(f: CnfFormula) -> UGraph:
+    """`sat2_to_2cvc3`'s graph of the normalized formula f with a fresh
+    pendant vertex on every literal vertex of degree 2. An analysis of
+    README defect 2, outside the library: its graph has a 2-checkered cover
+    exactly when f is satisfiable.
+
+    - A literal vertex has its variable pair's edge and one edge per
+      occurrence, so degree 2 or 3; with the pendants every literal vertex
+      has degree 3, and no literal edge (pair, slot or pendant edge) is a
+      grip. Each has exactly one end in a cover, so one vertex of each pair
+      is in it: call true the literal whose vertex is out.
+    - A slot lies in the cover exactly when its literal is true, since the
+      slot's literal edge has exactly one end in it.
+    - A clause's slots have degree 2, so the clause edge is a grip: it needs
+      one slot in the cover, one true literal, and allows two.
+    - A pendant is in the cover exactly when its literal vertex is not,
+      whatever the assignment. So covers give satisfying assignments, and a
+      satisfying assignment gives a cover.
+
+    The size is at most 6 * m_vbl: each variable brings its 2 pair vertices,
+    one slot per occurrence and one pendant per once-occurring literal,
+    2 + 2 + 2 for occurrences (1, 1) and 2 + 3 + 1 for (2, 1) or (1, 2)."""
+    g = reductions.sat2_to_2cvc3(f)[0]
+    deg, n = g.degrees(), g.num_vertices
+    lonely = [v for v in range(1, 2 * f.num_vars + 1) if deg[v] == 2]
+    return UGraph(n + len(lonely), g.edges + tuple((v, n + i) for i, v in enumerate(lonely, 1)))
 
 
 def sat_families():

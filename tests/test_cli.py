@@ -194,6 +194,25 @@ class TestReduce:
                            str(tmp_path / "o"))
         assert code == 2 and "error" in err
 
+    def test_wrong_class_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.graph"
+        src.write_text("p graph 2 1\ne 1 2\n")
+        dst = tmp_path / "out.graph"
+        code, out, err = run(capsys, "reduce", "sat2_to_2cvc3", str(src), str(dst))
+        assert (code, out, err) == (2, "", "error: expected a CnfFormula, got a UGraph\n")
+        assert not dst.exists()
+
+    def test_report_of_a_step_without_one_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.cnf"
+        src.write_text(serialize(CnfFormula(2, ((1, 2), (-1, -2)))))
+        dst, rep = tmp_path / "out.cnf", tmp_path / "r.txt"
+        code, out, err = run(capsys, "reduce", "normalize_2sat3", str(src), str(dst),
+                             "--report", str(rep))
+        assert (code, out, err) == (2, "", "error: normalize_2sat3 writes no report\n")
+        assert not dst.exists() and not rep.exists()
+        assert run(capsys, "reduce", "normalize_2sat3", str(src), str(dst)) == (0, "", "")
+        assert dst.exists()
+
 
 class TestVerify:
     def test_summary_and_determinism(self, tmp_path, capsys):

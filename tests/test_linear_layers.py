@@ -47,7 +47,11 @@ from references import raw_2cnf, sat_families
 
 
 def xce2_to_2lp_reference(x: XceInstance) -> LinSystem:
-    cost = x.overlap_costs()
+    cost = [0] * (x.universe_size + 1)
+    for s in x.sets:
+        for e in s:
+            if 1 <= e <= x.universe_size:
+                cost[e] += 1
     for e in range(1, x.universe_size + 1):
         if cost[e] > 2:
             raise PreconditionError(f"element {e} has overlapping cost {cost[e]}, bound 2")

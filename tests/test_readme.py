@@ -5,8 +5,9 @@ reproducible from flags alone holds because no module reads the
 environment. README "File formats" gives the header shapes `parse` checks,
 and the reference routes README places in tests/references.py live there,
 outside the library. The `EQUIV_FAILURES` counts README "Known gadget
-defects" quotes are those of the runs it names, and defect 2 fails on
-exactly the unsatisfiable sources."""
+defects" quotes are those of the runs it names, as are the shares and
+sizes it gives of them, and defect 2 fails on exactly the unsatisfiable
+sources."""
 
 import argparse
 import functools
@@ -102,26 +103,36 @@ def _run(name: str, trials: int, max_size: int | None) -> harness.VerifyResult:
     return harness.verify(name, harness.resolve(name, max_size=max_size), trials)
 
 
+@functools.cache
+def _sources(name: str, trials: int, max_size: int | None) -> tuple:
+    """The raw instances of that run, trial t's drawn from seed 1 + t."""
+    spec = harness.resolve(name, max_size=max_size).genspec
+    return tuple(harness.generate(spec, t) for t in range(trials))
+
+
 @pytest.mark.parametrize("trials,max_size,failures", [(1000, None, 156), (1000, 30, 246),
                                                       (200, 1000, 54)])
 def test_defect_2_fails_on_every_unsatisfiable_source(trials, max_size, failures):
     """`sat2_to_2cvc3` maps every normalized formula to YES (the cover
     `references.checkered_cover`), so its counterexamples are exactly the
     unsatisfiable sources."""
-    spec = harness.resolve("sat2_to_2cvc3", max_size=max_size).genspec
-    unsat = [spec.seed + t for t in range(trials)
-             if not oracles.solve_2sat(harness.generate(spec, t))[0]]
+    unsat = [1 + t for t, f in enumerate(_sources("sat2_to_2cvc3", trials, max_size))
+             if not oracles.solve_2sat(f)[0]]
     r = _run("sat2_to_2cvc3", trials, max_size)
     assert [seed for seed, _ in r.equiv_failures] == unsat and not r.skipped
     assert len(unsat) == failures
 
 
+def _defects() -> str:
+    text = README.read_text()
+    start = text.index("## Known gadget defects")
+    return " ".join(text[start:text.index("\n## ", start + 1)].split())
+
+
 def test_quoted_defect_counts():
     """Each `EQUIV_FAILURES` count README quotes is that of the run it
     names, at the CLI's default seed 1."""
-    text = README.read_text()
-    start = text.index("## Known gadget defects")
-    section = " ".join(text[start:text.index("\n## ", start + 1)].split())
+    section = _defects()
     m = re.search(r"`redlab verify (\w+) --trials (\d+) --max-size N` reports `EQUIV_FAILURES` "
                   r"(\d+), (\d+) and (\d+) of \d+ trials for N = (\d+), (\d+) and (\d+)", section)
     name, trials = m.group(1), int(m.group(2))
@@ -137,3 +148,38 @@ def test_quoted_defect_counts():
         ("sat2_to_2cvc3", 1000, None), ("sat2_to_2cvc3", 1000, 30), ("sat2_to_2cvc3", 200, 1000)]
     for name, trials, max_size, count in quoted:
         assert len(_run(name, trials, max_size).equiv_failures) == count, (name, max_size)
+
+
+def test_defect_1_shares_and_gadget_sizes():
+    """README defect 1's runs: the largest gadget of each, and its failures,
+    every one a YES source mapped to NO, as a share of the YES sources."""
+    m = re.search(r"for N = (\d+), (\d+) and (\d+) \(gadgets of up to (\d+), (\d+) and (\d+) "
+                  r"elements, none skipped\)\. Every failure is a YES source mapped to a NO gadget: "
+                  r"(\d+)%, (\d+)% and (\d+)% of the YES sources \((\d+) of (\d+), (\d+) of (\d+) "
+                  r"and (\d+) of (\d+)\)", _defects())
+    quoted = [int(v) for v in m.groups()]
+    sizes, largest, shares, counts = quoted[:3], quoted[3:6], quoted[6:9], quoted[9:]
+    for i, max_size in enumerate(sizes):
+        plan = harness.resolve("dstcon_to_ap2dm", max_size=max_size)
+        raws = _sources("dstcon_to_ap2dm", 200, max_size)
+        yes = [1 + t for t, g in enumerate(raws) if oracles.solve_dstcon(g)[0]]
+        r = _run("dstcon_to_ap2dm", 200, max_size)
+        failing = [seed for seed, _ in r.equiv_failures]
+        assert set(failing) <= set(yes) and not r.skipped
+        assert [len(failing), len(yes)] == counts[2 * i:2 * i + 2]
+        assert round(100 * len(failing) / len(yes)) == shares[i]
+        assert max(plan.reduce(plan.prepare(g))[0].universe_size for g in raws) == largest[i]
+
+
+def test_defect_2_sizes():
+    """README defect 2's largest run: its largest graph, and how many of its
+    normalized formulas have clauses."""
+    m = re.search(r"`--trials (\d+) --max-size (\d+)`, which decides every trial, on graphs of "
+                  r"up to (\d+) vertices; (\d+) of those \d+ normalized formulas have clauses",
+                  _defects())
+    trials, max_size, largest, nonempty = map(int, m.groups())
+    plan = harness.resolve("sat2_to_2cvc3", max_size=max_size)
+    formulas = [plan.prepare(f) for f in _sources("sat2_to_2cvc3", trials, max_size)]
+    assert not _run("sat2_to_2cvc3", trials, max_size).skipped
+    assert sum(bool(f.clauses) for f in formulas) == nonempty
+    assert max(plan.reduce(f)[0].num_vertices for f in formulas) == largest

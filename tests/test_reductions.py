@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from redlab import harness, oracles
 from redlab.harness import GenSpec, generate
 from redlab.instances import (
+    PROBLEMS,
     Ap2dmInstance,
     CnfFormula,
     Digraph,
@@ -12,6 +13,7 @@ from redlab.instances import (
     UGraph,
     Unit,
     XceInstance,
+    XorSystem,
     size_param,
     validate,
 )
@@ -37,6 +39,7 @@ from references import (
     first_hit,
     is_normalized_2sat3,
     parities_hold,
+    pendant_repair,
     raw_2cnf,
     sat_families,
 )
@@ -188,6 +191,43 @@ class TestCheckeredCover:
         assert oracles.check_cover(sat2_to_2cvc3(f)[0], checkered_cover(f))
 
 
+class TestPendantRepair:
+    """The repair analysis beside README defect 2: `pendant_repair` maps a
+    normalized formula to YES exactly when it is satisfiable, with degree at
+    most 3 and m_ver <= 6 m_vbl. Criterion 2 keeps testing the paper's
+    gadget."""
+
+    @staticmethod
+    def _satisfiable(f) -> bool:
+        g = pendant_repair(f)
+        assert validate(g, {"deg_bound": 3}) == []
+        assert size_param(g, "m_ver") <= 6 * size_param(f, "m_vbl")
+        yes, cover = oracles.solve_2cvc(g)
+        assert yes == oracles.solve_2sat(f)[0]
+        assert not yes or oracles.check_cover(g, cover)
+        return yes
+
+    # the seed-1 trials of each 2sat3 plan at default size; a --max-size
+    # drops the clause caps, so the three plans then draw one family, here at
+    # --max-size 30 and, subsampled, 1000
+    @pytest.mark.parametrize("name,max_size,trials", [
+        ("sat2_to_2cvc3", None, 300), ("sat2_to_3xce2", None, 300), ("normalize_2sat3", None, 300),
+        ("sat2_to_2cvc3", 30, 200), ("sat2_to_2cvc3", 1000, 60)])
+    def test_plan_families(self, name, max_size, trials):
+        spec = harness.resolve(name, max_size=max_size).genspec
+        assert spec.problem == "2sat3"
+        verdicts = {self._satisfiable(normalize_2sat3(generate(spec, t))) for t in range(trials)}
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("f", [UNSAT_2SAT3_CANONICAL, UNSAT4])
+    def test_unsatisfiable_fixtures(self, f):
+        assert self._satisfiable(f) is False
+
+    def test_size_is_six_per_variable(self):
+        for f in (FIG1, FIG2, UNSAT_2SAT3_CANONICAL):
+            assert pendant_repair(f).num_vertices == 6 * f.num_vars
+
+
 class TestCvc3ToSat2:
     def test_path(self):
         f, rep = cvc3_to_sat2(UGraph(3, ((1, 2), (2, 3))))
@@ -219,8 +259,7 @@ class TestSat2To3Xce2:
         assert x.universe_size == 17  # 8 occurrences + 4 clause elts + 5 tags
         assert len(x.sets) == 16
         assert len(x.exempt) == 8
-        assert validate(x) == []
-        assert all(c == 2 for c in x.overlap_costs()[1:])
+        assert validate(x, {"exactly_2": True}) == []
         yes, sel = oracles.solve_xce(x)
         assert yes and oracles.check_exact_cover(x, sel)
         assert oracles.solve_2sat(FIG2)[0]
@@ -596,6 +635,12 @@ INVALID_INPUTS = {
     "reduce_degree_dstcon": Digraph(3, ((1, 2), (2, 5)), 1, 3),
 }
 
+# One valid instance of every class, each fed to the reductions of the others
+ONE_OF_EACH = [CnfFormula(0, ()), Digraph(2, (), 1, 2), UGraph(0, ()), XceInstance(0, (), ()),
+               Ap2dmInstance(1, (), ()), LinSystem("eq", 0, 0, 0, (), ()), XorSystem(0, ())]
+WRONG_CLASS = [(name, x) for name, bad in INVALID_INPUTS.items()
+               for x in ONE_OF_EACH if type(x) is not type(bad)]
+
 
 class TestRejectWhatValidateRejects:
     def test_every_reduction_covered(self):
@@ -613,6 +658,38 @@ class TestRejectWhatValidateRejects:
         with pytest.raises(PreconditionError) as err:
             REDUCTIONS[name](x)
         assert str(err.value) == bad[0].detail
+
+    def test_one_instance_of_every_class(self):
+        assert {type(x) for x in ONE_OF_EACH} == set(PROBLEMS)
+
+    @pytest.mark.parametrize(("name", "x"), WRONG_CLASS,
+                             ids=[f"{name}-{type(x).__name__}" for name, x in WRONG_CLASS])
+    def test_wrong_class(self, name, x):
+        from redlab.reductions import REDUCTIONS
+
+        want, got = type(INVALID_INPUTS[name]).__name__, type(x).__name__
+        with pytest.raises(PreconditionError, match=f"^expected a {want}, got a {got}$"):
+            REDUCTIONS[name](x)
+
+    def test_wrong_class_of_the_oracle_reduction(self):
+        with pytest.raises(PreconditionError, match="^expected a Ap2dmInstance, got a Digraph$"):
+            ap2dm_to_dstcon_queries(FIG3, oracles.dstcon_oracle)
+
+    @pytest.mark.parametrize(("reduce", "x", "detail"), [
+        (lp_to_2lp, LinSystem("band", 0, 0, 0, (), (), ()), "mode 'band', expected 'geq'"),
+        (twolp_to_lp, LinSystem("eq", 0, 0, 0, (), ()), "mode 'eq', expected 'band'"),
+        (le_to_xor2sat, LinSystem("geq", 0, 0, 0, (), ()), "mode 'geq', expected 'eq'"),
+        (normalize_dstcon, Digraph(5, ((2, 1), (3, 1), (4, 1), (5, 1)), 2, 1),
+         "vertex 1 has indegree 4 / outdegree 0, componentwise bound 3"),
+    ], ids=["lp_to_2lp", "twolp_to_lp", "le_to_xor2sat", "normalize_dstcon"])
+    def test_restrictions_are_tags(self, reduce, x, detail):
+        """The LP modes and normalize_dstcon's in- and outdegree bound are
+        `validate` tags: an input valid untagged fails its reduction's tag
+        with that tag's detail."""
+        assert validate(x) == []
+        with pytest.raises(PreconditionError) as err:
+            reduce(x)
+        assert str(err.value) == detail
 
     def test_tags_of_the_input_class(self):
         """cvc3_to_sat2 asks for degree 3, the oracle reduction for 4-overlap."""
