@@ -15,6 +15,7 @@ run that draw an equal instance reuse that outcome under their own seeds
 
 from __future__ import annotations
 
+import struct
 import time
 from bisect import bisect_left, insort
 from collections import deque
@@ -46,6 +47,7 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+TWO53 = float(1 << 53)
 # The fixed bounds of the generated classes, and the chance that an xce or
 # ap2dm element is drawn exempt
 OCC_BOUND = 3
@@ -53,11 +55,11 @@ OVERLAP_BOUND = 4
 COL_BOUND = 3
 EXEMPTION_DENSITY = 0.3
 # _shuffled_front reads the front of a shuffle of at least this many items
-# from one numpy batch of draws; below it copying the list and running the
-# scalar `shuffle` is faster (crossover about 26 items for a front of 1 to 3,
-# 16 us either way, and 32 for a front of 8; 2-CPU x86 host). It stays above
-# 12, the longest list a default-size family draws a front from, so a default
-# `verify`, `gen` or `fit` run never imports numpy (see _numpy).
+# from one numpy batch; below it, it shuffles a copy with `shuffle`, which
+# is faster up to about 75 items, 100 for a front of 8 (at 28: 6 us against
+# 15; 2-CPU x86 host). Above 32, `scale`'s bench warm-up would not import
+# numpy and its setup_s would fall with no saving. It exceeds 12, the longest
+# list a default-size family fronts, so default runs never import numpy.
 FRONT_SHUFFLE_MIN = 28
 
 
@@ -74,37 +76,67 @@ def _numpy():
     return np, *map(np.uint64, (GAMMA, MIX1, MIX2, 30, 27, 31))
 
 
+def _lanes(k: int) -> tuple:
+    """ONES, GAMMA*RAMP, MASK (1, (k - i)*GAMMA, the low 64 bits in 128-bit
+    lane i, whose draw is the block's (k - i)th) and the low words' unpack."""
+    ones = ((1 << 128 * k) - 1) // ((1 << 128) - 1)
+    ramp = GAMMA * sum((k - i) << 128 * i for i in range(k))
+    return ones, ramp, ones * MASK64, struct.Struct("<" + "Q8x" * k).unpack
+
+
+# A fresh SplitMix64 fills FILL_FIRST draws, each later fill twice the last
+# up to FILL_MAX, and one right after a batch, as _gen_xce and _gen_lin draw
+# 1 to 3 between batches. A fill takes 0.6 us at 1 lane, 2.7 at 16 and 15.6
+# at 128, a scalar draw 0.44 us (2-CPU x86); default trials average 20-40.
+FILL_FIRST, FILL_MAX = 16, 128
+_BLOCKS = {1 << i: _lanes(1 << i) for i in range(FILL_MAX.bit_length())}
+
+
 class SplitMix64:
     """SplitMix64 PRNG (Steele, Lea, Flood 2014). Portable: the whole
-    algorithm is these few lines, so any implementation can reproduce the
+    algorithm is a few lines, so any implementation can reproduce the
     stream. State advances by the golden-gamma constant; output is the
     finalizing mix of the new state.
 
-    The state is closed-form: from state s, draw k (k = 1, 2, ...) is the
-    mix of s + k*GAMMA mod 2**64, so any run of draws can be computed at
-    once without changing the stream; `_shuffled_front` relies on this.
-
-    `next64` is the reference definition of a draw. `randrange` and
-    `chance` compute its mix inline, which saves a method call on nearly
-    every draw: `randint`, `choice` and `shuffle` draw through
-    `randrange`."""
+    From state s, draw k is the mix of s + k*GAMMA mod 2**64, so `_fill`
+    computes a block of draws in one int, one per 128-bit lane, for every
+    draw method to pop. No carry crosses a lane: a lane is masked to 64 bits
+    before each multiply, so its product fits in 128 bits; the same mask
+    after each xor-shift clears what `>>` shifts in from the lane above.
+    Blocks are 16, 32, 64, then 128 lanes, and 1, 2, 4, ... after a numpy
+    batch. `state` counts the draws handed out so far, not the buffered ones."""
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self._end = seed & MASK64  # the state after the last computed draw
+        self._buf: list[int] = []  # computed draws not handed out, the next one last
+        self._block = FILL_FIRST  # lanes of the next fill
+
+    @property
+    def state(self) -> int:
+        return (self._end - len(self._buf) * GAMMA) & MASK64
+
+    def _fill(self) -> int:
+        """Compute the next block into the empty buffer; hand out its first draw."""
+        ones, ramp, mask, unpack = _BLOCKS[k := self._block]
+        self._block = min(2 * k, FILL_MAX)
+        z = (self._end * ones + ramp) & mask
+        z = ((z ^ (z >> 30)) & mask) * MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * MIX2 & mask
+        z ^= z >> 31  # the high words it leaves are never read
+        self._end = (self._end + k * GAMMA) & MASK64
+        if k == 1:
+            return z
+        self._buf.extend(unpack(z.to_bytes(16 * k, "little")))
+        return self._buf.pop()
 
     def next64(self) -> int:
-        self.state = (self.state + GAMMA) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * MIX2) & MASK64
-        return z ^ (z >> 31)
+        return self._buf.pop() if self._buf else self._fill()
 
     def _next64_batch(self, k: int):
-        """The next k outputs as a numpy uint64 array; the state advances
-        by k draws, exactly as k calls of next64 would leave it.
-        `_shuffled_front` draws through it from FRONT_SHUFFLE_MIN items;
-        this is redlab's only use of numpy, which the first such draw
-        imports (`_numpy`)."""
+        """The next k outputs as a numpy uint64 array, from `state`; the
+        buffer is dropped. `_shuffled_front` draws through it from
+        FRONT_SHUFFLE_MIN items; this is redlab's only use of numpy, which
+        the first such draw imports (`_numpy`)."""
         np, gamma, mix1, mix2, s30, s27, s31 = _numpy()
         z = np.arange(1, k + 1, dtype=np.uint64)
         z *= gamma  # wraps mod 2**64
@@ -114,7 +146,9 @@ class SplitMix64:
         z ^= z >> s27
         z *= mix2
         z ^= z >> s31
-        self.state = (self.state + k * GAMMA) & MASK64
+        self._end = (self.state + k * GAMMA) & MASK64
+        self._buf.clear()
+        self._block = 1
         return z
 
     def randrange(self, n: int) -> int:
@@ -122,20 +156,16 @@ class SplitMix64:
         next64() % n."""
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
-        z = self.state = (self.state + GAMMA) & MASK64
-        z = ((z ^ (z >> 30)) * MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * MIX2) & MASK64
-        return (z ^ (z >> 31)) % n
+        return (self._buf.pop() if self._buf else self._fill()) % n
 
     def randint(self, a: int, b: int) -> int:
-        return a + self.randrange(b - a + 1)
+        if b < a:
+            raise ValueError("randint needs a <= b")
+        return a + (self._buf.pop() if self._buf else self._fill()) % (b - a + 1)
 
     def chance(self, p: float) -> bool:
         """(next64() >> 11) / 2**53 < p."""
-        z = self.state = (self.state + GAMMA) & MASK64
-        z = ((z ^ (z >> 30)) * MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * MIX2) & MASK64
-        return ((z ^ (z >> 31)) >> 11) / float(1 << 53) < p
+        return ((self._buf.pop() if self._buf else self._fill()) >> 11) / TWO53 < p
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
@@ -143,8 +173,9 @@ class SplitMix64:
     def shuffle(self, seq: list):
         """Fisher-Yates from the end: swap i with randrange(i + 1) for
         i = len-1 .. 1, one draw each."""
+        buf = self._buf  # _fill refills this same list
         for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            j = (buf.pop() if buf else self._fill()) % (i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 
 
@@ -284,7 +315,7 @@ def _gen_2sat3(spec: GenSpec, rng: SplitMix64) -> CnfFormula:
         m = rng.randint(0, max(0, cap))
     # trial mix: planted satisfying assignment / planted unsatisfiable core
     # (random alone is YES-heavy at these sizes) / fully random
-    roll = (rng.next64() >> 11) / float(1 << 53)
+    roll = (rng.next64() >> 11) / TWO53
     planted = roll < spec.sat_bias
     want_core = not planted and roll < spec.sat_bias + (1.0 - spec.sat_bias) / 2
     sigma = [rng.chance(0.5) for _ in range(n + 1)]

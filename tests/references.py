@@ -7,7 +7,9 @@ predicates restate the `normal_form` tags of `validate` on valid instances.
 `checkered_cover` is the closed-form cover behind README defect 2, and
 `pendant_repair` the repaired gadget that README states beside it. The
 2sat3 families and the raw-formula strategy are the formula sources that
-more than one test module draws from.
+more than one test module draws from. `ScalarSplitMix64` is the published
+SplitMix64 formula, one draw at a time, and `fisher_yates` the literal
+shuffle over its draws: the stream the buffered `SplitMix64` must keep.
 """
 
 from __future__ import annotations
@@ -20,6 +22,30 @@ from hypothesis import strategies as st
 from redlab import reductions
 from redlab.harness import OCC_BOUND, GenSpec, default_plans, resolve
 from redlab.instances import Ap2dmInstance, CnfFormula, Digraph, Parity, UGraph, XceInstance, XorSystem
+
+
+class ScalarSplitMix64:
+    """SplitMix64 (Steele, Lea, Flood 2014) by the published formula."""
+
+    def __init__(self, seed: int):
+        self.state = seed % 2**64
+
+    def next64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+
+def fisher_yates(items: list, ref: ScalarSplitMix64) -> list:
+    """A shuffled copy of items: swap i with next64() % (i + 1) for
+    i = len-1 .. 1."""
+    out = items[:]
+    for i in range(len(out) - 1, 0, -1):
+        j = ref.next64() % (i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
 
 
 def first_hit(n: int, digits: tuple, accepts):

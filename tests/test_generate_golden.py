@@ -4,8 +4,10 @@ Each case pins one SHA-256 over `serialize(generate(spec, t))` for every
 trial t of the case, in trial order. The small specs are those of the
 default verification plans and of the oracle-reduction runs, at 1000 trials
 each. The large specs reach the long candidate lists and the batched
-shuffle of the large-instance path, at about 20 trials each. A change to
-any of these bytes is a behaviour change: every generator must keep its
+shuffle of the large-instance path, at about 20 trials each; their
+hundreds of draws a trial cross every block size of SplitMix64's buffer.
+They pin every generator, `xor` too, which no default plan draws. A change
+to any of these bytes is a behaviour change: every generator must keep its
 exact SplitMix64 draw sequence.
 """
 
@@ -61,6 +63,16 @@ CASES = [
      "fcf4776fdc55d5cbf748168deb49e4c279474fde4c88f9eeb47dad82415b1613"),
     ("large:ap2dm", GenSpec("ap2dm", max_size=300, seed=8), 20,
      "f236a59451e0368d2e9755ac0ad9d4a76e7677448f7f5fcdc85123017af118fb"),
+    ("large:xor", GenSpec("xor", max_size=300, seed=9), 20,
+     "5948d65008374610e4cd58d5d61079233e5806e64dd2eafe7026e8cbd7347626"),
+    ("large:ugraph3", GenSpec("ugraph3", max_size=300, seed=10), 20,
+     "4dccd01779a22b5ad650754b556d123c1ebacbeaca3fc47a37b36d3da4967c7b"),
+    ("large:digraph4_deg3", GenSpec("digraph4", max_size=300, seed=11), 20,
+     "6ece709949d094554d1b353cfc970997a098efd2c2f734ddc7bcd2fd7625f437"),
+    ("large:digraph4_deg4", GenSpec("digraph4", max_size=300, seed=12, deg_bound=4), 20,
+     "c1a3a6d6cf5994f258befa522d0e61bc785072019126bf1e582d7554d822c9c3"),
+    ("large:dstcon_raw", GenSpec("dstcon_raw", max_size=300, seed=13), 20,
+     "46b16b7cf893edab3fc605504031cf1d6f58b2781b8df5bdee6b2f65ecd58125"),
 ]
 
 

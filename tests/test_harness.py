@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ from redlab.harness import (
     _shuffled_front,
 )
 from redlab.instances import CnfFormula, XceInstance, serialize, validate
-from references import linked_by_chain
+from references import ScalarSplitMix64, fisher_yates, linked_by_chain
 
 # tags each generated class must validate against
 GEN_TAGS = {
@@ -49,20 +50,25 @@ GEN_TAGS = {
 
 
 def run_python(code: str):
-    """Runs code in a fresh interpreter that imports this redlab."""
-    src = str(Path(redlab.__file__).resolve().parent.parent)
+    """Runs code in a fresh interpreter that imports this redlab and the
+    test references."""
+    path = os.pathsep.join((str(Path(redlab.__file__).resolve().parent.parent),
+                            str(Path(__file__).resolve().parent)))
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
 class TestSplitMix64:
+    """The buffered SplitMix64 against `ScalarSplitMix64`, the published
+    formula one draw at a time: every output and `state` after every call."""
+
     def test_reference_stream(self):
         # first outputs for seed 0 of the published SplitMix64 algorithm
-        rng = SplitMix64(0)
-        assert rng.next64() == 0xE220A8397B1DCDAF
-        assert rng.next64() == 0x6E789E6AA1B965F4
-        assert rng.next64() == 0x06C45D188009454F
+        for rng in (SplitMix64(0), ScalarSplitMix64(0)):
+            assert rng.next64() == 0xE220A8397B1DCDAF
+            assert rng.next64() == 0x6E789E6AA1B965F4
+            assert rng.next64() == 0x06C45D188009454F
 
     def test_bounds(self):
         rng = SplitMix64(42)
@@ -73,45 +79,117 @@ class TestSplitMix64:
            a=st.integers(-100, 100), span=st.integers(0, 1000), p=st.floats(0.0, 1.0))
     @settings(max_examples=300)
     def test_scalar_draws_keep_the_stream(self, seed, n, a, span, p):
-        # randrange and chance mix inline; reference: the formulas over next64
-        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
         assert rng.randrange(n) == ref.next64() % n
         assert rng.state == ref.state
         assert rng.randint(a, a + span) == a + ref.next64() % (span + 1)
         assert rng.state == ref.state
-        assert rng.chance(p) == ((ref.next64() >> 11) / float(1 << 53) < p)
+        assert rng.chance(p) == ((ref.next64() >> 11) / 2**53 < p)
         assert rng.state == ref.state
 
     @pytest.mark.parametrize("seed", [0, 42, (1 << 64) - 1])
     def test_shuffle_keeps_the_stream(self, seed):
-        # reference: the literal Fisher-Yates over next64
         for n in range(131):
-            rng, ref = SplitMix64(seed), SplitMix64(seed)
-            got, want = list(range(n)), list(range(n))
+            rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+            got = list(range(n))
             rng.shuffle(got)
-            for i in range(n - 1, 0, -1):
-                j = ref.next64() % (i + 1)
-                want[i], want[j] = want[j], want[i]
-            assert got == want, n
+            assert got == fisher_yates(list(range(n)), ref), n
             # the state advanced by exactly n - 1 draws
+            assert rng.state == ref.state
             assert [rng.next64() for _ in range(5)] == [ref.next64() for _ in range(5)], n
 
     @pytest.mark.parametrize("seed", [0, 42, (1 << 64) - 1])
     def test_shuffled_front_keeps_the_stream(self, seed):
-        # reference: shuffle a copy and cut it; n crosses the front threshold,
-        # and k reaches 8, the longest front _plant_unsat_core takes
+        # n crosses the front threshold, and k reaches 8, the longest front
+        # _plant_unsat_core takes
         assert 12 < FRONT_SHUFFLE_MIN < 200
         sizes = [0, 1, 2, 3, 12, FRONT_SHUFFLE_MIN - 1, FRONT_SHUFFLE_MIN, FRONT_SHUFFLE_MIN + 1,
                  200, 1000, 4000]
         for n in sizes:
             items = [3 * x + 1 for x in range(n)]
             for k in sorted({0, 1, 2, 3, 8, max(n - 1, 0), n, n + 1}):
-                rng, ref = SplitMix64(seed), SplitMix64(seed)
-                want = items[:]
-                ref.shuffle(want)
-                assert _shuffled_front(items, k, rng) == want[:k], (n, k)
+                rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+                assert _shuffled_front(items, k, rng) == fisher_yates(items, ref)[:k], (n, k)
                 assert items == [3 * x + 1 for x in range(n)]
+                assert rng.state == ref.state
                 assert [rng.next64() for _ in range(5)] == [ref.next64() for _ in range(5)], (n, k)
+
+    @staticmethod
+    def _step(op: tuple, rng: SplitMix64, ref: ScalarSplitMix64):
+        """Run op on rng, and its definition over next64 on ref: (got, want)."""
+        name, *args = op
+        if name == "next64":
+            return rng.next64(), ref.next64()
+        if name == "randrange":
+            return rng.randrange(args[0]), ref.next64() % args[0]
+        if name == "randint":
+            a, span = args
+            return rng.randint(a, a + span), a + ref.next64() % (span + 1)
+        if name == "chance":
+            return rng.chance(args[0]), (ref.next64() >> 11) / 2**53 < args[0]
+        if name == "choice":
+            seq = [5 * x for x in range(args[0])]
+            return rng.choice(seq), seq[ref.next64() % len(seq)]
+        if name == "shuffle":
+            got = list(range(args[0]))
+            rng.shuffle(got)
+            return got, fisher_yates(list(range(args[0])), ref)
+        n, k = args  # "front"
+        items = [7 * x + 2 for x in range(n)]
+        return _shuffled_front(items, k, rng), fisher_yates(items, ref)[:k]
+
+    def _run(self, seed: int, ops: list):
+        rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+        for i, op in enumerate(ops):
+            got, want = self._step(op, rng, ref)
+            assert got == want, (i, op)
+            assert rng.state == ref.state, (i, op)
+
+    OPS = st.one_of(
+        st.tuples(st.just("next64")),
+        st.tuples(st.just("randrange"), st.integers(1, 1 << 70)),
+        st.tuples(st.just("randint"), st.integers(-100, 100), st.integers(0, 1000)),
+        st.tuples(st.just("chance"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("choice"), st.integers(1, 20)),
+        st.tuples(st.just("shuffle"), st.integers(0, 150)),
+        # fronts below and above FRONT_SHUFFLE_MIN
+        st.tuples(st.just("front"), st.integers(0, FRONT_SHUFFLE_MIN - 1), st.integers(0, 8)),
+        st.tuples(st.just("front"), st.integers(FRONT_SHUFFLE_MIN, 300), st.integers(0, 8)),
+    )
+
+    @given(seed=st.integers(0, (1 << 64) - 1), ops=st.lists(OPS, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_draws_keep_the_stream(self, seed, ops):
+        self._run(seed, ops)
+
+    @pytest.mark.parametrize("before", [15, 16, 17, 48, 49, 112, 240])
+    def test_runs_ending_at_block_edges(self, before):
+        # a fresh stream computes 16, 32, 64 and 128 draws a fill, whose
+        # ends fall after draws 16, 48, 112 and 240; a batched front may
+        # need fewer draws than the buffer holds
+        for after in (("next64",), ("shuffle", 40), ("front", 12, 3), ("front", FRONT_SHUFFLE_MIN, 3),
+                      ("front", 200, 3)):
+            self._run(before, [("next64",)] * before + [after] + [("randrange", 1000)] * 300)
+
+    @pytest.mark.parametrize("before", range(21))
+    def test_fronts_after_early_draws(self, before):
+        # a batched front starts from the state that counts only the draws
+        # handed out, then later fills restart small
+        ops = [("randint", -3, 6)] * before + [("front", 100, 2), ("choice", 6), ("randint", 1, 3),
+                                                ("front", FRONT_SHUFFLE_MIN, 1)]
+        self._run(1000 + before, ops + [("chance", 0.5)] * 80 + [("front", 400, 8), ("shuffle", 60)])
+
+    @pytest.mark.parametrize("before", [0, 5, 16, 20])
+    def test_bad_bounds_draw_nothing(self, before):
+        # the preconditions run before a draw is taken from the buffer
+        rng, ref = SplitMix64(77), ScalarSplitMix64(77)
+        for _ in range(before):
+            assert rng.next64() == ref.next64()
+        for bad in (partial(rng.randrange, 0), partial(rng.randrange, -1), partial(rng.randint, 3, 2)):
+            with pytest.raises(ValueError):
+                bad()
+            assert rng.state == ref.state
+        assert [rng.next64() for _ in range(40)] == [ref.next64() for _ in range(40)]
 
     def test_first_batched_draw_keeps_the_stream(self):
         # the first batched draw of a fresh interpreter imports numpy and
@@ -120,15 +198,13 @@ class TestSplitMix64:
             import sys
             from redlab.harness import SplitMix64, _shuffled_front
             items = list(range({FRONT_SHUFFLE_MIN}))
-            rng, ref = SplitMix64(7), SplitMix64(7)
-            want = items[:]
+            rng = SplitMix64(7)
             assert "numpy" not in sys.modules
             got = _shuffled_front(items, 3, rng)
             assert "numpy" in sys.modules
-            for i in range(len(want) - 1, 0, -1):
-                j = ref.next64() % (i + 1)
-                want[i], want[j] = want[j], want[i]
-            assert got == want[:3], (got, want)
+            from references import ScalarSplitMix64, fisher_yates
+            ref = ScalarSplitMix64(7)
+            assert got == fisher_yates(items, ref)[:3], got
             assert rng.next64() == ref.next64()
         """)
 
@@ -137,14 +213,13 @@ class TestSplitMix64:
         run_python("""
             import sys
             from redlab.harness import SplitMix64
-            rng, ref = SplitMix64(7), SplitMix64(7)
-            got, want = list(range(1000)), list(range(1000))
+            rng = SplitMix64(7)
+            got = list(range(1000))
             rng.shuffle(got)
             assert "numpy" not in sys.modules
-            for i in range(999, 0, -1):
-                j = ref.next64() % (i + 1)
-                want[i], want[j] = want[j], want[i]
-            assert got == want
+            from references import ScalarSplitMix64, fisher_yates
+            ref = ScalarSplitMix64(7)
+            assert got == fisher_yates(list(range(1000)), ref)
             assert rng.next64() == ref.next64()
         """)
 
