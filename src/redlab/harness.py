@@ -5,12 +5,12 @@ budgets are enforced by drawing against per-item credit counters. Every
 generator is deterministic in its seed; trial i of a verification run uses
 seed + i, so the trials of one run can be split into seed ranges.
 
-A `verify` or `fit` run generates the instance of every trial but decides
-each distinct instance once: prepare, reduce and (for `verify`) both
-deciders, the witness checks and the validation of the output under its
-plan's tags run for the first trial that draws it, and later trials of the
-run that draw an equal instance reuse that outcome under their own seeds
-(`_trials`). The results are those of deciding every trial.
+A `verify` or `fit` run generates the instance of every trial, prepares
+each distinct generated instance once, and settles each distinct prepared
+instance once: reduce and, for `verify`, both deciders, the witness checks
+and the validation of the output under its plan's tags. Later trials that
+meet an equal input reuse its outcome under their own seeds (`_trials`).
+The results are those of deciding every trial.
 """
 
 from __future__ import annotations
@@ -843,24 +843,26 @@ def resolve(name: str, seed: int = 1, max_size: int | None = None) -> VerifierPl
                    reduce=bad or plan.reduce)
 
 
-# The memo of one `verify` or `fit` run (see _trials) keeps the records of at
-# most this many distinct raw instances, the least recently drawn out first.
-# 64 holds every distinct instance of 1000 default `dstcon_raw` draws at
-# seed 1 (49). Each entry keeps its raw instance alive, about 42 KB for an
-# `xce` instance at --max-size 1000, so 64 entries add 2.7 MB (9%) to the
-# 30.3 MB peak RSS of `verify xce2_to_2lp --trials 1000 --max-size 1000`,
-# where 256 would add 10 MB. Over the 13000 trials of the 13 `verify_mix`
-# names at seed 1, 16.5% are memo hits (21.8% at 256 entries).
+# Each level of the memo of one `verify` or `fit` run (see _trials) keeps at
+# most this many entries, the least recently used out first. 64 holds every
+# distinct instance of 1000 default `dstcon_raw` draws at seed 1 (49). An
+# entry keeps its key instance alive: 64 raw `xce` instances at --max-size
+# 1000 add 2.7 MB (9%) to the 30.3 MB peak RSS of `verify xce2_to_2lp
+# --trials 1000 --max-size 1000` (256 would add 10 MB), and the prepared level
+# takes `verify sat2_to_3xce2`'s from 33.1 to 33.3 MB at the same flags. Of the
+# 13000 trials of the 13 `verify_mix` names at seed 1, 16.5% hit the raw
+# level and 13.4% the prepared one (75% of the calls that reach it).
 MEMO_ENTRIES = 64
 
 
 @dataclass(frozen=True)
 class _Trial:
-    """What the stages after generation leave for the folds, for one raw
-    instance. A run's memo hands the same record to every trial that draws
-    an equal instance, so nothing mutates it: the record is frozen, `struct`
-    is a tuple, and the folds and their callers only read `report`. A
-    skipped trial carries only the reason."""
+    """What the stages after generation leave for the folds, for one
+    prepared instance, or a skip of `prepare` for one raw instance. A run's
+    memo hands the same record to every trial whose instance prepares to an
+    equal one, so nothing mutates it: the record is frozen, `struct` is a
+    tuple, and the folds and their callers only read `report`. A skipped
+    trial carries only the reason."""
 
     report: object = None  # ReductionReport, or None
     equiv: bool = True  # both oracles agree (True when not decided)
@@ -886,16 +888,26 @@ def _decide_output(out) -> tuple[bool | None, bool]:
     return yes, ok
 
 
-def _settle(plan: VerifierPlan, decide: bool, raw) -> _Trial:
-    """prepare -> reduce on a generated instance, then with `decide` both
-    oracles, the checks of their YES witnesses, and `validate` on an output
-    that is not a bool, under the plan's `out_tags`: each violation is a
-    `<rule>:<detail>` structural failure. An instance over an oracle budget
-    or outside a reduction's precondition is skipped rather than ending the
-    run. A malformed output that its decider cannot decide is also an
-    `undecidable:<class>` structural failure, with equivalence undecided."""
+def _prepare(plan: VerifierPlan, settle, raw) -> _Trial:
+    """`settle`'s record of the prepared instance of a generated one, or a
+    skip when `prepare` rejects the instance or goes over an oracle budget."""
     try:
-        src = plan.prepare(raw) if plan.prepare else raw
+        src = plan.prepare(raw)
+    except (oracles.BudgetError, reductions.PreconditionError) as exc:
+        return _Trial(skipped=str(exc))
+    return settle(src)
+
+
+def _settle(plan: VerifierPlan, decide: bool, src) -> _Trial:
+    """reduce on a prepared instance (the generated one when the plan has
+    no `prepare`), then with `decide` both oracles, the checks of their YES
+    witnesses, and `validate` on an output that is not a bool, under the
+    plan's `out_tags`: each violation is a `<rule>:<detail>` structural
+    failure. An instance over an oracle budget or outside a reduction's
+    precondition is skipped rather than ending the run. A malformed output
+    that its decider cannot decide is also an `undecidable:<class>`
+    structural failure, with equivalence undecided."""
+    try:
         out, report = plan.reduce(src)
         if not decide:
             return _Trial(report)
@@ -917,12 +929,15 @@ def _trials(plan: VerifierPlan, trials: int,
     """(seed, generated instance, record) for each trial of one run, in
     trial order. Every trial runs `generate`, since each draws its own
     stream; the rest depends only on the plan and the instance (instances
-    are immutable, reductions and oracles pure), so `_settle` runs once per
-    distinct instance and trials that draw an equal one share its record.
-    The memo belongs to this call, so two equal runs each do the work, and
-    holds MEMO_ENTRIES instances at most. An error other than a skip is not
-    stored and propagates at the first trial that meets it."""
+    are immutable, reductions and oracles pure), so each stage runs once per
+    distinct input it reads: `_prepare` per generated instance, `_settle`
+    per prepared one (per generated one for a plan with no `prepare`). Each
+    level's memo belongs to this call and holds MEMO_ENTRIES instances at
+    most. An error other than a skip is stored at neither level and
+    propagates at the first trial that meets it."""
     settle = lru_cache(maxsize=MEMO_ENTRIES)(partial(_settle, plan, decide))
+    if plan.prepare:
+        settle = lru_cache(maxsize=MEMO_ENTRIES)(partial(_prepare, plan, settle))
     for t in range(trials):
         raw = generate(plan.genspec, t)
         yield plan.genspec.seed + t, raw, settle(raw)

@@ -352,7 +352,7 @@ class TestVerify:
 
         bad = LinSystem("geq", 2, 1, 1, ((1, 1, 1), (2, 1, 1)), (0, 0))
         plan = replace(resolve("lp_to_2lp"), prepare=lambda s: bad)
-        rec = _settle(plan, True, generate(plan.genspec, 0))
+        rec = _settle(plan, True, plan.prepare(generate(plan.genspec, 0)))
         assert rec.skipped == "column 1 has 2 nonzeros, bound 1" and rec.report is None
 
 
@@ -369,14 +369,16 @@ def _counted(monkeypatch, module, name: str) -> list:
 
 
 class TestMemo:
-    """A run settles each distinct generated instance once, in a memo of
-    its own, and reports exactly what it would report without one."""
+    """A run prepares each distinct generated instance once and settles
+    each distinct prepared instance once, in memos of its own, and reports
+    exactly what it would report without them."""
 
     def test_verify_decides_each_distinct_gadget_once(self, monkeypatch):
         # `decide` finds the matching oracle in `oracles` when called
-        spec = resolve("dstcon_to_ap2dm").genspec
-        distinct = len({generate(spec, t) for t in range(1000)})
-        assert distinct == 49
+        plan = resolve("dstcon_to_ap2dm")
+        raws = {generate(plan.genspec, t) for t in range(1000)}
+        distinct = len({plan.prepare(g) for g in raws})
+        assert (len(raws), distinct) == (49, 48)
         calls = _counted(monkeypatch, oracles, "solve_ap2dm")
         first = verify("dstcon_to_ap2dm", resolve("dstcon_to_ap2dm", seed=1), 1000)
         assert len(calls) == distinct
@@ -391,13 +393,70 @@ class TestMemo:
 
     def test_fit_reduces_each_distinct_instance_once(self, monkeypatch):
         # plans bind the reduction when `resolve` builds them, after the patch
-        spec = resolve("dstcon_to_ap2dm").genspec
-        distinct = len({generate(spec, t) for t in range(1000)})
+        plan = resolve("dstcon_to_ap2dm")
+        raws = {generate(plan.genspec, t) for t in range(1000)}
+        distinct = len({plan.prepare(g) for g in raws})
+        normalized = _counted(monkeypatch, reductions, "normalize_dstcon")
         calls = _counted(monkeypatch, reductions, "dstcon_to_ap2dm")
         first = fit_shortness("dstcon_to_ap2dm", 1000, seed=1)
-        assert len(calls) == distinct  # the memo is keyed by the generated instance
+        # prepare is keyed by the generated instance, reduce by the prepared one
+        assert (len(normalized), len(calls)) == (len(raws), distinct) == (49, 48)
         assert fit_shortness("dstcon_to_ap2dm", 1000, seed=1) == first
         assert len(calls) == 2 * distinct
+        monkeypatch.setattr(harness, "MEMO_ENTRIES", 0)
+        assert fit_shortness("dstcon_to_ap2dm", 1000, seed=1) == first
+        assert len(calls) == 2 * distinct + 1000
+
+    @pytest.mark.parametrize("name,raw,prepared", [("sat2_to_2cvc3", 710, 183),
+                                                   ("sat2_to_3xce2", 706, 205)])
+    def test_sat2_settles_each_distinct_normal_form_once(self, monkeypatch, name, raw,
+                                                         prepared):
+        # room for every instance, so no entry is evicted and each count is
+        # exactly the number of distinct inputs of its stage
+        monkeypatch.setattr(harness, "MEMO_ENTRIES", 1000)
+        want = replace(verify(name, resolve(name), 1000), wall_time=0.0)
+        normalized = _counted(monkeypatch, reductions, "normalize_2sat3")
+        reduced = _counted(monkeypatch, reductions, name)
+        decided = _counted(monkeypatch, oracles, "solve_2sat")
+        assert replace(verify(name, resolve(name), 1000), wall_time=0.0) == want
+        assert (len(set(normalized)), len(normalized)) == (raw, raw)
+        assert (len(set(reduced)), len(reduced), len(decided)) == (prepared, prepared, prepared)
+
+    def test_prepare_skip_repeats_at_every_seed(self):
+        plan = resolve("dstcon_to_ap2dm")
+        target = generate(plan.genspec, 3)
+        seeds = [1 + t for t in range(200) if generate(plan.genspec, t) == target]
+        assert len(seeds) > 1
+        refusals = []
+
+        def refuse(g):
+            if g == target:
+                refusals.append(g)
+                raise reductions.PreconditionError("refused")
+            return plan.prepare(g)
+
+        r = verify("dstcon_to_ap2dm", replace(plan, prepare=refuse), 200)
+        assert r.skipped == [(seed, "refused") for seed in seeds]
+        assert len(refusals) == 1
+
+    def test_prepare_error_propagates_at_first_trial(self):
+        plan = resolve("dstcon_to_ap2dm")
+        first = 5
+        target = generate(plan.genspec, first)
+        assert all(generate(plan.genspec, t) != target for t in range(first))
+        met = []
+
+        def broken(g):
+            if g == target:
+                met.append(g)
+                raise RuntimeError("prepare bug")
+            return plan.prepare(g)
+
+        seen = []
+        with pytest.raises(RuntimeError, match="prepare bug"):
+            for seed, _, _ in harness._trials(replace(plan, prepare=broken), 200, decide=True):
+                seen.append(seed)
+        assert seen == [1 + t for t in range(first)] and len(met) == 1
 
     def test_skip_repeats_at_every_seed(self):
         plan = resolve("cvc3_to_sat2")
@@ -583,7 +642,7 @@ class TestMalformedOutput:
     def test_xce_output_counted_and_postchecked(self, trial, elements, struct):
         plan = replace(resolve("sat2_to_3xce2"), reduce=_with_sets_1_1)
         assert reductions.normalize_2sat3(generate(plan.genspec, trial)).num_vars == elements
-        rec = _settle(plan, True, generate(plan.genspec, trial))
+        rec = _settle(plan, True, plan.prepare(generate(plan.genspec, trial)))
         assert rec.skipped is None and rec.equiv and rec.struct == tuple(struct)
 
     def test_verify_finishes(self):

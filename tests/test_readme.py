@@ -7,11 +7,14 @@ and the reference routes README places in tests/references.py live there,
 outside the library. The `EQUIV_FAILURES` counts README "Known gadget
 defects" quotes are those of the runs it names, as are the shares and
 sizes it gives of them, and defect 2 fails on exactly the unsatisfiable
-sources."""
+sources. The memo counts README "Command line" gives are those of the
+draws it names, the benchmark's `matching` chunks included."""
 
 import argparse
 import functools
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ import references
 from redlab import cli, harness, instances, oracles, reductions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+BENCH = README.parent / "bench"
 
 
 def _command_line() -> str:
@@ -183,3 +187,65 @@ def test_defect_2_sizes():
     assert not _run("sat2_to_2cvc3", trials, max_size).skipped
     assert sum(bool(f.clauses) for f in formulas) == nonempty
     assert max(plan.reduce(f)[0].num_vertices for f in formulas) == largest
+
+
+@functools.cache
+def _draws(spec: harness.GenSpec, trials: int) -> frozenset:
+    """The distinct instances of `trials` trials drawn from spec."""
+    return frozenset(harness.generate(spec, t) for t in range(trials))
+
+
+def _distinct(name: str, trials: int, seed: int, prepared: bool = False) -> int:
+    """How many distinct instances the run of `name` at seed draws, or with
+    `prepared` how many distinct instances its plan prepares them to."""
+    plan = harness.resolve(name, seed)
+    raws = _draws(plan.genspec, trials)
+    return len({plan.prepare(g) for g in raws}) if prepared else len(raws)
+
+
+def test_memo_counts(monkeypatch):
+    """The memo paragraph's counts: its bound, the default matching run's
+    draws and gadgets, the benchmark's `matching` chunks (each a run, so
+    each counts its own distinct draws), the `verify_mix` plans' shares,
+    and the sat2 plans' draws and normal forms."""
+    section = _command_line()
+    m = re.search(r"Each of the run's two memos, .*?, holds at most (\d+) instances", section)
+    assert int(m.group(1)) == harness.MEMO_ENTRIES
+    m = re.search(r"`verify (\w+) --trials (\d+) --seed (\d+)` draws (\d+) distinct instances, "
+                  r"which normalize to (\d+) distinct digraphs, so it builds and decides (\d+) "
+                  r"gadgets", section)
+    name, trials, seed, raw, prepared, gadgets = m.group(1), *map(int, m.groups()[1:])
+    assert (_distinct(name, trials, seed), _distinct(name, trials, seed, True)) == (raw, prepared)
+    assert gadgets == prepared
+
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its sibling `scale`
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    m = re.search(r"`matching` chunks at workload seed (\d+), each a run of its own, draw (\d+) "
+                  r"distinct instances in (\d+) trials for `(\w+)` and for `(\w+)` and (\d+) in "
+                  r"(\d+) for `(\w+)`", section)
+    quoted = {m.group(4): (int(m.group(2)), int(m.group(3))),
+              m.group(5): (int(m.group(2)), int(m.group(3))),
+              m.group(8): (int(m.group(6)), int(m.group(7)))}
+    counted: dict[str, tuple[int, int]] = {}
+    for op in workloads.WORKLOADS["matching"].ops(int(m.group(1))):
+        name, trials, seed = op.argv[1], int(op.argv[3]), int(op.argv[5])
+        raw, total = counted.get(name, (0, 0))
+        counted[name] = (raw + _distinct(name, trials, seed), total + trials)
+    assert counted == quoted
+
+    m = re.search(r"at seed (\d+), (\d+) trials of a `verify_mix` plan are ([\d.]+)–([\d.]+)% "
+                  r"distinct", section)
+    seed, trials = int(m.group(1)), int(m.group(2))
+    shares = [100 * _distinct(name, trials, seed) / trials for name in workloads.MIX_VERIFY]
+    assert (f"{min(shares):.1f}", f"{max(shares):.1f}") == m.groups()[2:]
+
+    m = re.search(r"at seed (\d+), (\d+) trials of `(\w+)` draw (\d+) distinct formulas that "
+                  r"normalize to (\d+) distinct ones, and those of `(\w+)` draw (\d+) that "
+                  r"normalize to (\d+)\.", section)
+    seed, trials = int(m.group(1)), int(m.group(2))
+    for name, raw, prepared in (m.groups()[2:5], m.groups()[5:]):
+        assert _distinct(name, trials, seed) == int(raw)
+        assert _distinct(name, trials, seed, True) == int(prepared)
