@@ -757,7 +757,8 @@ def default_plans() -> dict[str, VerifierPlan]:
 
 def _bad_sat2_to_2cvc3(f: CnfFormula):
     """Wires the first clause slot to the vertex of the flipped literal, so
-    the graph encodes a different formula than the input."""
+    the graph encodes a different formula than the input. Vertex ids follow
+    the layout in `reductions.sat2_to_2cvc3`'s docstring."""
     g, rep = reductions.sat2_to_2cvc3(f)
     if not f.clauses:
         return g, rep
@@ -765,7 +766,7 @@ def _bad_sat2_to_2cvc3(f: CnfFormula):
     n = f.num_vars
     good_vertex = 2 * abs(lit) - (1 if lit > 0 else 0)
     bad_vertex = 2 * abs(lit) - (0 if lit > 0 else 1)
-    slot_vertex = 2 * n + 1  # c1[1]
+    slot_vertex = 2 * n + 1  # clause 1, slot 1
     rewired = tuple(
         (min(bad_vertex, slot_vertex), max(bad_vertex, slot_vertex))
         if e == (min(good_vertex, slot_vertex), max(good_vertex, slot_vertex))
@@ -860,9 +861,9 @@ class _Trial:
     """What the stages after generation leave for the folds, for one
     prepared instance, or a skip of `prepare` for one raw instance. A run's
     memo hands the same record to every trial whose instance prepares to an
-    equal one, so nothing mutates it: the record is frozen, `struct` is a
-    tuple, and the folds and their callers only read `report`. A skipped
-    trial carries only the reason."""
+    equal one, so nothing may mutate it: the record, its `report` and the
+    report's query records are frozen, and `struct` and the queries are
+    tuples. A skipped trial carries only the reason."""
 
     report: object = None  # ReductionReport, or None
     equiv: bool = True  # both oracles agree (True when not decided)

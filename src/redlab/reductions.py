@@ -3,15 +3,15 @@
 Every transformation returns (output instance, ReductionReport); the report
 carries the declared shortness constants (k1, k2) and whether the invocation
 obeyed output <= k1 * input + k2 on its size parameters. Gadget vertices and
-universe elements get dense integer identifiers in construction order, with
-a name table in report.notes["names"] for debugging.
+universe elements get dense integer identifiers in the layout each gadget's
+docstring states; `figures` derives the worked figures' labels from it.
 
 Each transformation's contract is stated once, in its `_contract(cls,
 tags, src_param, dst_param, k1, k2)` line: the input class, the `validate`
 tags that state its restriction (a normalized formula or digraph, a degree
 or overlap bound, an LP mode) and the shortness constants on the named size
 parameters. The decorator checks the input with `_require` and builds the
-report; the body returns (output, notes). An input of another class, or one
+report; the body returns the output. An input of another class, or one
 `validate` rejects under the tags, raises PreconditionError with the first
 violation's detail. `normalize_2sat3` (no report) and the oracle reduction
 `ap2dm_to_dstcon_queries` (a bool output and per-query report) call
@@ -21,7 +21,7 @@ violation's detail. `normalize_2sat3` (no report) and the oracle reduction
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instances import (
     Ap2dmInstance,
@@ -53,13 +53,13 @@ def _require(instance, cls, tags: dict | None = None):
         raise PreconditionError(bad[0].detail)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryRecord:
     size: int
     answer: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionReport:
     """Declared shortness contract and the observed size parameters."""
 
@@ -69,8 +69,7 @@ class ReductionReport:
     k1: int
     k2: int
     shortness_ok: bool
-    queries: list[QueryRecord] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    queries: tuple[QueryRecord, ...] = ()
 
     def to_text(self) -> str:
         lines = [
@@ -88,7 +87,7 @@ class ReductionReport:
 
 
 def _contract(cls, tags: dict | None, src_param: str, dst_param: str, k1: int, k2: int):
-    """Decorate a reduction body x -> (output, notes): the reduction requires a
+    """Decorate a reduction body x -> output: the reduction requires a
     cls input that `validate` accepts under tags, and returns the output with
     a report of whether its dst_param is at most k1 * the input's src_param
     + k2."""
@@ -96,10 +95,10 @@ def _contract(cls, tags: dict | None, src_param: str, dst_param: str, k1: int, k
         @functools.wraps(body)
         def reduction(x):
             _require(x, cls, tags)
-            out, notes = body(x)
+            out = body(x)
             iv, ov = size_param(x, src_param), size_param(out, dst_param)
             return out, ReductionReport(body.__name__, SizeParam(src_param, iv), SizeParam(dst_param, ov),
-                                        k1, k2, ov <= k1 * iv + k2, notes=notes)
+                                        k1, k2, ov <= k1 * iv + k2)
         return reduction
     return decorate
 
@@ -182,28 +181,23 @@ def normalize_2sat3(f: CnfFormula) -> CnfFormula:
 
 
 @_contract(CnfFormula, {"normal_form": True}, "m_vbl", "m_ver", 8, 0)
-def sat2_to_2cvc3(f: CnfFormula) -> tuple[UGraph, dict]:
-    """Variable pairs, clause grips, and one edge per represented literal."""
+def sat2_to_2cvc3(f: CnfFormula) -> UGraph:
+    """Variable pairs, clause grips, and one edge per represented literal.
+
+    Vertex ids: variable i is the pair (2i-1, 2i), whose first vertex stands
+    for the literal x_i and second for !x_i; clause j is the grip (2n+2j-1,
+    2n+2j), one vertex per slot. The pairs come first, variables then
+    clauses, and the slot edges follow in clause order.
+    """
     n, m = f.num_vars, len(f.clauses)
-    # ids: variable pair (2i-1, 2i), clause pair (2n+2j-1, 2n+2j)
-    names: dict[int, str] = {}
-    edges: list[tuple[int, int]] = []
-    for i in range(1, n + 1):
-        names[2 * i - 1] = f"u{i}(1)"
-        names[2 * i] = f"u{i}(2)"
-        edges.append((2 * i - 1, 2 * i))
-    for j in range(1, m + 1):
-        a, b = 2 * n + 2 * j - 1, 2 * n + 2 * j
-        names[a] = f"c{j}[1]"
-        names[b] = f"c{j}[2]"
-        edges.append((a, b))
+    edges = [(2 * i - 1, 2 * i) for i in range(1, n + m + 1)]
     for j, clause in enumerate(f.clauses, 1):
         for slot, lit in enumerate(clause, 1):
             lit_vertex = 2 * abs(lit) - (1 if lit > 0 else 0)
             slot_vertex = 2 * n + 2 * j - (2 - slot)
             u, v = min(lit_vertex, slot_vertex), max(lit_vertex, slot_vertex)
             edges.append((u, v))
-    return UGraph(2 * (n + m), tuple(edges)), {"names": names}
+    return UGraph(2 * (n + m), tuple(edges))
 
 
 def cover_from_assignment(f: CnfFormula, assignment: dict[int, bool]) -> set[int]:
@@ -221,7 +215,7 @@ def cover_from_assignment(f: CnfFormula, assignment: dict[int, bool]) -> set[int
 
 
 @_contract(UGraph, {"deg_bound": 3}, "m_ver", "m_vbl", 1, 0)
-def cvc3_to_sat2(g: UGraph) -> tuple[CnfFormula, dict]:
+def cvc3_to_sat2(g: UGraph) -> CnfFormula:
     """One variable per vertex; (u v v) on grip-eligible edges, the
     exclusive pair (u v v) & (!u v !v) where an endpoint has degree over 2."""
     deg = g.degrees()
@@ -230,7 +224,7 @@ def cvc3_to_sat2(g: UGraph) -> tuple[CnfFormula, dict]:
         clauses.append((u, v))
         if deg[u] > 2 or deg[v] > 2:
             clauses.append((-u, -v))
-    return CnfFormula(g.num_vertices, tuple(clauses)), {}
+    return CnfFormula(g.num_vertices, tuple(clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -239,69 +233,41 @@ def cvc3_to_sat2(g: UGraph) -> tuple[CnfFormula, dict]:
 
 
 @_contract(CnfFormula, {"normal_form": True}, "m_vbl", "m_set", 6, 0)
-def sat2_to_3xce2(f: CnfFormula) -> tuple[XceInstance, dict]:
+def sat2_to_3xce2(f: CnfFormula) -> XceInstance:
     """Occurrence elements (exempt), clause elements, and tag elements glued
     by per-clause 2-sets and per-variable occurrence gadgets.
 
     Tag elements are restricted to the ones the gadgets actually reference:
     t_i[1], t_i[2] for variables with three occurrences, t_i[1] alone for
     variables with one occurrence of each polarity.
+
+    Element ids, for m clauses: occurrence k of clause j is 2j-2+k, so the
+    exemption set is 1..2m; clause element s_j is 2m+j; the tag elements
+    follow from 3m+1 in variable order, t_i[1] before t_i[2]. The sets are
+    {2j-2+k, 2m+j} for each slot in clause order, then each variable's
+    gadget in variable order.
     """
     n, m = f.num_vars, len(f.clauses)
-    names: dict[int, str] = {}
-    ids: dict[str, int] = {}
-
-    def element(name: str) -> int:
-        if name not in ids:
-            ids[name] = len(ids) + 1
-            names[ids[name]] = name
-        return ids[name]
-
-    def occ_name(lit: int, j: int) -> str:
-        return f"{'x' if lit > 0 else '~x'}{abs(lit)}[{j}]"
-
-    # X1: one element per literal occurrence, in clause order
-    for j, clause in enumerate(f.clauses, 1):
-        for lit in clause:
-            element(occ_name(lit, j))
-    # X2: one element per clause
-    for j in range(1, m + 1):
-        element(f"s{j}")
-    # occurrence positions per literal polarity
-    pos_occ: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    neg_occ: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for j, clause in enumerate(f.clauses, 1):
-        for lit in clause:
-            (pos_occ if lit > 0 else neg_occ)[abs(lit)].append(j)
-
+    occ: dict[int, list[int]] = {}  # literal -> its occurrence elements, ascending
     sets: list[tuple[int, ...]] = []
     # clause gadgets A_j
     for j, clause in enumerate(f.clauses, 1):
-        sj = element(f"s{j}")
-        for lit in clause:
-            sets.append((element(occ_name(lit, j)), sj))
+        for k, lit in enumerate(clause, 1):
+            occ.setdefault(lit, []).append(2 * j - 2 + k)
+            sets.append((2 * j - 2 + k, 2 * m + j))
     # variable gadgets B_i; a normalized formula gives each variable the
     # occurrence profile (1,1), (2,1) or (1,2)
+    tag = 3 * m  # the last tag element so far
     for i in range(1, n + 1):
-        p, q = pos_occ[i], neg_occ[i]
-        if len(p) == 1 and len(q) == 1:
-            t1 = element(f"t{i}[1]")
-            sets.append((element(occ_name(i, p[0])), t1))
-            sets.append((element(occ_name(-i, q[0])), t1))
-            continue
-        if len(p) == 2:
-            major, minor, major_lit, minor_lit = p, q, i, -i
+        p, q = occ[i], occ[-i]
+        if len(p) == len(q) == 1:
+            sets += [(p[0], tag + 1), (q[0], tag + 1)]
+            tag += 1
         else:
-            major, minor, major_lit, minor_lit = q, p, -i, i
-        j1, j2 = sorted(major)
-        t1, t2 = element(f"t{i}[1]"), element(f"t{i}[2]")
-        sets.append((element(occ_name(major_lit, j1)), t1))
-        sets.append((element(occ_name(major_lit, j2)), t2))
-        sets.append((element(occ_name(minor_lit, minor[0])), t1, t2))
-
-    exempt = tuple(ids[occ_name(lit, j)]
-                   for j, clause in enumerate(f.clauses, 1) for lit in clause)
-    return XceInstance(len(ids), exempt, tuple(sets)), {"names": names}
+            (major1, major2), (minor,) = (p, q) if len(p) == 2 else (q, p)
+            sets += [(major1, tag + 1), (major2, tag + 2), (minor, tag + 1, tag + 2)]
+            tag += 2
+    return XceInstance(tag, tuple(range(1, 2 * m + 1)), tuple(sets))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +276,7 @@ def sat2_to_3xce2(f: CnfFormula) -> tuple[XceInstance, dict]:
 
 
 @_contract(XceInstance, None, "m_set", "m_row", 1, 0)
-def xce2_to_2lp(x: XceInstance) -> tuple[LinSystem, dict]:
+def xce2_to_2lp(x: XceInstance) -> LinSystem:
     """One indicator column per set (x_j = 1 iff the set is selected), one
     row per element over its <= 2 covering sets; non-exempt rows pinned to
     [1,1], exempt rows to [0,1].
@@ -337,7 +303,7 @@ def xce2_to_2lp(x: XceInstance) -> tuple[LinSystem, dict]:
         upper.append(1)
     # a column holds one entry per element of its set, so at most 3
     return LinSystem("band", x.universe_size, len(x.sets), 3,
-                     tuple(entries), tuple(lower), tuple(upper)), {}
+                     tuple(entries), tuple(lower), tuple(upper))
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +312,18 @@ def xce2_to_2lp(x: XceInstance) -> tuple[LinSystem, dict]:
 
 
 @_contract(LinSystem, {"mode": "geq"}, "m_col", "m_col", 1, 0)
-def lp_to_2lp(s: LinSystem) -> tuple[LinSystem, dict]:
+def lp_to_2lp(s: LinSystem) -> LinSystem:
     """Same matrix; the new upper bound of each row is its absolute
     coefficient sum, a ceiling no {0,1}-vector can exceed."""
     rowsum = [0] * (s.num_rows + 1)
     for r, _, v in s.entries:
         rowsum[r] += abs(v)
     return LinSystem("band", s.num_rows, s.num_cols, s.col_bound,
-                     s.entries, s.lower, tuple(rowsum[1:])), {}
+                     s.entries, s.lower, tuple(rowsum[1:]))
 
 
 @_contract(LinSystem, {"mode": "band"}, "m_col", "m_col", 6, 0)
-def twolp_to_lp(s: LinSystem) -> tuple[LinSystem, dict]:
+def twolp_to_lp(s: LinSystem) -> LinSystem:
     """Doubled-variable elimination of the upper bounds.
 
     Used columns are pruned and duplicated (y_j and y_{n+j} both standing for
@@ -387,7 +353,7 @@ def twolp_to_lp(s: LinSystem) -> tuple[LinSystem, dict]:
         entries.extend([(r1, j, 1), (r1, np_ + j, -1), (r2, j, -1), (r2, np_ + j, 1)])
         lower.extend([0, 0])
     return LinSystem("geq", 2 * m + 2 * np_, 2 * np_, s.col_bound + 2,
-                     tuple(entries), tuple(lower)), {}
+                     tuple(entries), tuple(lower))
 
 
 # ---------------------------------------------------------------------------
@@ -400,35 +366,31 @@ def _xor_unsat_marker(num_vars: int) -> XorSystem:
 
 
 @_contract(LinSystem, {"mode": "eq"}, "m_row", "m_vbl", 1, 0)
-def le_to_xor2sat(s: LinSystem) -> tuple[XorSystem, dict]:
+def le_to_xor2sat(s: LinSystem) -> XorSystem:
     """Per row, classify the exact {0,1} solution set of the 1- or
     2-variable integer equation and emit the equivalent parity/unit
     constraints; an empty solution set makes the whole instance the
     UNSAT-marker (encoded as a contradictory unit pair).
     """
     cons: list = []
-    marker = False
     for r, row in enumerate(s.rows()[1:], 1):
         b = s.lower[r - 1]
         if len(row) == 0:
             if b != 0:
-                marker = True
-                break
+                return _xor_unsat_marker(s.num_cols)
             continue
         if len(row) == 1:
             (c1, a1), = row
             sols = [v for v in (0, 1) if a1 * v == b]
             if not sols:
-                marker = True
-                break
+                return _xor_unsat_marker(s.num_cols)
             if len(sols) == 1:
                 cons.append(Unit(c1, sols[0]))
             continue
         (c1, a1), (c2, a2) = row
         sols = [(v1, v2) for v1 in (0, 1) for v2 in (0, 1) if a1 * v1 + a2 * v2 == b]
         if not sols:
-            marker = True
-            break
+            return _xor_unsat_marker(s.num_cols)
         if len(sols) == 1:
             cons.append(Unit(c1, sols[0][0]))
             cons.append(Unit(c2, sols[0][1]))
@@ -441,8 +403,7 @@ def le_to_xor2sat(s: LinSystem) -> tuple[XorSystem, dict]:
             else:
                 cons.append(Parity(c1, c2, p1 ^ q1))
         # len(sols) in (3, 4) cannot occur with two nonzero coefficients
-    out = _xor_unsat_marker(s.num_cols) if marker else XorSystem(s.num_cols, tuple(cons))
-    return out, {"unsat_marker": marker}
+    return XorSystem(s.num_cols, tuple(cons))
 
 
 # ---------------------------------------------------------------------------
@@ -451,30 +412,28 @@ def le_to_xor2sat(s: LinSystem) -> tuple[XorSystem, dict]:
 
 
 @_contract(Digraph, {"inout_bound": 3}, "m_ver", "m_ver", 4, 4)
-def normalize_dstcon(g: Digraph) -> tuple[Digraph, dict]:
+def normalize_dstcon(g: Digraph) -> Digraph:
     """Prepare a reachability instance for the matching gadget: subdivide a
     direct s->t edge, attach fresh degree-1 endpoints s' and t', and split
     every vertex with indegree or outdegree 3 or more through relay
     vertices until both are at most 2. Reachability is preserved.
     """
-    names = {v: f"v{v}" for v in range(1, g.num_vertices + 1)}
     nxt = g.num_vertices
 
-    def fresh(name: str) -> int:
+    def fresh() -> int:
         nonlocal nxt
         nxt += 1
-        names[nxt] = name
         return nxt
 
     edges = list(g.edges)
     # subdivide the direct s->t edge
     if (g.s, g.t) in edges:
-        mid = fresh("mid")
+        mid = fresh()
         edges.remove((g.s, g.t))
         edges.extend([(g.s, mid), (mid, g.t)])
     # fresh degree-1 endpoints
-    new_s = fresh("s'")
-    new_t = fresh("t'")
+    new_s = fresh()
+    new_t = fresh()
     edges.append((new_s, g.s))
     edges.append((g.t, new_t))
     # Relay splitting until indegree <= 2 and outdegree <= 2 everywhere, one
@@ -500,24 +459,24 @@ def normalize_dstcon(g: Digraph) -> tuple[Digraph, dict]:
                 ins[v].append(pos)
     for v in sorted(crowded):
         while len(ins[v]) > 2:
-            relay = fresh(f"in{v}")
+            relay = fresh()
             for pos in ins[v][:2]:
                 edges[pos] = (edges[pos][0], relay)
             del ins[v][:2]
             ins[v].append(len(edges))
             edges.append((relay, v))
         while len(outs[v]) > 2:
-            relay = fresh(f"out{v}")
+            relay = fresh()
             for pos in outs[v][:2]:
                 edges[pos] = (relay, edges[pos][1])
             del outs[v][:2]
             outs[v].append(len(edges))
             edges.append((v, relay))
-    return Digraph(nxt, tuple(edges), new_s, new_t), {"names": names}
+    return Digraph(nxt, tuple(edges), new_s, new_t)
 
 
 @_contract(Digraph, {"normal_form": True}, "m_ver", "m_set", 3, 2)
-def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, dict]:
+def dstcon_to_ap2dm(g: Digraph) -> Ap2dmInstance:
     """Three-layer matching gadget over the internal vertices: layer 0
     copies the edges, layers 1 and 2 are bidirectional chains anchored to s
     and t, per-vertex couplings tie the layers, and layer-0 elements form
@@ -534,10 +493,6 @@ def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, dict]:
     n = len(inner)
     pos = {v: i for i, v in enumerate(inner)}
     l0, l1, l2 = 3, 3 + n, 3 + 2 * n  # first element of each layer
-    names = {1: "s", 2: "t"}
-    for layer, first in enumerate((l0, l1, l2)):
-        for i, v in enumerate(inner):
-            names[first + i] = f"v{v}[{layer}]"
 
     # M0: layer-0 copy of the internal edges
     pairs = [(l0 + pos[u], l0 + pos[v]) for u, v in g.edges if u in pos and v in pos]
@@ -560,7 +515,7 @@ def dstcon_to_ap2dm(g: Digraph) -> tuple[Ap2dmInstance, dict]:
             pairs.append((l0 + pos[u], 2))
     # M6 (trivial pairs) stays implicit.
 
-    return Ap2dmInstance(3 * n + 2, tuple(range(l0, l1)), tuple(pairs)), {"names": names}
+    return Ap2dmInstance(3 * n + 2, tuple(range(l0, l1)), tuple(pairs))
 
 
 def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
@@ -598,13 +553,13 @@ def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
         k1=1,
         k2=0,
         shortness_ok=largest <= in_size,
-        queries=queries,
+        queries=tuple(queries),
     )
     return all(q.answer for q in queries), report
 
 
 @_contract(Digraph, None, "m_ver", "m_ver", 2, 0)
-def reduce_degree_dstcon(g: Digraph) -> tuple[Digraph, dict]:
+def reduce_degree_dstcon(g: Digraph) -> Digraph:
     """Folklore vertex splitting down to total degree <= 3: a vertex of
     degree d > 3 becomes a directed path of d-2 copies whose in-edges attach
     before its out-edges, preserving reachability exactly. Its k1 = 2 is
@@ -618,15 +573,11 @@ def reduce_degree_dstcon(g: Digraph) -> tuple[Digraph, dict]:
         outs[u].append(idx)
         ins[v].append(idx)
 
-    names: dict[int, str] = {}
     copies: dict[int, list[int]] = {}
     nxt = 0
     for v in range(1, g.num_vertices + 1):
-        d = len(ins[v]) + len(outs[v])
-        k = max(1, d - 2)
+        k = max(1, len(ins[v]) + len(outs[v]) - 2)
         copies[v] = list(range(nxt + 1, nxt + k + 1))
-        for i, c in enumerate(copies[v], 1):
-            names[c] = f"v{v}" if k == 1 else f"v{v}/{i}"
         nxt += k
 
     edges: list[tuple[int, int]] = []
@@ -644,7 +595,7 @@ def reduce_degree_dstcon(g: Digraph) -> tuple[Digraph, dict]:
             out_copy[idx] = slots[len(slots) - 1 - i]
     for idx in range(len(g.edges)):
         edges.append((out_copy[idx], in_copy[idx]))
-    return Digraph(nxt, tuple(edges), copies[g.s][0], copies[g.t][-1]), {"names": names}
+    return Digraph(nxt, tuple(edges), copies[g.s][0], copies[g.t][-1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ and `uninstall` puts the originals back."""
 import importlib.util
 from pathlib import Path
 
-from redlab import cli, harness
+from redlab import cli, figures, harness, reductions
 
 TOOL = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 spec = importlib.util.spec_from_file_location("bench_spans", TOOL)
@@ -27,3 +27,16 @@ def test_cli_runs_reach_the_traced_engine(tmp_path, capsys):
     assert counts["cli.verify.calls"] == counts["harness.verify.calls"] == 1
     assert counts["cli.fit.calls"] == counts["harness.fit_shortness.calls"] == 1
     assert harness.verify is verify and harness.verify_m_reduction is harness.verify
+
+
+def test_reduction_counters_read_the_report():
+    """The tracer's reduction counters come from the report each reduction
+    returns: one call, in_size m_vbl = 3 and out_size m_set = 16 on fig2."""
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        reductions.sat2_to_3xce2(figures.FIG2_FORMULA)
+    finally:
+        tracer.uninstall()
+    layer = "reductions.sat2_to_3xce2"
+    assert [tracer.counts[f"{layer}.{k}"] for k in ("calls", "in_size", "out_size")] == [1, 3, 16]

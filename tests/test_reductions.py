@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from redlab import harness, oracles
+from redlab import figures, harness, oracles
 from redlab.harness import GenSpec, generate
 from redlab.instances import (
     PROBLEMS,
@@ -20,6 +20,7 @@ from redlab.instances import (
 from redlab.reductions import (
     UNSAT_2SAT3_CANONICAL,
     PreconditionError,
+    _xor_unsat_marker,
     ap2dm_to_dstcon_queries,
     cover_from_assignment,
     cvc3_to_sat2,
@@ -124,14 +125,17 @@ class TestSat2To2Cvc3:
         assert len(g.edges) == 15  # 3 variable pairs + 4 clause grips + 8 slots
         assert validate(g, {"deg_bound": 3}) == []
         deg = g.degrees()
-        names = rep.notes["names"]
-        # every clause pair is a grip
+        # every clause pair (2n+2j-1, 2n+2j), n = 3, is a grip
         for j in range(1, 5):
-            a = next(v for v, n in names.items() if n == f"c{j}[1]")
-            b = next(v for v, n in names.items() if n == f"c{j}[2]")
-            assert g.is_grip((min(a, b), max(a, b)), deg)
+            assert g.is_grip((5 + 2 * j, 6 + 2 * j), deg)
         assert rep.input_param.value == 3 and rep.output_param.value == 14
         assert rep.k1 == 8 and rep.k2 == 0 and rep.shortness_ok
+
+    def test_fig1_caption_cover(self):
+        """The all-true assignment's cover is the one the figure names."""
+        f, g, _, cover = figures.fig1()
+        assert cover_from_assignment(f, {1: True, 2: True, 3: True}) == cover
+        assert oracles.check_cover(g, cover)
 
     def test_two_clause_formula(self):
         f = CnfFormula(2, ((1, 2), (-1, -2)))
@@ -296,6 +300,57 @@ def test_formula_gadgets_share_their_precondition(gadget):
     gadget(CnfFormula(0, ()))  # raises nothing
 
 
+def _sat2_to_2cvc3_layout(f, g):
+    n, m = f.num_vars, len(f.clauses)
+    edges = set(g.edges)
+    assert g.num_vertices == 2 * (n + m)
+    assert {(2 * i - 1, 2 * i) for i in range(1, n + 1)} <= edges
+    for j, clause in enumerate(f.clauses, 1):
+        assert (2 * n + 2 * j - 1, 2 * n + 2 * j) in edges
+        for k, lit in enumerate(clause, 1):  # x_i at 2i-1, !x_i at 2i
+            assert (2 * abs(lit) - (lit > 0), 2 * n + 2 * j - 2 + k) in edges
+
+
+def _sat2_to_3xce2_layout(f, x):
+    m = len(f.clauses)
+    assert x.exempt == tuple(range(1, 2 * m + 1))
+    sets = set(x.sets)
+    for j, clause in enumerate(f.clauses, 1):
+        for k in (1, 2):
+            assert (2 * j - 2 + k, 2 * m + j) in sets
+    # one tag for each variable in two literals, two for each in three
+    assert x.universe_size == 3 * m + sum(len(c) for c in f.clauses) - f.num_vars
+    for s in x.sets[2 * m:]:  # variable gadgets: an occurrence, then tags
+        assert s[0] <= 2 * m and all(e > 3 * m for e in s[1:])
+
+
+def _dstcon_to_ap2dm_layout(g, a):
+    n = g.num_vertices - 2
+    assert a.universe_size == 3 * n + 2
+    assert a.exempt == tuple(range(3, n + 3))
+    pairs = set(a.pairs)
+    for i in range(n):  # the couplings layer 2 -> 0 -> 1 of each internal vertex
+        assert {(3 + 2 * n + i, 3 + i), (3 + i, 3 + n + i)} <= pairs
+
+
+@pytest.mark.parametrize(("name", "layout"), [
+    ("sat2_to_2cvc3", _sat2_to_2cvc3_layout),
+    ("sat2_to_3xce2", _sat2_to_3xce2_layout),
+    ("dstcon_to_ap2dm", _dstcon_to_ap2dm_layout),
+])
+def test_gadget_id_layout(name, layout):
+    """Each gadget numbers its ids as its docstring states; the corrupted
+    fixtures, `cover_from_assignment` and `figures` rely on that layout."""
+    plan = harness.resolve(name)
+    built = 0
+    for t in range(300):
+        x = plan.prepare(generate(plan.genspec, t))
+        out, _ = plan.reduce(x)
+        layout(x, out)
+        built += out.universe_size > 2 if name == "dstcon_to_ap2dm" else bool(x.clauses)
+    assert built >= 40  # non-empty gadgets
+
+
 class TestXce2To2Lp:
     def test_small_system_rows(self):
         x = XceInstance(3, (3,), ((1, 2), (2, 3)))
@@ -384,8 +439,8 @@ class TestLeToXor2Sat:
 
     def test_unreachable_rhs(self):
         s = LinSystem("eq", 1, 2, 3, ((1, 1, 1), (1, 2, 1)), (5,))
-        out, rep = le_to_xor2sat(s)
-        assert rep.notes["unsat_marker"]
+        out, _ = le_to_xor2sat(s)
+        assert out == _xor_unsat_marker(s.num_cols)
         assert oracles.solve_xor2sat(out) is False
 
     def test_one_variable_free(self):
@@ -530,7 +585,7 @@ class TestTuringReduction:
 
     def test_single_element_no_queries(self):
         yes, rep = ap2dm_to_dstcon_queries(Ap2dmInstance(1, (), ()), oracles.dstcon_oracle)
-        assert yes is True and rep.queries == []
+        assert yes is True and rep.queries == ()
 
     def test_overlap_precondition(self):
         a = Ap2dmInstance(5, (), ((1, 2), (1, 3), (1, 4), (1, 5)))
