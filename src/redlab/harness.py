@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 import time
 from bisect import bisect_left, insort
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache, partial
@@ -861,9 +861,9 @@ class _Trial:
     """What the stages after generation leave for the folds, for one
     prepared instance, or a skip of `prepare` for one raw instance. A run's
     memo hands the same record to every trial whose instance prepares to an
-    equal one, so nothing may mutate it: the record, its `report` and the
-    report's query records are frozen, and `struct` and the queries are
-    tuples. A skipped trial carries only the reason."""
+    equal one, so nothing may mutate it: the record and its `report` are
+    frozen, and `struct` and the report's queries are tuples. A skipped
+    trial carries only the reason."""
 
     report: object = None  # ReductionReport, or None
     equiv: bool = True  # both oracles agree (True when not decided)
@@ -964,9 +964,7 @@ def verify(name: str, plan: VerifierPlan, trials: int) -> VerifyResult:
         if report is not None:
             if not report.shortness_ok:
                 result.shortness_failures.append((seed, serialize(raw)))
-            # the input parameter is clamped into N+ and every k1 is >= 1
-            result.max_ratio = max(result.max_ratio, (report.output_param.value - report.k2)
-                                   / (report.k1 * report.input_param.value))
+            result.max_ratio = max(result.max_ratio, report.ratio)
         result.structural_failures.extend((seed, msg) for msg in rec.struct)
     result.wall_time = time.perf_counter() - started
     return result
@@ -982,8 +980,7 @@ def verify_T_reduction(trials: int, seed: int = 1, max_size: int | None = None) 
     """The exploratory oracle-reduction run: the plan of
     `ap2dm_to_dstcon_queries` over arbitrary random 4-overlapping instances
     in place of its matching gadgets, with disagreements recorded as
-    findings only. Per-query sizes are enforced against the |X| bound.
-    max_size defaults to 5.
+    findings only. max_size defaults to 5.
 
     Linkage needs no separate symmetry check: under a perfect matching, v
     links to w exactly when w = pi^k(v) for some even k >= 2 (acceptance
@@ -1004,26 +1001,18 @@ def fit_shortness(name: str, trials: int, seed: int = 1) -> dict:
     a ratio histogram, alongside the declared constants. The trials are
     those of `verify` on `resolve(name, seed)`, with the oracle stages left
     out."""
-    pairs: list[tuple[int, int]] = []
-    declared = None
     plan = resolve(name, seed)
-    for _, _, rec in _trials(plan, trials, decide=False):
-        if rec.report is None:
-            continue
-        declared = (rec.report.k1, rec.report.k2)
-        pairs.append((rec.report.input_param.value, rec.report.output_param.value))
-    k1, k2 = declared if declared else (1, 0)
+    reports = [rec.report for _, _, rec in _trials(plan, trials, decide=False) if rec.report is not None]
+    k1, k2 = (reports[-1].k1, reports[-1].k2) if reports else (1, 0)
+    pairs = [(r.input_param.value, r.output_param.value) for r in reports]
     fit_k1 = max((o / i) for i, o in pairs) if pairs else 0.0  # with k2 = 0
     fit_k2 = max((o - k1 * i) for i, o in pairs) if pairs else 0  # with declared k1
-    max_ratio = max(((o - k2) / (k1 * i)) for i, o in pairs) if pairs else 0.0
-    hist: dict[str, int] = {}
-    for i, o in pairs:
-        bucket = f"{(o - k2) / (k1 * i):.2f}"
-        hist[bucket] = hist.get(bucket, 0) + 1
+    max_ratio = max((r.ratio for r in reports), default=0.0)
+    hist = Counter(f"{r.ratio:.2f}" for r in reports)
     return {
         "name": name,
         "declared": (k1, k2),
-        "observed_pairs": len(pairs),
+        "observed_pairs": len(reports),
         "max_ratio": max_ratio,
         "fit_k1_with_k2_0": fit_k1,
         "fit_k2_with_declared_k1": fit_k2,

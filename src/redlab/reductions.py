@@ -1,10 +1,11 @@
 """Constructive transformations between the problem classes.
 
 Every transformation returns (output instance, ReductionReport); the report
-carries the declared shortness constants (k1, k2) and whether the invocation
-obeyed output <= k1 * input + k2 on its size parameters. Gadget vertices and
-universe elements get dense integer identifiers in the layout each gadget's
-docstring states; `figures` derives the worked figures' labels from it.
+carries the declared shortness constants (k1, k2) and the observed size
+parameters, and derives from them SHORT (output <= k1 * input + k2) and the
+ratio that `verify` and `fit` aggregate. Gadget vertices and universe
+elements get dense integer identifiers in the layout each gadget's docstring
+states; `figures` derives the worked figures' labels from it.
 
 Each transformation's contract is stated once, in its `_contract(cls,
 tags, src_param, dst_param, k1, k2)` line: the input class, the `validate`
@@ -14,8 +15,8 @@ parameters. The decorator checks the input with `_require` and builds the
 report; the body returns the output. An input of another class, or one
 `validate` rejects under the tags, raises PreconditionError with the first
 violation's detail. `normalize_2sat3` (no report) and the oracle reduction
-`ap2dm_to_dstcon_queries` (a bool output and per-query report) call
-`_require` themselves.
+`ap2dm_to_dstcon_queries` (a bool output, and a report that logs each
+query's answer) call `_require` themselves.
 """
 
 from __future__ import annotations
@@ -54,22 +55,26 @@ def _require(instance, cls, tags: dict | None = None):
 
 
 @dataclass(frozen=True)
-class QueryRecord:
-    size: int
-    answer: bool
-
-
-@dataclass(frozen=True)
 class ReductionReport:
-    """Declared shortness contract and the observed size parameters."""
+    """Declared shortness contract, observed size parameters, and an oracle
+    reduction's query answers in issue order."""
 
     name: str
     input_param: SizeParam
     output_param: SizeParam
     k1: int
     k2: int
-    shortness_ok: bool
-    queries: tuple[QueryRecord, ...] = ()
+    queries: tuple[bool, ...] = ()
+
+    @property
+    def shortness_ok(self) -> bool:
+        """output <= k1 * input + k2, compared exactly on the integers."""
+        return self.output_param.value <= self.k1 * self.input_param.value + self.k2
+
+    @property
+    def ratio(self) -> float:
+        """At most 1 when short, up to float rounding; sizes and k1 are >= 1."""
+        return (self.output_param.value - self.k2) / (self.k1 * self.input_param.value)
 
     def to_text(self) -> str:
         lines = [
@@ -81,24 +86,23 @@ class ReductionReport:
                 "ok" if self.shortness_ok else "FAIL",
             )
         ]
-        for i, q in enumerate(self.queries, 1):
-            lines.append(f"QUERY {i}\tSIZE {q.size}\tANSWER {'y' if q.answer else 'n'}")
+        for i, answer in enumerate(self.queries, 1):
+            lines.append(f"QUERY {i}\tANSWER {'y' if answer else 'n'}")
         return "\n".join(lines) + "\n"
 
 
 def _contract(cls, tags: dict | None, src_param: str, dst_param: str, k1: int, k2: int):
     """Decorate a reduction body x -> output: the reduction requires a
     cls input that `validate` accepts under tags, and returns the output with
-    a report of whether its dst_param is at most k1 * the input's src_param
-    + k2."""
+    a report of the input's src_param and the output's dst_param under the
+    constants k1, k2."""
     def decorate(body):
         @functools.wraps(body)
         def reduction(x):
             _require(x, cls, tags)
             out = body(x)
-            iv, ov = size_param(x, src_param), size_param(out, dst_param)
-            return out, ReductionReport(body.__name__, SizeParam(src_param, iv), SizeParam(dst_param, ov),
-                                        k1, k2, ov <= k1 * iv + k2)
+            return out, ReductionReport(body.__name__, SizeParam(src_param, size_param(x, src_param)),
+                                        SizeParam(dst_param, size_param(out, dst_param)), k1, k2)
         return reduction
     return decorate
 
@@ -527,35 +531,22 @@ def ap2dm_to_dstcon_queries(a, oracle) -> tuple[bool, ReductionReport]:
     pair. `oracle(n, edges)` is called once with it and returns
     `ask(s, t)`, a reachability decider whose truthy answer is YES; each
     `ask` call is one query. Queries are issued for v < w, (v, w) before
-    (w, v), skipping pairs of two exempt elements. Every query is logged
-    with its size, which always equals |X|; the report's output parameter
-    is the largest query (0 when none is issued).
-    Declared per-query shortness k1=1, k2=0 on m_set -> m_ver.
+    (w, v), skipping pairs of two exempt elements. The report logs the
+    answers in issue order; every query graph has m_ver = |X| = m_set, its
+    output parameter when a query is issued (0 otherwise), under the
+    declared per-query shortness k1=1, k2=0 on m_set -> m_ver.
     """
     _require(a, Ap2dmInstance, {"overlap_bound": 4})
     n = a.universe_size
     exempt = set(a.exempt)
-    size = max(1, n)  # m_ver of every query graph, whose vertex set is X
     ask = oracle(n, a.pairs)
-    queries = []
-    for v in range(1, n + 1):
-        for w in range(v + 1, n + 1):
-            if v in exempt and w in exempt:
-                continue
-            for src, dst in ((v, w), (w, v)):
-                queries.append(QueryRecord(size, bool(ask(src, dst))))
-    in_size = size_param(a, "m_set")
-    largest = max((q.size for q in queries), default=0)
-    report = ReductionReport(
-        name="ap2dm_to_dstcon_queries",
-        input_param=SizeParam("m_set", in_size),
-        output_param=SizeParam("m_ver", largest),
-        k1=1,
-        k2=0,
-        shortness_ok=largest <= in_size,
-        queries=tuple(queries),
-    )
-    return all(q.answer for q in queries), report
+    queries = tuple(bool(ask(src, dst))
+                    for v in range(1, n + 1) for w in range(v + 1, n + 1) if not (v in exempt and w in exempt)
+                    for src, dst in ((v, w), (w, v)))
+    size = size_param(a, "m_set")
+    report = ReductionReport("ap2dm_to_dstcon_queries", SizeParam("m_set", size),
+                             SizeParam("m_ver", size if queries else 0), 1, 0, queries)
+    return all(queries), report
 
 
 @_contract(Digraph, None, "m_ver", "m_ver", 2, 0)

@@ -5,7 +5,7 @@ and `uninstall` puts the originals back."""
 import importlib.util
 from pathlib import Path
 
-from redlab import cli, figures, harness, reductions
+from redlab import cli, figures, harness, oracles, reductions
 
 TOOL = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 spec = importlib.util.spec_from_file_location("bench_spans", TOOL)
@@ -40,3 +40,18 @@ def test_reduction_counters_read_the_report():
         tracer.uninstall()
     layer = "reductions.sat2_to_3xce2"
     assert [tracer.counts[f"{layer}.{k}"] for k in ("calls", "in_size", "out_size")] == [1, 3, 16]
+
+
+def test_query_counter_reads_the_answer_log():
+    """The oracle reduction's counters: one call, 170 queries and in/out
+    m_set = m_ver = 14 on fig3's gadget, read from the report's answers."""
+    _, a, _ = figures.fig3()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        reductions.ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
+    finally:
+        tracer.uninstall()
+    layer = "reductions.ap2dm_to_dstcon_queries"
+    counted = [tracer.counts[f"{layer}.{k}"] for k in ("calls", "queries", "in_size", "out_size")]
+    assert counted == [1, 170, 14, 14]

@@ -7,14 +7,17 @@ and the reference routes README places in tests/references.py live there,
 outside the library. The `EQUIV_FAILURES` counts README "Known gadget
 defects" quotes are those of the runs it names, as are the shares and
 sizes it gives of them, and defect 2 fails on exactly the unsatisfiable
-sources. The memo counts README "Command line" gives are those of the
-draws it names, the benchmark's `matching` chunks included."""
+sources. README "Other findings" counts the `cvc3_to_sat2` outputs outside
+2SAT3 as its default plan draws them. The memo counts README "Command
+line" gives are those of the draws it names, the benchmark's `matching`
+chunks included."""
 
 import argparse
 import functools
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,10 +30,15 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 BENCH = README.parent / "bench"
 
 
-def _command_line() -> str:
+def _section(heading: str) -> str:
+    """README's section under heading, its whitespace runs made one space."""
     text = README.read_text()
-    start = text.index("## Command line")
+    start = text.index(heading)
     return " ".join(text[start:text.index("\n## ", start + 1)].split())
+
+
+def _command_line() -> str:
+    return _section("## Command line")
 
 
 def _names(sentence: str) -> list[str]:
@@ -128,9 +136,7 @@ def test_defect_2_fails_on_every_unsatisfiable_source(trials, max_size, failures
 
 
 def _defects() -> str:
-    text = README.read_text()
-    start = text.index("## Known gadget defects")
-    return " ".join(text[start:text.index("\n## ", start + 1)].split())
+    return _section("## Known gadget defects")
 
 
 def test_quoted_defect_counts():
@@ -187,6 +193,20 @@ def test_defect_2_sizes():
     assert not _run("sat2_to_2cvc3", trials, max_size).skipped
     assert sum(bool(f.clauses) for f in formulas) == nonempty
     assert max(plan.reduce(f)[0].num_vertices for f in formulas) == largest
+
+
+def test_cvc3_to_sat2_leaves_2sat3():
+    """README's finding that `cvc3_to_sat2` lands in 2SAT: how many of the
+    default plan's outputs break `occ_bound` 3, and their largest count of
+    occurrences of one variable."""
+    m = re.search(r"At seed (\d+), (\d+) of the (\d+) outputs of the default `(\w+)` plan have a "
+                  r"variable with more than 3 occurrences, up to (\d+)\.", _section("## Other findings"))
+    seed, broken, trials, name, most = *map(int, m.groups()[:3]), m.group(4), int(m.group(5))
+    plan = harness.resolve(name, seed)
+    assert name == "cvc3_to_sat2" and plan.prepare is None
+    outs = [plan.reduce(harness.generate(plan.genspec, t))[0] for t in range(trials)]
+    assert sum(bool(instances.validate(f, {"occ_bound": 3})) for f in outs) == broken
+    assert max(max(Counter(abs(l) for c in f.clauses for l in c).values(), default=0) for f in outs) == most
 
 
 @functools.cache

@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +13,7 @@ from redlab.instances import (
     Digraph,
     LinSystem,
     Parity,
+    SizeParam,
     UGraph,
     Unit,
     XceInstance,
@@ -20,6 +24,7 @@ from redlab.instances import (
 from redlab.reductions import (
     UNSAT_2SAT3_CANONICAL,
     PreconditionError,
+    ReductionReport,
     _xor_unsat_marker,
     ap2dm_to_dstcon_queries,
     cover_from_assignment,
@@ -116,6 +121,40 @@ class TestNormalize2Sat:
         for t in range(300):
             out = normalize_2sat3(generate(spec, t))
             assert not out.clauses or is_normalized_2sat3(out)
+
+    def test_decides_degree3_reachability(self):
+        """The normalizer is the lab's preprocessing, not a claimed
+        reduction: it decides degree-3 DSTCON (NL-complete), so it has no
+        log-space form unless L = NL. Each arc a -> b becomes (!a v b), with
+        the units (s v s) and (!t v !t); the output is the canonical
+        unsatisfiable formula exactly when t is reachable from s."""
+        rng = random.Random(2024)
+        checked = reachable = 0
+        while checked < 1000:
+            n = rng.randint(3, 14)
+            s, t = rng.sample(range(1, n + 1), 2)
+            cap = {v: 1 if v in (s, t) else 3 for v in range(1, n + 1)}  # total degree
+            arcs: list[tuple[int, int]] = []
+            for _ in range(3 * n):
+                a, b = rng.sample(range(1, n + 1), 2)
+                if cap[a] and cap[b] and (a, b) not in arcs:
+                    arcs.append((a, b))
+                    cap[a] -= 1
+                    cap[b] -= 1
+            if cap[s] or cap[t]:
+                continue  # s or t left without its one arc
+            seen, todo = {s}, deque([s])
+            while todo:
+                u = todo.popleft()
+                for a, b in arcs:
+                    if a == u and b not in seen:
+                        seen.add(b)
+                        todo.append(b)
+            f = CnfFormula(n, tuple((-a, b) for a, b in arcs) + ((s, s), (-t, -t)))
+            assert (normalize_2sat3(f) == UNSAT_2SAT3_CANONICAL) == (t in seen), f
+            checked += 1
+            reachable += t in seen
+        assert reachable >= 100, reachable  # 176 of 1000 at this seed
 
 
 class TestSat2To2Cvc3:
@@ -549,8 +588,8 @@ class TestTuringReduction:
         yes, rep = ap2dm_to_dstcon_queries(a, _counting_oracle(graphs, asks))
         assert yes is True
         assert len(rep.queries) == len(asks) == 170  # <= 182 distinct ordered pairs
-        assert all(q.size == 14 for q in rep.queries)
-        assert graphs == [(14, a.pairs)]
+        assert graphs == [(14, a.pairs)]  # every query runs on the one 14-vertex graph
+        assert rep.input_param.value == rep.output_param.value == 14
         assert rep.shortness_ok
 
     def test_call_contract(self):
@@ -573,7 +612,7 @@ class TestTuringReduction:
                 issued += 1
                 assert graphs == [(n, a.pairs)]
             assert [(s, t) for s, t, _ in asks] == order
-            assert [answer for _, _, answer in asks] == [q.answer for q in rep.queries]
+            assert [answer for _, _, answer in asks] == list(rep.queries)
             assert yes == all(answer for _, _, answer in asks)
         assert issued > 300
 
@@ -581,11 +620,12 @@ class TestTuringReduction:
         a = Ap2dmInstance(2, (), ())
         yes, rep = ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
         assert yes is False
-        assert any(not q.answer for q in rep.queries)
+        assert not all(rep.queries)
 
     def test_single_element_no_queries(self):
         yes, rep = ap2dm_to_dstcon_queries(Ap2dmInstance(1, (), ()), oracles.dstcon_oracle)
         assert yes is True and rep.queries == ()
+        assert rep.output_param.value == 0 and rep.shortness_ok
 
     def test_overlap_precondition(self):
         a = Ap2dmInstance(5, (), ((1, 2), (1, 3), (1, 4), (1, 5)))
@@ -660,6 +700,27 @@ class TestMembershipEquivalenceSweeps:
         assert not r.shortness_failures
 
 
+class TestReductionReport:
+    """The report derives SHORT and the ratio from its four numbers."""
+
+    @staticmethod
+    def report(iv, ov, k1, k2):
+        return ReductionReport("r", SizeParam("m_vbl", iv), SizeParam("m_ver", ov), k1, k2)
+
+    def test_boundary_above_float_precision(self):
+        iv, k1, k2 = 2**60 + 1, 3, 2**55
+        at, over = self.report(iv, k1 * iv + k2, k1, k2), self.report(iv, k1 * iv + k2 + 1, k1, k2)
+        assert at.shortness_ok and not over.shortness_ok
+        assert at.ratio == over.ratio == 1.0  # the float ratio cannot tell them apart
+
+    @pytest.mark.parametrize("iv, ov, k1, k2", [(3, 14, 8, 0), (5, 19, 4, 4), (7, 2, 3, 2),
+                                                 (2**53 + 1, 2**54 + 7, 2, 5), (1, 0, 1, 0)])
+    def test_ratio_is_the_verify_and_fit_expression(self, iv, ov, k1, k2):
+        rep = self.report(iv, ov, k1, k2)
+        assert rep.ratio == (ov - k2) / (k1 * iv)  # so MAX_RATIO and HIST bytes cannot drift
+        assert rep.shortness_ok == (ov <= k1 * iv + k2)
+
+
 class TestReportFormat:
     def test_m_reduction_line(self):
         _, rep = sat2_to_2cvc3(FIG1)
@@ -670,7 +731,8 @@ class TestReportFormat:
         a, _ = dstcon_to_ap2dm(FIG3)
         _, rep = ap2dm_to_dstcon_queries(a, oracles.dstcon_oracle)
         lines = rep.to_text().splitlines()
-        assert lines[1].startswith("QUERY 1\tSIZE 14\tANSWER ")
+        assert lines[0] == "REDUCE ap2dm_to_dstcon_queries\tIN m_set=14\tOUT m_ver=14\tK1 1\tK2 0\tSHORT ok"
+        assert lines[1:] == [f"QUERY {i}\tANSWER {'y' if y else 'n'}" for i, y in enumerate(rep.queries, 1)]
         assert len(lines) == 1 + 170
 
 
